@@ -2,7 +2,7 @@
 
 Verbs: generate, solve, enumerate, stats, space-report (alias: space),
 oracle-check.  Exit codes: 0 success, 1 property violation found by
-oracle-check, 2 usage or parse errors, 3 enumeration cap exceeded.
+oracle-check, 2 usage, parse or file errors, 3 enumeration cap exceeded.
 All randomness flows through explicit seeds; outputs go to stdout unless
 --out is given, diagnostics to stderr only.
 """
@@ -50,8 +50,11 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 def _load_instance(path: str) -> Instance:
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not ASCII text (byte {exc.start})") from None
     warnings: list[str] = []
     inst = parse_instance(text, warnings)
     for w in warnings:
@@ -250,10 +253,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ParseError, OSError) as exc:
+        # Bad text, or a path that cannot be read or written (missing, a
+        # directory, no permission): a usage error, never exit 1.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EnumerationCapError as exc:

@@ -10,9 +10,11 @@ that derived instances (truncated preference lists) can keep the ranks of
 the instance they were derived from.
 
 Instances built by :func:`parse_instance` or :meth:`Instance.from_lists`
-have rank == list position.  :func:`preprocess` removes every agent that is
-unassigned in all stable matchings (one proposal round identifies them) and
-re-indexes densely, keeping a map back to the original indices.
+have rank == list position.  :func:`preprocess` returns its input when every
+agent is assigned in the stable matchings; otherwise it removes the agents
+that are not, re-indexes densely (keeping a map back to the original
+indices) and cuts the pairs no stable matching uses, so that the result has
+the input's stable matchings and no others.
 
 Text format (ASCII, LF newlines, no comments)::
 
@@ -25,7 +27,8 @@ An empty line is an empty preference list.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -78,8 +81,13 @@ class Instance:
     ) -> "Instance":
         """Build an instance with rank == list position; validates invariants."""
         n_men, n_women = len(men_lists), len(women_lists)
-        m_lists = [()] + [tuple(int(w) for w in lst) for lst in men_lists]
-        w_lists = [()] + [tuple(int(m) for m in lst) for lst in women_lists]
+        # One int object per agent, shared by every list that names him or
+        # her.  Ints above 256 are not cached by the interpreter, so lists of
+        # freshly parsed ints point all over the heap, and every rank lookup
+        # through them costs a cache miss whose price depends on the heap.
+        men_ids, women_ids = tuple(range(n_men + 1)), tuple(range(n_women + 1))
+        m_lists = [()] + [_shared_ids(lst, women_ids) for lst in men_lists]
+        w_lists = [()] + [_shared_ids(lst, men_ids) for lst in women_lists]
         m_rank = _positional_ranks(m_lists, n_women, "man", "woman")
         w_rank = _positional_ranks(w_lists, n_men, "woman", "man")
         for i in range(1, n_men + 1):
@@ -89,8 +97,8 @@ class Instance:
                         f"acceptability is not mutual: man {i} lists woman {w} "
                         f"but not vice versa"
                     )
-        om = tuple(range(n_men + 1)) if orig_men is None else tuple(orig_men)
-        ow = tuple(range(n_women + 1)) if orig_women is None else tuple(orig_women)
+        om = men_ids if orig_men is None else tuple(orig_men)
+        ow = women_ids if orig_women is None else tuple(orig_women)
         return cls(tuple(m_lists), tuple(w_lists), m_rank, w_rank, om, ow)
 
     @property
@@ -137,6 +145,13 @@ class Instance:
     def rank(self, agent: AgentRef, other_index: int) -> int:
         table = self.men_rank if agent.side is Side.MAN else self.women_rank
         return table[agent.index][other_index]
+
+
+def _shared_ids(lst: Sequence[int], ids: tuple[int, ...]) -> tuple[int, ...]:
+    """``lst`` with each index in range replaced by its object in ``ids``;
+    out-of-range entries pass through for :func:`_positional_ranks` to report."""
+    n = len(ids)
+    return tuple(ids[j] if 0 < j < n else j for j in map(int, lst))
 
 
 def _positional_ranks(
@@ -316,50 +331,96 @@ def gs_propose(
     recv_rank: Sequence[Sequence[int]],
     n_prop: int,
     n_recv: int,
+    cutoff: Optional[tuple[int, Sequence[Sequence[int]]]] = None,
 ) -> list[int]:
     """Deferred acceptance with the given side proposing.
 
     Returns the 1-based proposer -> receiver assignment (0 = unmatched).
     Proposers are processed in ascending index order so runs are
     reproducible, although the outcome is order-independent.
+
+    ``cutoff = (d, prop_rank)`` runs the same rounds on the instance
+    truncated at rank d without building it: a proposer stops at the first
+    entry he ranks worse than d (ranks rise strictly along every list), and
+    a receiver rejects every proposer she ranks worse than d.
     """
+    limit, prop_rank = cutoff if cutoff else (sys.maxsize, None)
     next_pos = [0] * (n_prop + 1)
     recv_match = [0] * (n_recv + 1)
+    # Rank of each receiver's current proposer; a free receiver holds an
+    # imaginary one ranked just past the cutoff.
+    held = [limit + 1] * (n_recv + 1)
     prop_match = [0] * (n_prop + 1)
     free = list(range(n_prop, 0, -1))
     while free:
         p = free.pop()
         lst = prop_lists[p]
+        end = len(lst)
+        if prop_rank is not None:
+            end = bisect_right(lst, limit, key=prop_rank[p].__getitem__)
         i = next_pos[p]
-        while i < len(lst):
+        while i < end:
             r = lst[i]
             i += 1
-            rank_row = recv_rank[r]
-            cur = recv_match[r]
-            if cur == 0:
+            rank = recv_rank[r][p]
+            if rank < held[r]:
+                cur = recv_match[r]
                 recv_match[r] = p
+                held[r] = rank
                 prop_match[p] = r
-                break
-            if rank_row[p] < rank_row[cur]:
-                recv_match[r] = p
-                prop_match[p] = r
-                prop_match[cur] = 0
-                free.append(cur)
+                if cur:
+                    prop_match[cur] = 0
+                    free.append(cur)
                 break
         next_pos[p] = i
     return prop_match
 
 
+def _truncated_instance(
+    inst: Instance, men_limit: Sequence[int], women_limit: Sequence[int]
+) -> Instance:
+    """The pairs (m, w) that m ranks within ``men_limit[m]`` and w within
+    ``women_limit[w]``, each keeping its rank on both sides."""
+    men = _kept_side(inst.men_lists, inst.men_rank, men_limit, inst.women_rank, women_limit)
+    women = _kept_side(inst.women_lists, inst.women_rank, women_limit, inst.men_rank, men_limit)
+    return Instance(men[0], women[0], men[1], women[1], inst.orig_men, inst.orig_women)
+
+
+def _kept_side(lists, rank, limit, other_rank, other_limit):
+    """One side's kept lists and rank rows, both with the index-0 stub."""
+    width = len(other_rank)
+    kept_lists, rows = [()], [(0,) * width]
+    for i in range(1, len(lists)):
+        own, lim = rank[i], limit[i]
+        kept = tuple(j for j in lists[i] if own[j] <= lim and other_rank[j][i] <= other_limit[j])
+        row = [0] * width
+        for j in kept:
+            row[j] = own[j]
+        kept_lists.append(kept)
+        rows.append(tuple(row))
+    return tuple(kept_lists), tuple(rows)
+
+
 def preprocess(inst: Instance) -> Instance:
-    """Strip agents that no stable matching assigns; re-index densely.
+    """Reduce an instance to the agents and pairs stable matchings can use.
 
     The same agents are assigned in every stable matching, so one proposer
-    round identifies exactly who can be removed.  The result has equally
-    many men and women, every one of whom is matched in every stable
-    matching, and positional ranks over the filtered lists.
+    round identifies who is never assigned.  When nobody is, the input is
+    returned unchanged.  Otherwise those agents are removed and the rest
+    re-indexed densely, with ranks equal to positions in the lists with
+    only the removed agents taken out.  Removing agents alone can create
+    stable matchings the input does not have, so every pair that no stable
+    matching of the input uses goes too: (m, w) where w ranks m below her
+    man-optimal partner or m ranks w below his woman-optimal partner.  The
+    stable matchings of the result, mapped back through ``orig_men`` and
+    ``orig_women``, are exactly those of the input, and all are perfect.
     """
-    wife = gs_propose(inst.men_lists, inst.women_rank, inst.n_men, inst.n_women)
-    kept_men = [m for m in range(1, inst.n_men + 1) if wife[m]]
+    n_men, n_women = inst.n_men, inst.n_women
+    wife = gs_propose(inst.men_lists, inst.women_rank, n_men, n_women)
+    kept_men = [m for m in range(1, n_men + 1) if wife[m]]
+    if len(kept_men) == n_men == n_women:
+        return inst
+    husband = gs_propose(inst.women_lists, inst.men_rank, n_women, n_men)
     kept_women = sorted(wife[m] for m in kept_men)
     new_m = {old: new for new, old in enumerate(kept_men, start=1)}
     new_w = {old: new for new, old in enumerate(kept_women, start=1)}
@@ -371,7 +432,17 @@ def preprocess(inst: Instance) -> Instance:
     ]
     orig_men = (0,) + tuple(inst.orig_men[old] for old in kept_men)
     orig_women = (0,) + tuple(inst.orig_women[old] for old in kept_women)
-    return Instance.from_lists(men_lists, women_lists, orig_men, orig_women)
+    reduced = Instance.from_lists(men_lists, women_lists, orig_men, orig_women)
+    # Each agent's worst stable partner bounds the ranks worth keeping: the
+    # woman-optimal wife of a man, the man-optimal husband of a woman.
+    men_limit = [0] * (reduced.n_men + 1)
+    for w, m in enumerate(husband):
+        if m:
+            men_limit[new_m[m]] = reduced.men_rank[new_m[m]][new_w[w]]
+    women_limit = [0] * (reduced.n_women + 1)
+    for m in kept_men:
+        women_limit[new_w[wife[m]]] = reduced.women_rank[new_w[wife[m]]][new_m[m]]
+    return _truncated_instance(reduced, men_limit, women_limit)
 
 
 def profile_of(inst: Instance, matching: Matching) -> Profile:

@@ -32,13 +32,6 @@ class Profile:
     def zero(cls) -> "Profile":
         return _ZERO
 
-    @classmethod
-    def single(cls, index: int, value: int) -> "Profile":
-        """Profile with one nonzero entry at 1-based position ``index``."""
-        if index < 1:
-            raise ValueError("profile indices are 1-based")
-        return cls([0] * (index - 1) + [value])
-
     @property
     def elements(self) -> tuple[int, ...]:
         """Entries with trailing zeros stripped."""
@@ -157,10 +150,6 @@ class Profile:
 
 
 _ZERO = Profile(())
-
-# Exponential scalarised weights need exact arithmetic at any magnitude;
-# Python's int already is an arbitrary-precision signed integer.
-BigWeight = int
 
 
 def lex_compare(p: Profile, q: Profile) -> int:

@@ -58,12 +58,6 @@ class RotationDigraph:
     def edges(self) -> tuple[tuple[int, int, frozenset[int]], ...]:
         return tuple((u, v, labs) for (u, v), labs in self._labels.items())
 
-    def label_set(self, u: int, v: int) -> frozenset[int]:
-        return self._labels.get((u, v), frozenset())
-
-    def successors(self, u: int) -> tuple[int, ...]:
-        return self._succs[u]
-
     def predecessors(self, v: int) -> tuple[int, ...]:
         return self._preds[v]
 
@@ -136,7 +130,6 @@ def find_rotations(inst: Instance) -> list[Rotation]:
     for m in range(1, n + 1):
         husband[wife[m]] = m
     men_lists = inst.men_lists
-    men_rank = inst.men_rank
     women_rank = inst.women_rank
     ptr = [0] * (n + 1)
     for m in range(1, n + 1):
@@ -150,22 +143,7 @@ def find_rotations(inst: Instance) -> list[Rotation]:
         lead = min(range(k), key=cycle_men.__getitem__)
         cycle_men = cycle_men[lead:] + cycle_men[:lead]
         pairs = tuple((m, wife[m]) for m in cycle_men)
-        delta: dict[int, int] = {}
-
-        def bump(rank: int, by: int) -> None:
-            delta[rank] = delta.get(rank, 0) + by
-
-        for idx in range(k):
-            m = cycle_men[idx]
-            m_next = cycle_men[(idx + 1) % k]
-            w_old, w_new = wife[m], wife[m_next]
-            bump(men_rank[m][w_old], -1)
-            bump(men_rank[m][w_new], 1)
-            bump(women_rank[w_new][m_next], -1)
-            bump(women_rank[w_new][m], 1)
-        top = max((r for r, d in delta.items() if d), default=0)
-        profile = Profile(delta.get(r, 0) for r in range(1, top + 1))
-        rotations.append(Rotation(len(rotations), pairs, profile))
+        rotations.append(Rotation(len(rotations), pairs, _cycle_profile(inst, pairs)))
         new_wives = [wife[cycle_men[(idx + 1) % k]] for idx in range(k)]
         for idx in range(k):
             m, w = cycle_men[idx], new_wives[idx]
@@ -223,7 +201,10 @@ def rotation_profile(inst: Instance, rotation: Rotation) -> Profile:
 
     Depends only on the cycle, not on the matching it is eliminated from.
     """
-    cycle = rotation.cycle
+    return _cycle_profile(inst, rotation.cycle)
+
+
+def _cycle_profile(inst: Instance, cycle: tuple[tuple[int, int], ...]) -> Profile:
     k = len(cycle)
     delta: dict[int, int] = {}
 
@@ -283,17 +264,13 @@ def build_digraph(inst: Instance, rotations: list[Rotation]) -> RotationDigraph:
     )
 
 
-def apply_rotation(wife: list[int], husband: list[int], cycle) -> None:
+def apply_rotation(wife: list[int], cycle) -> None:
     """Advance each cycle man to the next woman, in place."""
-    k = len(cycle)
     for m, w in cycle:
         if wife[m] != w:
             raise RuntimeError(f"rotation pair ({m},{w}) absent; rotation not exposed")
-    new_wives = [cycle[(idx + 1) % k][1] for idx in range(k)]
-    for idx in range(k):
-        m = cycle[idx][0]
-        wife[m] = new_wives[idx]
-        husband[new_wives[idx]] = m
+    for (m, _), (_, w_next) in zip(cycle, cycle[1:] + cycle[:1]):
+        wife[m] = w_next
 
 
 def eliminate_closed_subset(
@@ -316,13 +293,9 @@ def eliminate_closed_subset(
     if not digraph.is_closed(chosen):
         raise ValueError("rotation subset is not predecessor-closed")
     wife = man_opt.wife_array(inst.n_men)
-    husband = [0] * (inst.n_women + 1)
-    for m in range(1, inst.n_men + 1):
-        if wife[m]:
-            husband[wife[m]] = m
     for rid in digraph.topological_order():
         if rid in chosen:
-            apply_rotation(wife, husband, rotations[rid].cycle)
+            apply_rotation(wife, rotations[rid].cycle)
     return Matching.from_wife_array(wife)
 
 

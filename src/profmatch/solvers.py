@@ -1,15 +1,20 @@
 """Top-level solvers for profile-optimal and enumeration-backed criteria.
 
-The flow-backed solvers (rank-maximal, generous) run the full pipeline:
+The flow-backed solvers (rank-maximal, generous) share one pipeline:
 rotations -> precedence digraph -> vector-capacity network -> max flow ->
 min cut -> maximum-profile closed subset -> elimination from the
 man-optimal matching.  The generous case first truncates preference lists
 at the minimum-regret degree and swaps each rotation profile for its
 reverse-negated image, after which the identical machinery applies.
 
-Enumeration-backed criteria (egalitarian, sex-equal, median, minimum
-regret) rank an explicit list of all stable matchings and refuse instances
-whose count exceeds a cap.
+Minimum regret comes straight from :func:`stability.min_regret`: the
+man-optimal stable matching of the minimum degree, which is also the first
+matching of that degree in enumeration order.
+
+Enumeration-backed criteria (egalitarian, sex-equal, median) rank an
+explicit list of all stable matchings and refuse instances whose count
+exceeds a cap.  The ``select_*`` functions, minimum regret included, stay
+usable as oracles over any enumeration.
 
 ``oracle_exponential_flow`` re-solves the same cut problem on a scalar
 network whose capacities are exact exponential-weight integers.  It shares
@@ -22,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from enum import Enum
 from math import ceil
-from typing import Optional
+from typing import Callable, Optional
 
 from .model import Instance, Matching
 from .profiles import Profile, high_weight
@@ -37,6 +42,7 @@ from .rotations import (
 from .stability import (
     blocking_pair,
     man_optimal,
+    min_regret,
     min_regret_degree,
     truncate,
     woman_optimal,
@@ -60,9 +66,7 @@ class Criterion(Enum):
     WOMAN_OPTIMAL = "woman-optimal"
 
 
-ENUMERATION_BACKED = frozenset(
-    {Criterion.EGALITARIAN, Criterion.SEX_EQUAL, Criterion.MEDIAN, Criterion.MIN_REGRET}
-)
+ENUMERATION_BACKED = frozenset({Criterion.EGALITARIAN, Criterion.SEX_EQUAL, Criterion.MEDIAN})
 
 
 class EnumerationCapError(RuntimeError):
@@ -75,13 +79,7 @@ class EnumerationCapError(RuntimeError):
 
 def solve_rank_maximal(inst: Instance) -> Matching:
     """Stable matching with the lexicographically maximum profile."""
-    m0 = man_optimal(inst)
-    rotations = find_rotations(inst)
-    if not rotations:
-        return m0
-    digraph = build_digraph(inst, rotations)
-    subset = _optimal_closed_subset([r.profile for r in rotations], digraph)
-    return eliminate_closed_subset(inst, m0, rotations, digraph, subset)
+    return _max_weight_matching(inst, lambda p: p)
 
 
 def solve_generous(inst: Instance) -> Matching:
@@ -96,14 +94,18 @@ def solve_generous(inst: Instance) -> Matching:
         return Matching(())
     degree = min_regret_degree(inst)
     trunc = truncate(inst, degree).instance
-    m0 = man_optimal(trunc)
-    rotations = find_rotations(trunc)
+    return _max_weight_matching(trunc, lambda p: p.reverse_negate(degree))
+
+
+def _max_weight_matching(inst: Instance, weight: Callable[[Profile], Profile]) -> Matching:
+    """Stable matching whose rotations have the maximum total ``weight(profile)``."""
+    m0 = man_optimal(inst)
+    rotations = find_rotations(inst)
     if not rotations:
         return m0
-    digraph = build_digraph(trunc, rotations)
-    mapped = [r.profile.reverse_negate(degree) for r in rotations]
-    subset = _optimal_closed_subset(mapped, digraph)
-    return eliminate_closed_subset(trunc, m0, rotations, digraph, subset)
+    digraph = build_digraph(inst, rotations)
+    subset = _optimal_closed_subset([weight(r.profile) for r in rotations], digraph)
+    return eliminate_closed_subset(inst, m0, rotations, digraph, subset)
 
 
 def _optimal_closed_subset(
@@ -145,11 +147,7 @@ def enumerate_stable_matchings(
                 continue
             seen.add(bigger)
             wife2 = list(wife)
-            husband2 = [0] * (inst.n_women + 1)
-            for m in range(1, inst.n_men + 1):
-                if wife2[m]:
-                    husband2[wife2[m]] = m
-            apply_rotation(wife2, husband2, rot.cycle)
+            apply_rotation(wife2, rot.cycle)
             if len(out) + 1 > cap:
                 raise EnumerationCapError(cap)
             out.append(Matching.from_wife_array(wife2))
@@ -342,6 +340,8 @@ def solve(
         return man_optimal(inst)
     if criterion is Criterion.WOMAN_OPTIMAL:
         return woman_optimal(inst)
+    if criterion is Criterion.MIN_REGRET:
+        return min_regret(inst)[1]
     matchings = enumerate_stable_matchings(inst, cap)
     if criterion is Criterion.EGALITARIAN:
         return select_egalitarian(matchings, inst)
@@ -349,6 +349,4 @@ def solve(
         return select_sex_equal(matchings, inst)
     if criterion is Criterion.MEDIAN:
         return select_median(matchings, inst)
-    if criterion is Criterion.MIN_REGRET:
-        return select_min_regret(matchings, inst)
     raise ValueError(f"unhandled criterion {criterion}")

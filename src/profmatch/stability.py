@@ -1,11 +1,15 @@
-"""Stable matchings: deferred acceptance, stability checks, regret, truncation."""
+"""Stable matchings: deferred acceptance, stability checks, regret, truncation.
+
+Minimum regret is found without enumeration or truncated instances, by cutoff
+proposal rounds on the instance itself; only :func:`truncate` builds one.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import Instance, Matching, gs_propose
+from .model import Instance, Matching, _truncated_instance, gs_propose
 
 
 def man_optimal(inst: Instance) -> Matching:
@@ -64,7 +68,7 @@ def truncate(inst: Instance, cutoff: int) -> TruncatedInstance:
     """
     if cutoff < 1:
         raise ValueError("cutoff rank must be >= 1")
-    trunc = _truncated_instance(inst, cutoff)
+    trunc = _truncated_instance(inst, [cutoff] * (inst.n_men + 1), [cutoff] * (inst.n_women + 1))
     wife = gs_propose(trunc.men_lists, trunc.women_rank, trunc.n_men, trunc.n_women)
     if any(wife[m] == 0 for m in range(1, trunc.n_men + 1)) or trunc.n_men != trunc.n_women:
         raise ValueError(
@@ -73,78 +77,46 @@ def truncate(inst: Instance, cutoff: int) -> TruncatedInstance:
     return TruncatedInstance(inst, cutoff, trunc)
 
 
-def _truncated_instance(inst: Instance, cutoff: int) -> Instance:
-    men_rank, women_rank = inst.men_rank, inst.women_rank
-    men_lists = [()]
-    men_rows = [(0,) * (inst.n_women + 1)]
-    for i in range(1, inst.n_men + 1):
-        kept = tuple(
-            w for w in inst.men_lists[i]
-            if men_rank[i][w] <= cutoff and women_rank[w][i] <= cutoff
-        )
-        men_lists.append(kept)
-        row = [0] * (inst.n_women + 1)
-        for w in kept:
-            row[w] = men_rank[i][w]
-        men_rows.append(tuple(row))
-    women_lists = [()]
-    women_rows = [(0,) * (inst.n_men + 1)]
-    for j in range(1, inst.n_women + 1):
-        kept = tuple(
-            m for m in inst.women_lists[j]
-            if women_rank[j][m] <= cutoff and men_rank[m][j] <= cutoff
-        )
-        women_lists.append(kept)
-        row = [0] * (inst.n_men + 1)
-        for m in kept:
-            row[m] = women_rank[j][m]
-        women_rows.append(tuple(row))
-    return Instance(
-        tuple(men_lists),
-        tuple(women_lists),
-        tuple(men_rows),
-        tuple(women_rows),
-        inst.orig_men,
-        inst.orig_women,
-    )
+def min_regret(inst: Instance) -> tuple[int, Matching]:
+    """The minimum-regret degree d and the man-optimal stable matching of degree d.
 
-
-def min_regret_degree(inst: Instance) -> int:
-    """Smallest d such that truncating at rank d keeps a perfect stable matching.
-
-    Equals the degree of every generous stable matching.  Feasibility is
-    monotone in d (any stable matching of degree <= d survives truncation at
-    d, and a perfect stable matching of the truncation is stable in the full
-    instance), so a binary search over d with one proposal round per probe
-    suffices.  Requires a preprocessed instance.
+    d is the smallest rank such that truncating at d keeps a perfect stable
+    matching; it equals the degree of every generous stable matching.
+    Feasibility is monotone in d (any stable matching of degree <= d
+    survives truncation at d, and a perfect stable matching of the
+    truncation is stable in the full instance), so d is found by binary
+    search, each probe one cutoff proposal round on ``inst`` itself.  No
+    stable matching gives an agent a better partner than his or her optimal
+    one, which bounds d from below; the man-optimal matching is stable,
+    which bounds it from above.  The last feasible probe runs at d and
+    yields the man-optimal matching among those of degree <= d (Gusfield,
+    SIAM J. Comput. 1987).  The stable matchings of degree <= d form a
+    sublattice, so this matching has the smallest rotation subset among
+    them.  Requires a preprocessed instance.
     """
     n = inst.n_men
     if n == 0:
-        return 0
-
-    def feasible(d: int) -> bool:
-        trunc = _truncated_instance(inst, d)
-        wife = gs_propose(trunc.men_lists, trunc.women_rank, n, inst.n_women)
-        return all(wife[m] for m in range(1, n + 1))
-
-    # Upper bound: the worst rank present anywhere (list lengths understate
-    # it on instances whose ranks are inherited from a larger base).
-    hi = 1
-    for m in range(1, n + 1):
-        for w in inst.men_lists[m]:
-            r = inst.men_rank[m][w]
-            if r > hi:
-                hi = r
-            r = inst.women_rank[w][m]
-            if r > hi:
-                hi = r
-    if not feasible(hi):
+        return 0, Matching(())
+    men_rank, women_rank = inst.men_rank, inst.women_rank
+    best = gs_propose(inst.men_lists, women_rank, n, inst.n_women)
+    if not all(best[1:]):
         raise ValueError("instance admits no perfect stable matching; preprocess first")
-    lo = 1
+    husband = gs_propose(inst.women_lists, men_rank, inst.n_women, n)
+    lo = max(
+        max(men_rank[m][best[m]] for m in range(1, n + 1)),
+        max(women_rank[w][m] for w, m in enumerate(husband)),
+    )
+    hi = max(lo, max(women_rank[best[m]][m] for m in range(1, n + 1)))
     while lo < hi:
         mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
+        wife = gs_propose(inst.men_lists, women_rank, n, inst.n_women, (mid, men_rank))
+        if all(wife[1:]):
+            hi, best = mid, wife
         else:
             lo = mid + 1
-    return lo
+    return lo, Matching.from_wife_array(best)
+
+
+def min_regret_degree(inst: Instance) -> int:
+    """Smallest d such that truncating at rank d keeps a perfect stable matching."""
+    return min_regret(inst)[0]

@@ -32,7 +32,6 @@ SINK = -2
 
 POSITIVE = 1
 NEGATIVE = -1
-ZERO = 0
 
 
 @dataclass(frozen=True)
@@ -83,12 +82,6 @@ class VbNetwork:
             in_edges[e.v].append(ei)
         self.out_edges = out_edges
         self.in_edges = in_edges
-
-    def sink_edge_of(self, rid: int) -> Optional[int]:
-        for ei in self.out_edges.get(rid, ()):
-            if self.edges[ei].v == SINK:
-                return ei
-        return None
 
     def node_name(self, node: int) -> str:
         if node == SOURCE:

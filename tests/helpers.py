@@ -120,6 +120,39 @@ def brute_force_stable_matchings(inst: Instance) -> list[Matching]:
     return out
 
 
+def brute_force_all_stable_matchings(inst: Instance) -> set[frozenset[tuple[int, int]]]:
+    """Every stable matching as a pair set, unmatched agents allowed.
+
+    Grows every matching man by man (each man unmatched or paired with an
+    unused acceptable woman) and keeps those no acceptable pair blocks.
+    Valid on any instance; exponential, use for n <= 6.
+    """
+    men_rank, women_rank = inst.men_rank, inst.women_rank
+    out = set()
+
+    def blocked(wife: dict[int, int], husband: dict[int, int]) -> bool:
+        for m in range(1, inst.n_men + 1):
+            for w in inst.men_lists[m]:
+                m_wants = m not in wife or men_rank[m][w] < men_rank[m][wife[m]]
+                h = husband.get(w)
+                if m_wants and (h is None or women_rank[w][m] < women_rank[w][h]):
+                    return True
+        return False
+
+    def grow(m: int, wife: dict[int, int], husband: dict[int, int]) -> None:
+        if m > inst.n_men:
+            if not blocked(wife, husband):
+                out.add(frozenset(wife.items()))
+            return
+        grow(m + 1, wife, husband)
+        for w in inst.men_lists[m]:
+            if w not in husband:
+                grow(m + 1, {**wife, m: w}, {**husband, w: m})
+
+    grow(1, {}, {})
+    return out
+
+
 def all_closed_subsets(digraph: RotationDigraph) -> list[frozenset[int]]:
     """Every predecessor-closed subset, by sweeping all bitmasks (size <= ~16)."""
     r = digraph.size

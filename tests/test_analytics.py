@@ -216,12 +216,15 @@ def test_batch_stats_i0_all_criteria(i0):
 
 
 def test_batch_stats_timeout_marking(i0):
-    text = batch_stats([("i0", i0)], [Criterion.RANK_MAXIMAL, Criterion.EGALITARIAN], cap=4)
+    criteria = [Criterion.RANK_MAXIMAL, Criterion.EGALITARIAN, Criterion.MIN_REGRET]
+    text = batch_stats([("i0", i0)], criteria, cap=4)
     lines = text.strip().split("\n")
     rm_row = next(l for l in lines if ",rank-maximal," in l).split(",")
     eg_row = next(l for l in lines if ",egalitarian," in l).split(",")
+    mr_row = next(l for l in lines if ",min-regret," in l).split(",")
     assert rm_row[5] == "TIMEOUT" and rm_row[6] == "50"
     assert eg_row[5] == "TIMEOUT" and eg_row[6] == "TIMEOUT"
+    assert mr_row[5] == "TIMEOUT" and mr_row[10] == "6"  # degree, without enumeration
 
 
 def test_mean_stable_matchings_order_of_magnitude_at_n10():

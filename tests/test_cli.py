@@ -49,6 +49,28 @@ def test_solve_missing_file(capsys):
     assert capsys.readouterr().err
 
 
+def _one_line_error(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_solve_directory_as_input(tmp_path, capsys):
+    assert main(["solve", "--in", str(tmp_path), "--criterion", "generous"]) == 2
+    assert _one_line_error(capsys.readouterr().err)
+
+
+def test_solve_non_ascii_input(tmp_path, capsys):
+    path = tmp_path / "accent.txt"
+    path.write_bytes("1 1\n1\n1 \u00e9\n".encode("utf-8"))
+    assert main(["solve", "--in", str(path), "--criterion", "generous"]) == 2
+    assert _one_line_error(capsys.readouterr().err)
+
+
+def test_solve_directory_as_output(i0_file, tmp_path, capsys):
+    args = ["solve", "--in", i0_file, "--criterion", "generous", "--out", str(tmp_path)]
+    assert main(args) == 2
+    assert _one_line_error(capsys.readouterr().err)
+
+
 def test_solve_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 1\n2\n1\n")
@@ -82,8 +104,11 @@ def test_solve_cap_exit_for_enumeration_backed(i0_file, capsys, monkeypatch):
     monkeypatch.setattr("profmatch.cli.DEFAULT_ENUMERATION_CAP", 4)
     assert main(["solve", "--in", i0_file, "--criterion", "median"]) == 3
     capsys.readouterr()
-    # Flow-backed criteria never enumerate, so the cap is irrelevant there.
+    # Flow-backed criteria and minimum regret never enumerate, so the cap
+    # is irrelevant there.
     assert main(["solve", "--in", i0_file, "--criterion", "rank-maximal"]) == 0
+    capsys.readouterr()
+    assert main(["solve", "--in", i0_file, "--criterion", "min-regret"]) == 0
     capsys.readouterr()
 
 

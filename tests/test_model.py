@@ -1,21 +1,27 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from profmatch import (
     AgentRef,
+    Criterion,
     Instance,
     Matching,
     ParseError,
     Profile,
     Side,
+    enumerate_stable_matchings,
     find_rotations,
     format_instance,
+    generate_uniform,
     parse_instance,
     preprocess,
     profile_of,
+    solve,
 )
 
-from helpers import I0_ALL_MATCHINGS
+from helpers import I0_ALL_MATCHINGS, brute_force_all_stable_matchings
 
 
 def test_parse_i0(i0):
@@ -77,6 +83,41 @@ def test_parse_drops_non_mutual_entries_with_warning():
 
 def test_preprocess_i0_is_identity(i0, i0_pre):
     assert i0_pre == i0
+    assert preprocess(i0) is i0  # nobody is removed, so nothing is rebuilt
+
+
+def test_preprocess_cuts_pairs_no_stable_matching_uses():
+    # Man 2 and woman 2 are never matched.  Without them, (1,3),(3,1) would
+    # be stable, although (2,1) blocks it in the input; the cut removes the
+    # pairs below each agent's worst stable partner.
+    inst = parse_instance("3 3\n3 1\n3 1\n1 3\n1 2 3\n\n3 1 2\n")
+    pre = preprocess(inst)
+    assert pre.orig_men == (0, 1, 3) and pre.orig_women == (0, 1, 3)
+    assert pre.men_lists == ((), (1,), (2,))
+    assert pre.women_lists == ((), (1,), (2,))
+    # Kept pairs keep their ranks in the lists with men 2 and women 2 gone.
+    assert pre.men_rank[1][1] == 2 and pre.women_rank[2][2] == 1
+    for criterion in Criterion:
+        matching = solve(pre, criterion)
+        assert [(pre.orig_men[m], pre.orig_women[w]) for m, w in matching] == [(1, 1), (3, 3)]
+
+
+def test_preprocess_keeps_exactly_the_input_stable_matchings():
+    losing = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        n_men, n_women = rng.randint(1, 6), rng.randint(1, 6)
+        inst = generate_uniform(n_men, n_women, rng.choice((0.3, 0.5, 0.7, 1.0)), seed=seed)
+        pre = preprocess(inst)
+        if pre is inst:
+            continue
+        losing += 1
+        mapped = {
+            frozenset((pre.orig_men[m], pre.orig_women[w]) for m, w in M)
+            for M in enumerate_stable_matchings(pre)
+        }
+        assert mapped == brute_force_all_stable_matchings(inst), seed
+    assert losing > 200
 
 
 def test_preprocess_removes_unmatched():
@@ -162,6 +203,20 @@ def test_agent_ref_accessors(i0):
 def test_from_lists_rejects_non_mutual():
     with pytest.raises(ValueError, match="mutual"):
         Instance.from_lists([[1]], [[]])
+
+
+def test_from_lists_shares_one_int_per_agent():
+    # Indices above 256 are fresh objects per token unless shared.
+    n = 300
+    lists = [list(range(n, 0, -1)) for _ in range(n)]
+    inst = parse_instance(format_instance(Instance.from_lists(lists, lists)))
+    for lists_of_side in (inst.men_lists, inst.women_lists):
+        first = {j: j for j in lists_of_side[1]}
+        assert all(j is first[j] for lst in lists_of_side[1:] for j in lst)
+    with pytest.raises(ValueError, match="out of range"):
+        Instance.from_lists([[-1]], [[1]])
+    with pytest.raises(ValueError, match="out of range"):
+        Instance.from_lists([[2]], [[1]])
 
 
 def test_preprocess_idempotent():

@@ -8,6 +8,7 @@ from profmatch import (
     build_digraph,
     enumerate_stable_matchings,
     find_rotations,
+    generate_I1,
     generate_uniform,
     is_stable,
     man_optimal,
@@ -23,7 +24,9 @@ from profmatch import (
     solve,
     solve_generous,
     solve_rank_maximal,
+    truncate,
 )
+from profmatch.solvers import ENUMERATION_BACKED
 
 from helpers import (
     I0_ALL_MATCHINGS,
@@ -254,6 +257,33 @@ def test_min_regret_selector_matches_degree_search():
         ms = enumerate_stable_matchings(inst)
         witness = select_min_regret(ms, inst)
         assert matching_degree(inst, witness) == min_regret_degree(inst)
+
+
+def test_min_regret_equals_first_enumerated_of_least_degree():
+    # solve returns the man-optimal matching of the minimum degree without
+    # enumerating; it must be the very matching the enumeration picks.
+    instances = [generate_I1(n) for n in range(4, 11, 2)]
+    for seed in range(60):
+        inst = _random_pre(5450 + seed, n=4 + seed % 5, density=(1.0, 0.7, 0.4)[seed % 3])
+        instances.append(inst)
+        if inst.n_men:
+            # Truncated instances keep the base ranks, which are sparse.
+            instances.append(truncate(inst, min_regret_degree(inst)).instance)
+    for inst in instances:
+        inst = preprocess(inst)
+        expected = select_min_regret(enumerate_stable_matchings(inst), inst)
+        assert solve(inst, Criterion.MIN_REGRET) == expected
+
+
+def test_criteria_outside_enumeration_backed_never_enumerate(i0_pre, monkeypatch):
+    assert ENUMERATION_BACKED == {Criterion.EGALITARIAN, Criterion.SEX_EQUAL, Criterion.MEDIAN}
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("enumeration called")
+
+    monkeypatch.setattr("profmatch.solvers.enumerate_stable_matchings", refuse)
+    for criterion in set(Criterion) - ENUMERATION_BACKED:
+        assert is_stable(i0_pre, solve(i0_pre, criterion))
 
 
 def test_oracle_i0(i0_pre):
