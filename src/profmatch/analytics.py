@@ -6,6 +6,7 @@ import csv
 import io
 import random
 from dataclasses import dataclass
+from typing import Optional
 
 from .model import Instance, Matching, preprocess
 from .profiles import Profile
@@ -13,8 +14,8 @@ from .rotations import find_rotations
 from .solvers import (
     Criterion,
     DEFAULT_ENUMERATION_CAP,
-    ENUMERATION_BACKED,
     EnumerationCapError,
+    _SELECTORS,
     enumerate_stable_matchings,
     solve,
 )
@@ -225,9 +226,11 @@ def batch_stats(
 ) -> str:
     """CSV with one row per (instance, criterion).
 
-    Instances are preprocessed here.  When the stable-matching count
-    exceeds ``cap``, the count column and every enumeration-backed row are
-    marked TIMEOUT instead of failing the whole batch.
+    Instances are preprocessed here and enumerated once each; the
+    enumeration-backed rows select from that one list.  When the
+    stable-matching count exceeds ``cap``, the count column and every
+    enumeration-backed row are marked TIMEOUT instead of failing the whole
+    batch.
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -250,16 +253,18 @@ def batch_stats(
         inst = preprocess(raw)
         num_rotations = len(find_rotations(inst))
         try:
-            num_stable: object = len(enumerate_stable_matchings(inst, cap))
+            matchings: Optional[list[Matching]] = enumerate_stable_matchings(inst, cap)
+            num_stable: object = len(matchings)
         except EnumerationCapError:
-            num_stable = "TIMEOUT"
+            matchings, num_stable = None, "TIMEOUT"
         for criterion in criteria:
             row = [instance_id, criterion.value, inst.n_men, inst.total_list_length,
                    num_rotations, num_stable]
-            if num_stable == "TIMEOUT" and criterion in ENUMERATION_BACKED:
+            select = _SELECTORS.get(criterion)
+            if select is not None and matchings is None:
                 row += ["TIMEOUT"] * (6 + len(pct_list))
             else:
-                matching = solve(inst, criterion, cap)
+                matching = select(matchings, inst) if select else solve(inst, criterion, cap)
                 stats = matching_stats(inst, matching, pct_list)
                 row += [
                     stats.cost,

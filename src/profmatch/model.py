@@ -30,22 +30,9 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .profiles import Profile
-
-
-class Side(Enum):
-    MAN = "man"
-    WOMAN = "woman"
-
-
-class AgentRef(NamedTuple):
-    """One agent, identified by side and 1-based index."""
-
-    side: Side
-    index: int
 
 
 class ParseError(ValueError):
@@ -120,12 +107,6 @@ class Instance:
     def acceptable_pairs(self) -> int:
         return sum(len(lst) for lst in self.men_lists)
 
-    def rank_of_woman(self, man: int, woman: int) -> int:
-        return self.men_rank[man][woman]
-
-    def rank_of_man(self, woman: int, man: int) -> int:
-        return self.women_rank[woman][man]
-
     def acceptable(self, man: int, woman: int) -> bool:
         return self.men_rank[man][woman] > 0
 
@@ -137,14 +118,6 @@ class Instance:
         """
         row = self.men_rank[man]
         return bisect_left(self.men_lists[man], row[woman], key=row.__getitem__)
-
-    def pref_list(self, agent: AgentRef) -> tuple[int, ...]:
-        lists = self.men_lists if agent.side is Side.MAN else self.women_lists
-        return lists[agent.index]
-
-    def rank(self, agent: AgentRef, other_index: int) -> int:
-        table = self.men_rank if agent.side is Side.MAN else self.women_rank
-        return table[agent.index][other_index]
 
 
 def _shared_ids(lst: Sequence[int], ids: tuple[int, ...]) -> tuple[int, ...]:

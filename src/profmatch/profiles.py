@@ -24,9 +24,10 @@ class Profile:
 
     def __init__(self, elems: Iterable[int] = ()):
         es = tuple(int(e) for e in elems)
-        while es and es[-1] == 0:
-            es = es[:-1]
-        self._elems = es
+        end = len(es)
+        while end and not es[end - 1]:
+            end -= 1
+        self._elems = es[:end]
 
     @classmethod
     def zero(cls) -> "Profile":
@@ -65,9 +66,6 @@ class Profile:
         if index < 1:
             raise ValueError("profile indices are 1-based")
         return self._elems[index - 1] if index <= len(self._elems) else 0
-
-    def element_abs_sum(self) -> int:
-        return sum(abs(e) for e in self._elems)
 
     def __add__(self, other: "Profile") -> "Profile":
         a, b = self._elems, other._elems
@@ -150,11 +148,6 @@ class Profile:
 
 
 _ZERO = Profile(())
-
-
-def lex_compare(p: Profile, q: Profile) -> int:
-    """-1, 0 or 1 as p precedes, equals or follows q lexicographically."""
-    return p._cmp(q)
 
 
 def high_weight(p: Profile, n: int) -> int:

@@ -33,9 +33,6 @@ class Rotation:
     cycle: tuple[tuple[int, int], ...]
     profile: Profile
 
-    def pair_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.cycle)
-
 
 class RotationDigraph:
     """Directed graph over rotation ids with label sets on the edges."""
@@ -120,10 +117,15 @@ def find_rotations(inst: Instance) -> list[Rotation]:
     keeps rejecting him as her partners improve), so the total scanning work
     is linear in the number of acceptable pairs.
     """
+    wife = gs_propose(inst.men_lists, inst.women_rank, inst.n_men, inst.n_women)
+    return _rotations_from(inst, wife)
+
+
+def _rotations_from(inst: Instance, wife: list[int]) -> list[Rotation]:
+    """:func:`find_rotations` from the man-optimal ``wife`` array, which it overwrites."""
     n = inst.n_men
     if n == 0:
         return []
-    wife = gs_propose(inst.men_lists, inst.women_rank, n, inst.n_women)
     if inst.n_women != n or any(wife[m] == 0 for m in range(1, n + 1)):
         raise ValueError("rotation extraction requires a preprocessed instance")
     husband = [0] * (inst.n_women + 1)
@@ -194,14 +196,6 @@ def find_rotations(inst: Instance) -> list[Rotation]:
         if not progressed:
             break
     return rotations
-
-
-def rotation_profile(inst: Instance, rotation: Rotation) -> Profile:
-    """Net profile change caused by eliminating the rotation.
-
-    Depends only on the cycle, not on the matching it is eliminated from.
-    """
-    return _cycle_profile(inst, rotation.cycle)
 
 
 def _cycle_profile(inst: Instance, cycle: tuple[tuple[int, int], ...]) -> Profile:
@@ -298,11 +292,3 @@ def eliminate_closed_subset(
             apply_rotation(wife, rotations[rid].cycle)
     return Matching.from_wife_array(wife)
 
-
-def dump_rotations(rotations: list[Rotation]) -> str:
-    """One rotation per line: ``id: (i,j) (i,j) ... | profile``."""
-    lines = []
-    for rot in rotations:
-        pairs = " ".join(f"({m},{w})" for m, w in rot.cycle)
-        lines.append(f"{rot.rid}: {pairs} | {rot.profile.display()}")
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -29,24 +29,17 @@ from enum import Enum
 from math import ceil
 from typing import Callable, Optional
 
-from .model import Instance, Matching
+from .model import Instance, Matching, _truncated_instance
 from .profiles import Profile, high_weight
 from .rotations import (
     Rotation,
     RotationDigraph,
+    _rotations_from,
     apply_rotation,
     build_digraph,
     eliminate_closed_subset,
-    find_rotations,
 )
-from .stability import (
-    blocking_pair,
-    man_optimal,
-    min_regret,
-    min_regret_degree,
-    truncate,
-    woman_optimal,
-)
+from .stability import blocking_pair, man_optimal, min_regret, woman_optimal
 from .vbflow import build_vb_network, max_profile_closed_subset, max_vb_flow, min_cut
 
 
@@ -66,9 +59,6 @@ class Criterion(Enum):
     WOMAN_OPTIMAL = "woman-optimal"
 
 
-ENUMERATION_BACKED = frozenset({Criterion.EGALITARIAN, Criterion.SEX_EQUAL, Criterion.MEDIAN})
-
-
 class EnumerationCapError(RuntimeError):
     """The instance has more stable matchings than the configured cap."""
 
@@ -79,7 +69,7 @@ class EnumerationCapError(RuntimeError):
 
 def solve_rank_maximal(inst: Instance) -> Matching:
     """Stable matching with the lexicographically maximum profile."""
-    return _max_weight_matching(inst, lambda p: p)
+    return _max_weight_matching(inst, man_optimal(inst), lambda p: p)
 
 
 def solve_generous(inst: Instance) -> Matching:
@@ -89,18 +79,23 @@ def solve_generous(inst: Instance) -> Matching:
     matching, so preference lists are truncated at rank d first; maximising
     reverse-negated profiles over the truncation then reuses the
     rank-maximal machinery unchanged.  The output degree always equals d.
+    The minimum-regret search already ends with the truncation's
+    man-optimal matching, and d is feasible by construction, so the
+    truncation is built without :func:`stability.truncate`'s check.
     """
-    if inst.n_men == 0:
-        return Matching(())
-    degree = min_regret_degree(inst)
-    trunc = truncate(inst, degree).instance
-    return _max_weight_matching(trunc, lambda p: p.reverse_negate(degree))
+    degree, m0 = min_regret(inst)
+    trunc = _truncated_instance(inst, [degree] * (inst.n_men + 1), [degree] * (inst.n_women + 1))
+    return _max_weight_matching(trunc, m0, lambda p: p.reverse_negate(degree))
 
 
-def _max_weight_matching(inst: Instance, weight: Callable[[Profile], Profile]) -> Matching:
-    """Stable matching whose rotations have the maximum total ``weight(profile)``."""
-    m0 = man_optimal(inst)
-    rotations = find_rotations(inst)
+def _max_weight_matching(
+    inst: Instance, m0: Matching, weight: Callable[[Profile], Profile]
+) -> Matching:
+    """Stable matching whose rotations have the maximum total ``weight(profile)``.
+
+    ``m0`` is the man-optimal stable matching of ``inst``.
+    """
+    rotations = _rotations_from(inst, m0.wife_array(inst.n_men))
     if not rotations:
         return m0
     digraph = build_digraph(inst, rotations)
@@ -130,7 +125,7 @@ def enumerate_stable_matchings(
     if cap < 1:
         raise ValueError("cap must be at least 1")
     m0 = man_optimal(inst)
-    rotations = find_rotations(inst)
+    rotations = _rotations_from(inst, m0.wife_array(inst.n_men))
     digraph = build_digraph(inst, rotations)
     out = [m0]
     seen = {frozenset()}
@@ -328,25 +323,26 @@ def oracle_exponential_flow(
     return value, digraph.ancestors(kept)
 
 
+# Criteria answered by selecting from the full enumeration, and the rest.
+_SELECTORS: dict[Criterion, Callable[[list[Matching], Instance], Matching]] = {
+    Criterion.EGALITARIAN: select_egalitarian,
+    Criterion.SEX_EQUAL: select_sex_equal,
+    Criterion.MEDIAN: select_median,
+}
+_SOLVERS: dict[Criterion, Callable[[Instance], Matching]] = {
+    Criterion.RANK_MAXIMAL: solve_rank_maximal,
+    Criterion.GENEROUS: solve_generous,
+    Criterion.MAN_OPTIMAL: man_optimal,
+    Criterion.WOMAN_OPTIMAL: woman_optimal,
+    Criterion.MIN_REGRET: lambda inst: min_regret(inst)[1],
+}
+ENUMERATION_BACKED = frozenset(_SELECTORS)
+
+
 def solve(
     inst: Instance, criterion: Criterion, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Matching:
     """Dispatch a preprocessed instance to the requested solver."""
-    if criterion is Criterion.RANK_MAXIMAL:
-        return solve_rank_maximal(inst)
-    if criterion is Criterion.GENEROUS:
-        return solve_generous(inst)
-    if criterion is Criterion.MAN_OPTIMAL:
-        return man_optimal(inst)
-    if criterion is Criterion.WOMAN_OPTIMAL:
-        return woman_optimal(inst)
-    if criterion is Criterion.MIN_REGRET:
-        return min_regret(inst)[1]
-    matchings = enumerate_stable_matchings(inst, cap)
-    if criterion is Criterion.EGALITARIAN:
-        return select_egalitarian(matchings, inst)
-    if criterion is Criterion.SEX_EQUAL:
-        return select_sex_equal(matchings, inst)
-    if criterion is Criterion.MEDIAN:
-        return select_median(matchings, inst)
-    raise ValueError(f"unhandled criterion {criterion}")
+    if criterion in _SELECTORS:
+        return _SELECTORS[criterion](enumerate_stable_matchings(inst, cap), inst)
+    return _SOLVERS[criterion](inst)

@@ -30,48 +30,22 @@ from .rotations import RotationDigraph
 SOURCE = -1
 SINK = -2
 
-POSITIVE = 1
-NEGATIVE = -1
-
-
-@dataclass(frozen=True)
-class VbCapacity:
-    """Finite vector capacity, or the symbolic infinite marker (vec is None)."""
-
-    vec: Optional[Profile]
-
-    @classmethod
-    def finite(cls, vec: Profile) -> "VbCapacity":
-        if vec < Profile.zero():
-            raise ValueError("finite capacities must be lexicographically non-negative")
-        return cls(vec)
-
-    @classmethod
-    def infinite(cls) -> "VbCapacity":
-        return cls(None)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.vec is None
-
-    def display(self) -> str:
-        return "INF" if self.vec is None else self.vec.display()
-
 
 @dataclass(frozen=True)
 class VbEdge:
+    """Edge u -> v; ``cap`` is a non-negative vector, or None for uncapacitated."""
+
     u: int
     v: int
-    cap: VbCapacity
+    cap: Optional[Profile]
 
 
 class VbNetwork:
     """Immutable network; nodes are rotation ids plus SOURCE and SINK."""
 
-    def __init__(self, n_rotations: int, edges: list[VbEdge], polarity: list[int]):
+    def __init__(self, n_rotations: int, edges: list[VbEdge]):
         self.n_rotations = n_rotations
         self.edges = tuple(edges)
-        self.polarity = tuple(polarity)
         out_edges: dict[int, list[int]] = {SOURCE: [], SINK: []}
         in_edges: dict[int, list[int]] = {SOURCE: [], SINK: []}
         for r in range(n_rotations):
@@ -82,13 +56,6 @@ class VbNetwork:
             in_edges[e.v].append(ei)
         self.out_edges = out_edges
         self.in_edges = in_edges
-
-    def node_name(self, node: int) -> str:
-        if node == SOURCE:
-            return "s"
-        if node == SINK:
-            return "t"
-        return f"r{node}"
 
 
 @dataclass(frozen=True)
@@ -114,17 +81,10 @@ def build_vb_network(profiles: list[Profile], digraph: RotationDigraph) -> VbNet
     """
     if len(profiles) != digraph.size:
         raise ValueError("one weight vector per digraph node is required")
-    polarity = [p.sign for p in profiles]
-    edges: list[VbEdge] = []
-    for u, v, _labels in digraph.edges():
-        edges.append(VbEdge(u, v, VbCapacity.infinite()))
-    for rid, p in enumerate(profiles):
-        if polarity[rid] == NEGATIVE:
-            edges.append(VbEdge(SOURCE, rid, VbCapacity.finite(p.abs_value())))
-    for rid, p in enumerate(profiles):
-        if polarity[rid] == POSITIVE:
-            edges.append(VbEdge(rid, SINK, VbCapacity.finite(p)))
-    return VbNetwork(len(profiles), edges, polarity)
+    edges = [VbEdge(u, v, None) for u, v, _labels in digraph.edges()]
+    edges += [VbEdge(SOURCE, rid, p.abs_value()) for rid, p in enumerate(profiles) if p.sign < 0]
+    edges += [VbEdge(rid, SINK, p) for rid, p in enumerate(profiles) if p.sign > 0]
+    return VbNetwork(len(profiles), edges)
 
 
 def _residual_search(
@@ -134,7 +94,7 @@ def _residual_search(
 
     Returns node -> (edge index, is_forward) parent links; SOURCE maps to
     None.  Residual edges: forward while flow < capacity (always, for
-    infinite capacities), backward while flow > 0, both under lex order.
+    uncapacitated edges), backward while flow > 0, both under lex order.
     """
     zero = Profile.zero()
     prev: dict[int, Optional[tuple[int, bool]]] = {SOURCE: None}
@@ -143,7 +103,7 @@ def _residual_search(
         u = queue.popleft()
         for ei in net.out_edges[u]:
             e = net.edges[ei]
-            if e.v not in prev and (e.cap.is_infinite or flows[ei] < e.cap.vec):
+            if e.v not in prev and (e.cap is None or flows[ei] < e.cap):
                 prev[e.v] = (ei, True)
                 if stop_at_sink and e.v == SINK:
                     return prev
@@ -185,9 +145,9 @@ def max_vb_flow(net: VbNetwork) -> VbFlow:
         for ei, forward in path:
             e = net.edges[ei]
             if forward:
-                if e.cap.is_infinite:
+                if e.cap is None:
                     continue
-                room = e.cap.vec - flows[ei]
+                room = e.cap - flows[ei]
             else:
                 room = flows[ei]
             if bottleneck is None or room < bottleneck:
@@ -214,10 +174,10 @@ def min_cut(net: VbNetwork, flow: VbFlow) -> Cut:
     capacity = Profile.zero()
     for e in net.edges:
         if e.u in reach and e.v not in reach:
-            if e.cap.is_infinite:
+            if e.cap is None:
                 raise RuntimeError("minimum cut crossed an uncapacitated edge")
             cut_edges.append((e.u, e.v))
-            capacity = capacity + e.cap.vec
+            capacity = capacity + e.cap
     return Cut(frozenset(cut_edges), capacity)
 
 
@@ -226,26 +186,13 @@ def max_profile_closed_subset(
 ) -> frozenset[int]:
     """Closed rotation subset of lexicographically maximum total profile.
 
-    Takes the positive rotations whose sink edges survive the cut and closes
-    the set under digraph predecessors.
+    Takes the positive rotations (those with a sink edge) whose sink edges
+    survive the cut and closes the set under digraph predecessors.
     """
-    kept = [
-        rid
-        for rid in range(net.n_rotations)
-        if net.polarity[rid] == POSITIVE and (rid, SINK) not in cut.edges
-    ]
+    positive = (net.edges[ei].u for ei in net.in_edges[SINK])
+    kept = [rid for rid in positive if (rid, SINK) not in cut.edges]
     subset = digraph.ancestors(kept)
     if not digraph.is_closed(subset):
         raise RuntimeError("ancestor closure failed to produce a closed subset")
     return subset
 
-
-def dump_network(net: VbNetwork, flow: Optional[VbFlow] = None) -> str:
-    """Edge list ``u -> v : cap | flow`` with INF for infinite capacities."""
-    lines = []
-    for ei, e in enumerate(net.edges):
-        line = f"{net.node_name(e.u)} -> {net.node_name(e.v)} : {e.cap.display()}"
-        if flow is not None:
-            line += f" | {flow.edge_flows[ei].display()}"
-        lines.append(line)
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -81,7 +81,7 @@ I0_OPTIMAL_SUBSET = {0, 1, 2}
 
 def rotation_name_map(rotations) -> dict[int, int]:
     """Map implementation rotation ids to the textbook numbering."""
-    return {rot.rid: I0_ROTATION_NAMES[rot.pair_set()] for rot in rotations}
+    return {rot.rid: I0_ROTATION_NAMES[frozenset(rot.cycle)] for rot in rotations}
 
 
 def brute_force_stable_matchings(inst: Instance) -> list[Matching]:

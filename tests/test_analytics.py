@@ -17,8 +17,10 @@ from profmatch import (
     matching_stats,
     preprocess,
     profile_of,
+    solve,
     space_report,
 )
+from profmatch import analytics, solvers
 
 from helpers import I0_RANK_MAXIMAL, tiny_unique_instance
 
@@ -225,6 +227,44 @@ def test_batch_stats_timeout_marking(i0):
     assert rm_row[5] == "TIMEOUT" and rm_row[6] == "50"
     assert eg_row[5] == "TIMEOUT" and eg_row[6] == "TIMEOUT"
     assert mr_row[5] == "TIMEOUT" and mr_row[10] == "6"  # degree, without enumeration
+
+
+def _rows_from_solve(instance_id, raw):
+    inst = preprocess(raw)
+    head = [instance_id, None, inst.n_men, inst.total_list_length,
+            len(find_rotations(inst)), len(enumerate_stable_matchings(inst))]
+    rows = []
+    for criterion in Criterion:
+        stats = matching_stats(inst, solve(inst, criterion))
+        head[1] = criterion.value
+        rows.append(",".join(str(x) for x in head + [
+            stats.cost, stats.man_cost, stats.woman_cost, stats.sex_equal, stats.degree,
+            stats.first_choices, stats.last_pct_counts[10], stats.last_pct_counts[20],
+            stats.last_pct_counts[50],
+        ]))
+    return rows
+
+
+def test_batch_stats_enumerates_once_and_matches_solve(i0, monkeypatch):
+    named = [("i0", i0)] + [
+        (f"u{seed}", generate_uniform(8, 8, density, seed=seed))
+        for seed, density in ((7100, 1.0), (7101, 0.7), (7102, 0.4))
+    ]
+    expected = {instance_id: _rows_from_solve(instance_id, raw) for instance_id, raw in named}
+    calls = []
+    real = solvers.enumerate_stable_matchings
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "enumerate_stable_matchings", counting)
+    monkeypatch.setattr(analytics, "enumerate_stable_matchings", counting)
+    for instance_id, raw in named:
+        calls.clear()
+        lines = batch_stats([(instance_id, raw)], list(Criterion)).strip().split("\n")
+        assert len(calls) == 1
+        assert lines[1:] == expected[instance_id]
 
 
 def test_mean_stable_matchings_order_of_magnitude_at_n10():

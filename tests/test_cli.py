@@ -1,6 +1,10 @@
-import pytest
+import contextlib
+import io
 
-from profmatch import Matching, is_stable, parse_instance, preprocess
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from profmatch import Criterion, Matching, is_stable, parse_instance, preprocess
 from profmatch.cli import main
 
 from helpers import I0_MAN_OPTIMAL, I0_RANK_MAXIMAL, I0_TEXT
@@ -237,3 +241,46 @@ def test_solve_out_file(i0_file, tmp_path, capsys):
     assert main(["solve", "--in", i0_file, "--criterion", "woman-optimal", "--out", str(out_path)]) == 0
     assert capsys.readouterr().out == ""
     assert out_path.read_text().strip().split("\n")[-1].startswith("profile:")
+
+
+CRITERIA = [c.value for c in Criterion]
+
+
+def _solve_file(path, data: bytes, criterion: str) -> None:
+    """Any input file ends in exit 0, 2 or 3, never in an exception or traceback."""
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["solve", "--in", str(path), "--criterion", criterion])
+    assert code in (0, 2, 3), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.binary(max_size=200), criterion=st.sampled_from(CRITERIA))
+def test_fuzz_solve_raw_bytes(tmp_path_factory, data, criterion):
+    _solve_file(tmp_path_factory.mktemp("fuzz") / "in.txt", data, criterion)
+
+
+@st.composite
+def near_valid_instance(draw):
+    """Instance text for n <= 6 whose entries may be out of range, repeated or one-sided."""
+    n_men, n_women = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+
+    def lists(count, n_other):
+        if draw(st.booleans()):
+            entry = st.integers(-1, n_other + 2)
+            return [draw(st.lists(entry, max_size=n_other + 1)) for _ in range(count)]
+        perms = st.permutations(range(1, n_other + 1))
+        return [draw(perms)[: draw(st.integers(0, n_other))] for _ in range(count)]
+
+    lines = [f"{n_men} {n_women}"]
+    lines += [" ".join(map(str, lst)) for lst in lists(n_men, n_women)]
+    lines += [" ".join(map(str, lst)) for lst in lists(n_women, n_men)]
+    return "\n".join(lines) + "\n" * draw(st.integers(0, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=near_valid_instance(), criterion=st.sampled_from(CRITERIA))
+def test_fuzz_solve_near_valid_text(tmp_path_factory, text, criterion):
+    _solve_file(tmp_path_factory.mktemp("fuzz") / "in.txt", text.encode("ascii"), criterion)

@@ -1,16 +1,16 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from profmatch import Profile, high_weight, lex_compare
+from profmatch import Profile, high_weight
 
 
 profile_entries = st.lists(st.integers(-3, 3), max_size=8)
 
 
 def test_lex_examples():
-    assert lex_compare(Profile([0, 0, 1, -1]), Profile([0, 0, 1, 0])) == -1
-    assert lex_compare(Profile([2, 0]), Profile([2])) == 0
-    assert lex_compare(Profile([1, -5]), Profile([0, 99])) == 1
+    assert Profile([0, 0, 1, -1]) < Profile([0, 0, 1, 0])
+    assert Profile([2, 0]) <= Profile([2]) <= Profile([2, 0])
+    assert Profile([1, -5]) > Profile([0, 99])
 
 
 def test_trailing_zeros_insignificant():
@@ -83,7 +83,7 @@ def test_lex_matches_high_weight_sign(a, b):
     p, q = Profile(a), Profile(b)
     n = 8
     wp, wq = high_weight(p, n), high_weight(q, n)
-    cmp = lex_compare(p, q)
+    cmp = (p > q) - (p < q)
     assert cmp == (wp > wq) - (wp < wq)
 
 

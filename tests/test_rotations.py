@@ -13,10 +13,8 @@ from profmatch import (
     man_optimal,
     preprocess,
     profile_of,
-    rotation_profile,
     woman_optimal,
 )
-from profmatch.rotations import dump_rotations
 
 from helpers import (
     I0_DIGRAPH_EDGES,
@@ -31,7 +29,7 @@ from helpers import (
 def test_i0_rotations_match_textbook_set(i0_pre):
     rotations = find_rotations(i0_pre)
     assert len(rotations) == 5
-    found = {rot.pair_set(): rot.profile for rot in rotations}
+    found = {frozenset(rot.cycle): rot.profile for rot in rotations}
     assert found == I0_ROTATIONS
 
 
@@ -54,7 +52,7 @@ def test_i1_rotations():
     inst = preprocess(generate_I1(4))
     rotations = find_rotations(inst)
     assert len(rotations) == 2
-    assert {rot.pair_set() for rot in rotations} == {
+    assert {frozenset(rot.cycle) for rot in rotations} == {
         frozenset({(1, 1), (2, 2)}),
         frozenset({(3, 3), (4, 4)}),
     }
@@ -70,11 +68,6 @@ def test_i0_digraph_matches_textbook_edges(i0_pre):
     names = rotation_name_map(rotations)
     got = {(names[u], names[v]): labels for u, v, labels in digraph.edges()}
     assert got == I0_DIGRAPH_EDGES
-
-
-def test_rotation_profile_recomputation_matches(i0_pre):
-    for rot in find_rotations(i0_pre):
-        assert rotation_profile(i0_pre, rot) == rot.profile
 
 
 def test_rotation_profiles_sum_to_lattice_spread():
@@ -199,13 +192,3 @@ def test_closed_subsets_biject_with_stable_matchings():
         assert matchings == set(enumerate_stable_matchings(inst))
         for matching in matchings:
             assert is_stable(inst, matching)
-
-
-def test_dump_rotations_format(i0_pre):
-    rotations = find_rotations(i0_pre)
-    text = dump_rotations(rotations)
-    lines = text.strip().split("\n")
-    assert len(lines) == 5
-    assert lines[0].startswith("0: ")
-    assert " | " in lines[0]
-    assert dump_rotations([]) == ""

@@ -6,6 +6,8 @@ from profmatch import (
     Matching,
     OracleMode,
     build_digraph,
+    build_vb_network,
+    eliminate_closed_subset,
     enumerate_stable_matchings,
     find_rotations,
     generate_I1,
@@ -13,6 +15,9 @@ from profmatch import (
     is_stable,
     man_optimal,
     matching_degree,
+    max_profile_closed_subset,
+    max_vb_flow,
+    min_cut,
     min_regret_degree,
     oracle_exponential_flow,
     preprocess,
@@ -26,6 +31,7 @@ from profmatch import (
     solve_rank_maximal,
     truncate,
 )
+from profmatch import model, rotations as rotations_module, stability
 from profmatch.solvers import ENUMERATION_BACKED
 
 from helpers import (
@@ -147,7 +153,7 @@ def test_enumerate_order_descends_the_man_lattice():
             after = frozenset(
                 (rot.cycle[i][0], rot.cycle[(i + 1) % k][1]) for i in range(k)
             )
-            rotation_moves.append((rot.pair_set(), after))
+            rotation_moves.append((frozenset(rot.cycle), after))
         out = enumerate_stable_matchings(inst)
         assert out[0] == man_optimal(inst)
         seen = [frozenset(out[0].pairs)]
@@ -349,3 +355,60 @@ def test_solver_outputs_perfect_on_preprocessed():
         for criterion in (Criterion.RANK_MAXIMAL, Criterion.GENEROUS):
             matching = solve(inst, criterion)
             assert len(matching) == inst.n_men == inst.n_women
+
+
+def _count_deferred_acceptance(monkeypatch) -> list:
+    """Record every gs_propose run, whichever module calls it."""
+    calls = []
+    real = model.gs_propose
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (model, stability, rotations_module):
+        monkeypatch.setattr(module, "gs_propose", counting)
+    return calls
+
+
+def test_deferred_acceptance_runs_once_per_poset(monkeypatch):
+    inst = preprocess(generate_uniform(40, 40, 1.0, seed=3))
+    calls = _count_deferred_acceptance(monkeypatch)
+    stability.min_regret(inst)
+    min_regret_runs = len(calls)
+    assert min_regret_runs >= 2
+    expected = {
+        Criterion.RANK_MAXIMAL: 1,
+        Criterion.GENEROUS: min_regret_runs,
+        Criterion.EGALITARIAN: 1,
+        Criterion.SEX_EQUAL: 1,
+        Criterion.MEDIAN: 1,
+    }
+    for criterion, runs in expected.items():
+        calls.clear()
+        solve(inst, criterion)
+        assert len(calls) == runs, criterion
+
+
+def _staged_generous(inst):
+    degree = min_regret_degree(inst)
+    trunc = truncate(inst, degree).instance
+    m0 = man_optimal(trunc)
+    rotations = find_rotations(trunc)
+    if not rotations:
+        return m0
+    digraph = build_digraph(trunc, rotations)
+    net = build_vb_network([r.profile.reverse_negate(degree) for r in rotations], digraph)
+    subset = max_profile_closed_subset(net, digraph, min_cut(net, max_vb_flow(net)))
+    return eliminate_closed_subset(trunc, m0, rotations, digraph, subset)
+
+
+def test_solve_generous_equals_staged_path():
+    instances = [preprocess(generate_I1(n)) for n in range(4, 11, 2)]
+    for seed in range(45):
+        instances.append(_random_pre(5900 + seed, n=4 + seed % 5, density=(1.0, 0.7, 0.4)[seed % 3]))
+    for inst in instances:
+        if inst.n_men == 0:
+            assert solve_generous(inst) == Matching(())
+        else:
+            assert solve_generous(inst) == _staged_generous(inst)
