@@ -135,31 +135,6 @@ def space_report(rotation_profiles: list[Profile], n: int) -> SpaceReport:
     )
 
 
-def _nearest_rank(sorted_values: list[int], pct: int) -> int:
-    idx = max(0, -(-pct * len(sorted_values) // 100) - 1)
-    return sorted_values[idx]
-
-
-def space_trend_summary(reports: list[SpaceReport]) -> dict[str, float]:
-    """Mean and 5th/95th-percentile totals over a batch of space reports.
-
-    The percentile pair is the usual 90% band for trend plots; percentiles
-    use the nearest-rank rule.
-    """
-    if not reports:
-        raise ValueError("no reports to summarise")
-    exp = sorted(r.exponential_total for r in reports)
-    vec = sorted(r.vector_total for r in reports)
-    return {
-        "exponential_mean": sum(exp) / len(exp),
-        "exponential_p5": _nearest_rank(exp, 5),
-        "exponential_p95": _nearest_rank(exp, 95),
-        "vector_mean": sum(vec) / len(vec),
-        "vector_p5": _nearest_rank(vec, 5),
-        "vector_p95": _nearest_rank(vec, 95),
-    }
-
-
 def generate_uniform(
     n_men: int, n_women: int, density: float, seed: int
 ) -> Instance:

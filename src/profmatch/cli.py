@@ -104,6 +104,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    if args.cap < 1:
+        print("error: --cap must be at least 1", file=sys.stderr)
+        return 2
     criteria = []
     for token in args.criteria.split(","):
         token = token.strip()

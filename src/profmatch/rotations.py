@@ -40,12 +40,9 @@ class RotationDigraph:
     def __init__(self, size: int, edge_labels: dict[tuple[int, int], frozenset[int]]):
         self._size = size
         self._labels = dict(sorted(edge_labels.items()))
-        succs: list[list[int]] = [[] for _ in range(size)]
         preds: list[list[int]] = [[] for _ in range(size)]
         for u, v in self._labels:
-            succs[u].append(v)
             preds[v].append(u)
-        self._succs = tuple(tuple(s) for s in succs)
         self._preds = tuple(tuple(p) for p in preds)
 
     @property
@@ -57,25 +54,6 @@ class RotationDigraph:
 
     def predecessors(self, v: int) -> tuple[int, ...]:
         return self._preds[v]
-
-    def topological_order(self) -> list[int]:
-        """Kahn's algorithm, smallest id first; raises on a cycle."""
-        indeg = [len(self._preds[v]) for v in range(self._size)]
-        import heapq
-
-        ready = [v for v in range(self._size) if indeg[v] == 0]
-        heapq.heapify(ready)
-        order = []
-        while ready:
-            u = heapq.heappop(ready)
-            order.append(u)
-            for v in self._succs[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    heapq.heappush(ready, v)
-        if len(order) != self._size:
-            raise ValueError("precedence digraph contains a cycle")
-        return order
 
     def ancestors(self, seeds) -> frozenset[int]:
         """Seeds plus everything reachable from them along predecessor edges."""
@@ -116,6 +94,11 @@ def find_rotations(inst: Instance) -> list[Rotation]:
     Per-man scan pointers only ever advance (a woman who once rejected m
     keeps rejecting him as her partners improve), so the total scanning work
     is linear in the number of acceptable pairs.
+
+    Rotation ids are a topological order of the precedence digraph: every
+    edge u -> v has u < v.  A rotation is given its id when it is
+    eliminated, and it can be eliminated only once it is exposed, which is
+    after all of its predecessors have been eliminated and numbered.
     """
     wife = gs_propose(inst.men_lists, inst.women_rank, inst.n_men, inst.n_women)
     return _rotations_from(inst, wife)
@@ -276,9 +259,9 @@ def eliminate_closed_subset(
 ) -> Matching:
     """Stable matching reached by eliminating a predecessor-closed rotation set.
 
-    The subset is validated eagerly; its rotations are applied in
-    topological order, each of which is guaranteed (and checked) to be
-    exposed when its turn comes.
+    The subset is validated eagerly; its rotations are applied in id
+    order, which is a topological order (see :func:`find_rotations`), so
+    each is guaranteed (and checked) to be exposed when its turn comes.
     """
     chosen = frozenset(subset)
     for rid in chosen:
@@ -287,8 +270,7 @@ def eliminate_closed_subset(
     if not digraph.is_closed(chosen):
         raise ValueError("rotation subset is not predecessor-closed")
     wife = man_opt.wife_array(inst.n_men)
-    for rid in digraph.topological_order():
-        if rid in chosen:
-            apply_rotation(wife, rotations[rid].cycle)
+    for rid in sorted(chosen):
+        apply_rotation(wife, rotations[rid].cycle)
     return Matching.from_wife_array(wife)
 

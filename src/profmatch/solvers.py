@@ -117,10 +117,16 @@ def enumerate_stable_matchings(
 ) -> list[Matching]:
     """All stable matchings, man-optimal first, walking down the man-lattice.
 
-    Breadth-first over predecessor-closed rotation subsets: each matching is
-    reached by eliminating one exposed rotation from an already-emitted
-    matching, so the list is ordered by closed-subset size.  Raises
-    EnumerationCapError as soon as the count would exceed ``cap``.
+    Breadth-first over predecessor-closed rotation subsets, so the list is
+    ordered by closed-subset size.  Rotation ids are a topological order
+    (see :func:`rotations.find_rotations`), so each nonempty closed subset C
+    has a canonical parent, C minus its largest id, which is closed too.  A
+    queued subset is extended only by rotations above its largest id, so
+    each closed subset is reached exactly once, from its canonical parent,
+    and no set of visited subsets is kept.  The canonical parent is dequeued
+    before C's other parents, so the order is the one a breadth-first search
+    that discards revisits gives.  Raises EnumerationCapError as soon as the
+    count would exceed ``cap``.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -128,25 +134,18 @@ def enumerate_stable_matchings(
     rotations = _rotations_from(inst, m0.wife_array(inst.n_men))
     digraph = build_digraph(inst, rotations)
     out = [m0]
-    seen = {frozenset()}
-    queue = deque([(frozenset(), m0.wife_array(inst.n_men))])
+    queue = deque([(frozenset(), 0, m0.wife_array(inst.n_men))])
     while queue:
-        subset, wife = queue.popleft()
-        for rot in rotations:
-            if rot.rid in subset:
-                continue
+        subset, start, wife = queue.popleft()
+        for rot in rotations[start:]:
             if any(p not in subset for p in digraph.predecessors(rot.rid)):
                 continue
-            bigger = subset | {rot.rid}
-            if bigger in seen:
-                continue
-            seen.add(bigger)
             wife2 = list(wife)
             apply_rotation(wife2, rot.cycle)
             if len(out) + 1 > cap:
                 raise EnumerationCapError(cap)
             out.append(Matching.from_wife_array(wife2))
-            queue.append((bigger, wife2))
+            queue.append((subset | {rot.rid}, rot.rid + 1, wife2))
     return out
 
 

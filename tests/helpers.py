@@ -7,9 +7,19 @@ library's own algorithms, so that agreement is meaningful.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import permutations
 
-from profmatch import Instance, Matching, Profile, RotationDigraph
+from profmatch import (
+    Instance,
+    Matching,
+    Profile,
+    RotationDigraph,
+    build_digraph,
+    find_rotations,
+    man_optimal,
+)
+from profmatch.rotations import apply_rotation
 
 # 8x8 textbook instance used for the golden pipeline tests.
 I0_TEXT = """8 8
@@ -169,6 +179,39 @@ def all_closed_subsets(digraph: RotationDigraph) -> list[frozenset[int]]:
                 break
         if ok:
             out.append(frozenset(v for v in range(r) if mask >> v & 1))
+    return out
+
+
+def bfs_enumeration_oracle(inst: Instance) -> list[Matching]:
+    """Stable matchings by breadth-first search with a set of visited subsets.
+
+    It tries every rotation outside each dequeued closed subset and discards
+    subsets it has already reached, so it assumes nothing about the order of
+    rotation ids: the differential oracle for ``enumerate_stable_matchings``.
+    It shares the library's rotations and digraph, so it checks the search
+    over them, not the rotation layer.
+    """
+    m0 = man_optimal(inst)
+    rotations = find_rotations(inst)
+    digraph = build_digraph(inst, rotations)
+    out = [m0]
+    seen = {frozenset()}
+    queue = deque([(frozenset(), m0.wife_array(inst.n_men))])
+    while queue:
+        subset, wife = queue.popleft()
+        for rot in rotations:
+            if rot.rid in subset:
+                continue
+            if any(p not in subset for p in digraph.predecessors(rot.rid)):
+                continue
+            bigger = subset | {rot.rid}
+            if bigger in seen:
+                continue
+            seen.add(bigger)
+            wife2 = list(wife)
+            apply_rotation(wife2, rot.cycle)
+            out.append(Matching.from_wife_array(wife2))
+            queue.append((bigger, wife2))
     return out
 
 

@@ -135,18 +135,6 @@ def test_i1_space_claims_at_scale():
     assert report.vector_total < 6 * 10**6  # under 0.75 MB
 
 
-def test_space_trend_summary():
-    from profmatch.analytics import space_trend_summary
-
-    reports = [space_report(i1_rotation_profiles(n), n) for n in (4, 6, 8, 10)]
-    summary = space_trend_summary(reports)
-    assert summary["exponential_p5"] <= summary["exponential_mean"] <= summary["exponential_p95"]
-    assert summary["vector_p5"] == min(r.vector_total for r in reports)
-    assert summary["vector_p95"] == max(r.vector_total for r in reports)
-    with pytest.raises(ValueError):
-        space_trend_summary([])
-
-
 def test_i1_generator_validation():
     with pytest.raises(ValueError):
         generate_I1(5)

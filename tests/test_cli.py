@@ -104,6 +104,13 @@ def test_enumerate_cap_exit(i0_file, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["enumerate", "stats"])
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_cap_below_one_is_a_usage_error(i0_file, capsys, verb, cap):
+    assert main([verb, "--in", i0_file, "--cap", cap]) == 2
+    assert _one_line_error(capsys.readouterr().err)
+
+
 def test_solve_cap_exit_for_enumeration_backed(i0_file, capsys, monkeypatch):
     monkeypatch.setattr("profmatch.cli.DEFAULT_ENUMERATION_CAP", 4)
     assert main(["solve", "--in", i0_file, "--criterion", "median"]) == 3

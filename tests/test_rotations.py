@@ -1,6 +1,7 @@
 import pytest
 
 from profmatch import (
+    Instance,
     Matching,
     Profile,
     build_digraph,
@@ -11,8 +12,10 @@ from profmatch import (
     generate_uniform,
     is_stable,
     man_optimal,
+    min_regret_degree,
     preprocess,
     profile_of,
+    truncate,
     woman_optimal,
 )
 
@@ -124,13 +127,38 @@ def test_rotation_delta_is_matching_independent():
                 assert profile_of(inst, after) == profile_of(inst, before) + rot.profile
 
 
-def test_digraph_is_acyclic():
+def _latin_chain(n):
+    # Man i ranks women i, i+1, ..., i-1 and woman j ranks men j+1, ..., j
+    # (mod n): a chain of n-1 rotations that each move every man.
+    men = [[(i + k) % n + 1 for k in range(n)] for i in range(n)]
+    women = [[(j + 1 + k) % n + 1 for k in range(n)] for j in range(n)]
+    return Instance.from_lists(men, women)
+
+
+def test_rotation_ids_are_a_topological_order(i0_pre):
+    # Every precedence edge u -> v has u < v, which also makes the digraph
+    # acyclic; elimination and enumeration rely on it.
+    instances = [i0_pre, _latin_chain(8)]
+    instances += [generate_I1(n) for n in range(4, 11, 2)]
     for seed in range(10):
-        inst = preprocess(generate_uniform(7, 7, 1.0, seed=700 + seed))
+        instances.append(generate_uniform(7, 7, 1.0, seed=700 + seed))
+        for density in (0.7, 0.4):
+            instances.append(generate_uniform(7, 7, density, seed=700 + seed))
+    # The generous path eliminates rotations of the truncation at the
+    # minimum-regret degree.
+    for inst in list(instances):
+        inst = preprocess(inst)
+        if inst.n_men:
+            instances.append(truncate(inst, min_regret_degree(inst)).instance)
+    edges_seen = 0
+    for inst in instances:
+        inst = preprocess(inst)
         rotations = find_rotations(inst)
-        digraph = build_digraph(inst, rotations)
-        order = digraph.topological_order()
-        assert sorted(order) == list(range(len(rotations)))
+        assert [rot.rid for rot in rotations] == list(range(len(rotations)))
+        for u, v, _labels in build_digraph(inst, rotations).edges():
+            assert u < v
+            edges_seen += 1
+    assert edges_seen
 
 
 def test_eliminate_golden_subset(i0_pre):

@@ -39,6 +39,7 @@ from helpers import (
     I0_FLOW_VALUE_WEIGHT,
     I0_OPTIMAL_SUBSET,
     I0_RANK_MAXIMAL,
+    bfs_enumeration_oracle,
     brute_force_stable_matchings,
     rotation_name_map,
     tiny_unique_instance,
@@ -172,6 +173,27 @@ def test_enumerate_cap(i0_pre):
         enumerate_stable_matchings(i0_pre, cap=4)
     with pytest.raises(ValueError):
         enumerate_stable_matchings(i0_pre, cap=0)
+
+
+def test_enumeration_matches_visited_set_bfs(i0_pre):
+    # The same list in the same order as the breadth-first search that keeps
+    # a set of visited subsets, and the cap trips at the same count.
+    instances = [i0_pre] + [preprocess(generate_I1(n)) for n in range(4, 13, 2)]
+    for seed in range(300):
+        instances.append(
+            _random_pre(4800 + seed, n=4 + seed % 9, density=(1.0, 0.7, 0.4)[seed % 3])
+        )
+    most = 0
+    for inst in instances:
+        expected = bfs_enumeration_oracle(inst)
+        assert enumerate_stable_matchings(inst) == expected
+        count = len(expected)
+        most = max(most, count)
+        assert len(enumerate_stable_matchings(inst, cap=count)) == count
+        if count > 1:
+            with pytest.raises(EnumerationCapError):
+                enumerate_stable_matchings(inst, cap=count - 1)
+    assert most >= 64
 
 
 def test_median_singleton():
