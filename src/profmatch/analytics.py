@@ -116,11 +116,9 @@ def space_report(rotation_profiles: list[Profile], n: int) -> SpaceReport:
             continue
         cached = cache.get(id(p))
         if cached is None:
-            w_e = abs(
-                sum(e * d_t ** (d_t - i) for i, e in enumerate(p.elements, start=1) if e)
-            )
+            w_e = abs(sum(e * d_t ** (d_t - i) for i, e in p.pairs))
             eb = (1 if w_e == 0 else _ceil_log2(w_e)) + 32
-            z = sum(1 for e in p.elements if e)
+            z = len(p.pairs)
             cached = (eb, 32 + z * idx_bits + z * val_bits)
             cache[id(p)] = cached
         exp_bits.append(cached[0])

@@ -163,10 +163,12 @@ def _agreement_failure(pre: Instance) -> Optional[str]:
         cut = min_cut(net, flow)
         if cut.capacity != flow.value:
             return "min-cut capacity differs from max-flow value"
-        max_profile_closed_subset(net, digraph, cut)
-        value, _subset = oracle_exponential_flow(rotations, digraph, n, OracleMode.RANK_MAX)
+        subset = max_profile_closed_subset(net, digraph, cut)
+        value, oracle_subset = oracle_exponential_flow(rotations, digraph, n, OracleMode.RANK_MAX)
         if high_weight(flow.value, n) != value:
             return "vector max-flow value disagrees with exponential-weight oracle"
+        if subset != oracle_subset:
+            return "vector closed subset disagrees with exponential-weight oracle"
 
     degree = min_regret_degree(pre)
     generous = solve_generous(pre)

@@ -427,7 +427,4 @@ def profile_of(inst: Instance, matching: Matching) -> Profile:
         rw = inst.women_rank[w][m]
         counts[rm] = counts.get(rm, 0) + 1
         counts[rw] = counts.get(rw, 0) + 1
-    if not counts:
-        return Profile.zero()
-    top = max(counts)
-    return Profile(counts.get(k, 0) for k in range(1, top + 1))
+    return Profile._from_pairs(tuple(sorted(counts.items())))

@@ -9,78 +9,117 @@ the structure the vector-flow solver needs: sums respect the order, minima
 are well defined, and subtraction of a smaller vector from a larger one
 stays non-negative.
 
+Profiles are stored sparse, as the rank-ordered ``(rank, value)`` pairs of
+their nonzero entries: the compressed encoding whose size
+:func:`analytics.space_report` charges.  A rotation of a Latin chain has
+about four nonzero entries at degree near n, so arithmetic, comparison and
+hashing cost O(nonzeros), not O(degree).  The dense views (``elements``,
+``padded``, iteration) are built on request.
+
 Trailing zeros never matter: ``Profile([2, 0]) == Profile([2])``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator
 
 
 class Profile:
     """Immutable integer vector with 1-based logical indices."""
 
-    __slots__ = ("_elems",)
+    __slots__ = ("_pairs",)
 
     def __init__(self, elems: Iterable[int] = ()):
-        es = tuple(int(e) for e in elems)
-        end = len(es)
-        while end and not es[end - 1]:
-            end -= 1
-        self._elems = es[:end]
+        self._pairs = tuple((i, e) for i, e in enumerate(map(int, elems), start=1) if e)
+
+    @classmethod
+    def _from_pairs(cls, pairs: tuple[tuple[int, int], ...]) -> "Profile":
+        """Profile over ``pairs``: nonzero values at strictly increasing ranks."""
+        p = object.__new__(cls)
+        p._pairs = pairs
+        return p
 
     @classmethod
     def zero(cls) -> "Profile":
         return _ZERO
 
     @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The ``(rank, value)`` pairs of the nonzero entries, by rank."""
+        return self._pairs
+
+    @property
     def elements(self) -> tuple[int, ...]:
         """Entries with trailing zeros stripped."""
-        return self._elems
+        return self.padded(self.degree)
 
     @property
     def degree(self) -> int:
         """Largest 1-based index holding a nonzero entry (0 for the zero vector)."""
-        return len(self._elems)
+        return self._pairs[-1][0] if self._pairs else 0
 
     @property
     def is_zero(self) -> bool:
-        return not self._elems
+        return not self._pairs
 
     @property
     def sign(self) -> int:
         """Sign of the first nonzero entry; 0 for the zero vector."""
-        for e in self._elems:
-            if e:
-                return 1 if e > 0 else -1
-        return 0
+        if not self._pairs:
+            return 0
+        return 1 if self._pairs[0][1] > 0 else -1
 
     def padded(self, length: int) -> tuple[int, ...]:
         """Dense view of the first ``length`` entries."""
-        if length < len(self._elems):
-            raise ValueError(f"cannot pad to {length}: degree is {len(self._elems)}")
-        return self._elems + (0,) * (length - len(self._elems))
+        if length < self.degree:
+            raise ValueError(f"cannot pad to {length}: degree is {self.degree}")
+        out = [0] * length
+        for i, e in self._pairs:
+            out[i - 1] = e
+        return tuple(out)
 
     def element(self, index: int) -> int:
         """Entry at 1-based position ``index`` (0 beyond the degree)."""
         if index < 1:
             raise ValueError("profile indices are 1-based")
-        return self._elems[index - 1] if index <= len(self._elems) else 0
+        pairs = self._pairs
+        at = bisect_left(pairs, (index,))
+        return pairs[at][1] if at < len(pairs) and pairs[at][0] == index else 0
 
     def __add__(self, other: "Profile") -> "Profile":
-        a, b = self._elems, other._elems
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] += x
-        return Profile(out)
+        a, b = self._pairs, other._pairs
+        if not b:
+            return self
+        if not a:
+            return other
+        # Merge the two rank-ordered pair lists.
+        out = []
+        ia = ib = 0
+        la, lb = len(a), len(b)
+        while ia < la and ib < lb:
+            pa, pb = a[ia], b[ib]
+            if pa[0] < pb[0]:
+                out.append(pa)
+                ia += 1
+            elif pb[0] < pa[0]:
+                out.append(pb)
+                ib += 1
+            else:
+                e = pa[1] + pb[1]
+                if e:
+                    out.append((pa[0], e))
+                ia += 1
+                ib += 1
+        out += a[ia:]
+        out += b[ib:]
+        return Profile._from_pairs(tuple(out))
 
     def __sub__(self, other: "Profile") -> "Profile":
         return self + (-other)
 
     def __neg__(self) -> "Profile":
-        return Profile(-e for e in self._elems)
+        return Profile._from_pairs(tuple((i, -e) for i, e in self._pairs))
 
     def abs_value(self) -> "Profile":
         """Negate every entry iff the first nonzero entry is negative."""
@@ -92,29 +131,32 @@ class Profile:
         Maps <p_1, ..., p_k> to <-p_k, ..., -p_1>; minimising the reverse
         profile is the same as maximising its reverse-negated image.
         """
-        return Profile(-e for e in reversed(self.padded(length)))
+        if length < self.degree:
+            raise ValueError(f"cannot pad to {length}: degree is {self.degree}")
+        top = length + 1
+        return Profile._from_pairs(tuple((top - i, -e) for i, e in reversed(self._pairs)))
 
     def _cmp(self, other: "Profile") -> int:
-        a, b = self._elems, other._elems
+        a, b = self._pairs, other._pairs
         for x, y in zip(a, b):
             if x != y:
-                return -1 if x < y else 1
-        if len(a) == len(b):
-            return 0
-        tail = a[len(b):] if len(a) > len(b) else b[len(a):]
-        longer_is_self = len(a) > len(b)
-        for x in tail:
-            if x:
-                if x > 0:
-                    return 1 if longer_is_self else -1
-                return -1 if longer_is_self else 1
+                if x[0] == y[0]:
+                    return 1 if x[1] > y[1] else -1
+                # The pair at the lower rank is the first differing entry.
+                if x[0] < y[0]:
+                    return 1 if x[1] > 0 else -1
+                return -1 if y[1] > 0 else 1
+        if len(a) > len(b):
+            return 1 if a[len(b)][1] > 0 else -1
+        if len(a) < len(b):
+            return -1 if b[len(a)][1] > 0 else 1
         return 0
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Profile) and self._elems == other._elems
+        return isinstance(other, Profile) and self._pairs == other._pairs
 
     def __hash__(self) -> int:
-        return hash(self._elems)
+        return hash(self._pairs)
 
     def __lt__(self, other: "Profile") -> bool:
         if not isinstance(other, Profile):
@@ -137,14 +179,14 @@ class Profile:
         return self._cmp(other) >= 0
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._elems)
+        return iter(self.elements)
 
     def __repr__(self) -> str:
-        return f"Profile({list(self._elems)!r})"
+        return f"Profile({list(self.elements)!r})"
 
     def display(self) -> str:
         """Comma-separated entries, trailing zeros dropped ("0" for the zero vector)."""
-        return ",".join(str(e) for e in self._elems) if self._elems else "0"
+        return ",".join(map(str, self.elements)) if self._pairs else "0"
 
 
 _ZERO = Profile(())
@@ -161,8 +203,4 @@ def high_weight(p: Profile, n: int) -> int:
     if p.degree > n:
         raise ValueError(f"profile degree {p.degree} exceeds window {n}")
     base = 2 * n + 1
-    total = 0
-    for i, e in enumerate(p.elements, start=1):
-        if e:
-            total += e * base ** (n - i)
-    return total
+    return sum(e * base ** (n - i) for i, e in p.pairs)

@@ -19,7 +19,10 @@ the stable matchings of the instance.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from typing import Optional
 
 from .model import Instance, Matching, gs_propose
 from .profiles import Profile
@@ -182,63 +185,81 @@ def _rotations_from(inst: Instance, wife: list[int]) -> list[Rotation]:
 
 
 def _cycle_profile(inst: Instance, cycle: tuple[tuple[int, int], ...]) -> Profile:
-    k = len(cycle)
-    delta: dict[int, int] = {}
+    """Profile change of eliminating ``cycle``: each man moves to the next
+    pair's woman, who trades the next pair's man for him."""
+    men_rank, women_rank = inst.men_rank, inst.women_rank
+    moves = list(zip(cycle, cycle[1:] + cycle[:1]))
+    gained = Counter(men_rank[m][w_new] for (m, _), (_, w_new) in moves)
+    gained.update(women_rank[w_new][m] for (m, _), (_, w_new) in moves)
+    lost = Counter(men_rank[m][w_old] for (m, w_old), _ in moves)
+    lost.update(women_rank[w_new][m_next] for _, (m_next, w_new) in moves)
+    delta = ((r, gained[r] - lost[r]) for r in gained.keys() | lost.keys())
+    return Profile._from_pairs(tuple(sorted(p for p in delta if p[1])))
 
-    def bump(rank: int, by: int) -> None:
-        delta[rank] = delta.get(rank, 0) + by
 
-    for idx in range(k):
-        m, w_old = cycle[idx]
-        m_next, w_new = cycle[(idx + 1) % k]
-        bump(inst.men_rank[m][w_old], -1)
-        bump(inst.men_rank[m][w_new], 1)
-        bump(inst.women_rank[w_new][m_next], -1)
-        bump(inst.women_rank[w_new][m], 1)
-    top = max((r for r, d in delta.items() if d), default=0)
-    return Profile(delta.get(r, 0) for r in range(1, top + 1))
+_TYPE1, _TYPE2, _BOTH = frozenset({1}), frozenset({2}), frozenset({1, 2})
 
 
 def build_digraph(inst: Instance, rotations: list[Rotation]) -> RotationDigraph:
-    """Precedence digraph with type-1/type-2 labels (merged per edge)."""
+    """Precedence digraph with type-1/type-2 labels (merged per edge).
+
+    Rotations are taken in id order, which is the order one maximal chain
+    eliminates them in (see :func:`find_rotations`).  Along it each man
+    only moves down his list, so his list position is carried from one
+    rotation to the next, and each woman only moves up hers: the partner
+    ranks of her moves strictly decrease, each move starting at the rank
+    the one before it ended.  The move of a woman that takes her from a
+    partner ranked at or below m to one ranked above m is therefore found
+    by bisection over the ranks her moves end at.
+    """
+    women_rank = inst.women_rank
     mover: dict[tuple[int, int], int] = {}
-    wmoves: dict[int, list[tuple[int, int, int]]] = {}
+    # Per woman who moves, over her moves in id order: the rotations, the
+    # negated ranks of the partners they give her (ascending), and the ranks
+    # of the partners they take away.  Only those women get lists, so an
+    # instance with few rotations allocates little per agent.
+    moves: list[Optional[tuple[list[int], list[int], list[int]]]] = [None] * (inst.n_women + 1)
     for rot in rotations:
-        k = len(rot.cycle)
-        for idx, (m, _w) in enumerate(rot.cycle):
-            m_next, w_next = rot.cycle[(idx + 1) % k]
-            mover[(m, w_next)] = rot.rid
-            # w_next's partner drops from rank `before` to rank `after`.
-            wmoves.setdefault(w_next, []).append(
-                (rot.rid, inst.women_rank[w_next][m_next], inst.women_rank[w_next][m])
-            )
+        rid, cycle = rot.rid, rot.cycle
+        for (m, _), (m_next, w_next) in zip(cycle, cycle[1:] + cycle[:1]):
+            mover[(m, w_next)] = rid
+            rank_w = women_rank[w_next]
+            mv = moves[w_next]
+            if mv is None:
+                mv = moves[w_next] = ([], [], [])
+            mv[0].append(rid)
+            mv[1].append(-rank_w[m])
+            mv[2].append(rank_w[m_next])
 
-    labels: dict[tuple[int, int], set[int]] = {}
-
-    def add(u: int, v: int, lab: int) -> None:
-        labels.setdefault((u, v), set()).add(lab)
-
+    type1: set[tuple[int, int]] = set()
+    type2: set[tuple[int, int]] = set()
+    position = [-1] * (inst.n_men + 1)  # list position of each man's wife
     for rot in rotations:
-        k = len(rot.cycle)
-        for idx, (m, w) in enumerate(rot.cycle):
+        rid, cycle = rot.rid, rot.cycle
+        for (m, w), (_, w_next) in zip(cycle, cycle[1:] + cycle[:1]):
             r1 = mover.get((m, w))
             if r1 is not None:
-                add(r1, rot.rid, 1)
-            _, w_next = rot.cycle[(idx + 1) % k]
+                type1.add((r1, rid))
             lst = inst.men_lists[m]
-            a = inst.man_list_position(m, w)
-            b = inst.man_list_position(m, w_next)
-            for pos in range(a, b):
+            pos = position[m]
+            if pos < 0:
+                pos = inst.man_list_position(m, w)
+            wj = lst[pos]
+            while wj != w_next:
+                mv = moves[wj]
+                if mv is not None:
+                    # Her first move to a partner she ranks above m.
+                    rids, after, before = mv
+                    r_me = women_rank[wj][m]
+                    j = bisect_right(after, -r_me)
+                    if j < len(after) and r_me <= before[j] and rids[j] != rid:
+                        type2.add((rids[j], rid))
+                pos += 1
                 wj = lst[pos]
-                r_me = inst.women_rank[wj][m]
-                for rid2, before, after in wmoves.get(wj, ()):
-                    if after < r_me <= before:
-                        if rid2 != rot.rid:
-                            add(rid2, rot.rid, 2)
-                        break
-    return RotationDigraph(
-        len(rotations), {e: frozenset(s) for e, s in labels.items()}
-    )
+            position[m] = pos
+    labels = {e: _BOTH if e in type2 else _TYPE1 for e in type1}
+    labels.update((e, _TYPE2) for e in type2 - type1)
+    return RotationDigraph(len(rotations), labels)
 
 
 def apply_rotation(wife: list[int], cycle) -> None:

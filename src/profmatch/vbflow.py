@@ -16,6 +16,12 @@ a cut whose capacity equals the flow value entry by entry; that cut is
 lexicographically minimum, and the positive rotations whose sink edges
 escape it, together with their digraph ancestors, form the closed subset of
 maximum total profile.
+
+Capacities and flows are sparse :class:`~profmatch.profiles.Profile`
+vectors, so one addition or comparison costs O(nonzero entries), not
+O(degree).  The search compares no vectors on forward edges: whether an
+edge's forward residual is open is kept per edge and updated only on the
+edges of each augmenting path.
 """
 
 from __future__ import annotations
@@ -88,13 +94,13 @@ def build_vb_network(profiles: list[Profile], digraph: RotationDigraph) -> VbNet
 
 
 def _residual_search(
-    net: VbNetwork, flows: list[Profile], stop_at_sink: bool
+    net: VbNetwork, flows: list[Profile], open_fwd: list[bool], stop_at_sink: bool
 ) -> dict[int, Optional[tuple[int, bool]]]:
     """BFS over the residual graph from SOURCE.
 
     Returns node -> (edge index, is_forward) parent links; SOURCE maps to
-    None.  Residual edges: forward while flow < capacity (always, for
-    uncapacitated edges), backward while flow > 0, both under lex order.
+    None.  Residual edges: forward while ``open_fwd`` (flow < capacity under
+    lex order, always for uncapacitated edges), backward while flow > 0.
     """
     zero = Profile.zero()
     prev: dict[int, Optional[tuple[int, bool]]] = {SOURCE: None}
@@ -103,7 +109,7 @@ def _residual_search(
         u = queue.popleft()
         for ei in net.out_edges[u]:
             e = net.edges[ei]
-            if e.v not in prev and (e.cap is None or flows[ei] < e.cap):
+            if e.v not in prev and open_fwd[ei]:
                 prev[e.v] = (ei, True)
                 if stop_at_sink and e.v == SINK:
                     return prev
@@ -118,6 +124,10 @@ def _residual_search(
     return prev
 
 
+def _open_forward(net: VbNetwork, flows: list[Profile]) -> list[bool]:
+    return [e.cap is None or f < e.cap for e, f in zip(net.edges, flows)]
+
+
 def max_vb_flow(net: VbNetwork) -> VbFlow:
     """Maximum flow by shortest augmenting paths with vector arithmetic.
 
@@ -129,8 +139,11 @@ def max_vb_flow(net: VbNetwork) -> VbFlow:
     ordered-group capacities.
     """
     flows: list[Profile] = [Profile.zero()] * len(net.edges)
+    # Whether each edge's forward residual is open, updated on augmentation
+    # so that a search compares no vectors on forward edges.
+    open_fwd = _open_forward(net, flows)
     while True:
-        prev = _residual_search(net, flows, stop_at_sink=True)
+        prev = _residual_search(net, flows, open_fwd, stop_at_sink=True)
         if SINK not in prev:
             break
         path: list[tuple[int, bool]] = []
@@ -154,7 +167,10 @@ def max_vb_flow(net: VbNetwork) -> VbFlow:
                 bottleneck = room
         assert bottleneck is not None and bottleneck > Profile.zero()
         for ei, forward in path:
-            flows[ei] = flows[ei] + bottleneck if forward else flows[ei] - bottleneck
+            f = flows[ei] + bottleneck if forward else flows[ei] - bottleneck
+            flows[ei] = f
+            cap = net.edges[ei].cap
+            open_fwd[ei] = cap is None or f < cap
     value = Profile.zero()
     for ei in net.out_edges[SOURCE]:
         value = value + flows[ei]
@@ -167,7 +183,7 @@ def min_cut(net: VbNetwork, flow: VbFlow) -> Cut:
     Raises ValueError if the flow still admits an augmenting path.
     """
     flows = list(flow.edge_flows)
-    reach = _residual_search(net, flows, stop_at_sink=False)
+    reach = _residual_search(net, flows, _open_forward(net, flows), stop_at_sink=False)
     if SINK in reach:
         raise ValueError("flow admits an augmenting path; compute max_vb_flow first")
     cut_edges = []

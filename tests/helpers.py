@@ -17,9 +17,14 @@ from profmatch import (
     RotationDigraph,
     build_digraph,
     find_rotations,
+    generate_I1,
+    generate_uniform,
     man_optimal,
+    min_regret_degree,
+    preprocess,
+    truncate,
 )
-from profmatch.rotations import apply_rotation
+from profmatch.rotations import Rotation, apply_rotation
 
 # 8x8 textbook instance used for the golden pipeline tests.
 I0_TEXT = """8 8
@@ -218,3 +223,151 @@ def bfs_enumeration_oracle(inst: Instance) -> list[Matching]:
 def tiny_unique_instance() -> Instance:
     """2x2 instance where everyone has their mutual first choice."""
     return Instance.from_lists([[1, 2], [2, 1]], [[1, 2], [2, 1]])
+
+
+def latin_chain(n: int) -> Instance:
+    """Cyclic Latin square: man i ranks women i, i+1, ..., i-1 and woman j
+    ranks men j+1, ..., j (mod n), a chain of n-1 rotations that each move
+    every man."""
+    men = [[(i + k) % n + 1 for k in range(n)] for i in range(n)]
+    women = [[(j + 1 + k) % n + 1 for k in range(n)] for j in range(n)]
+    return Instance.from_lists(men, women)
+
+
+def poset_families(i0: Instance) -> list[Instance]:
+    """Preprocessed instances for differential tests of the rotation poset.
+
+    I0, ``generate_I1(4..12)``, 300 seeded instances with n = 4..12 at
+    densities 1.0, 0.7 and 0.4, and cyclic Latin chains with n = 5..30.
+    """
+    out = [i0] + [generate_I1(n) for n in range(4, 13, 2)]
+    for seed in range(300):
+        n, density = 4 + seed % 9, (1.0, 0.7, 0.4)[seed % 3]
+        out.append(generate_uniform(n, n, density, seed=6100 + seed))
+    out += [latin_chain(n) for n in range(5, 31)]
+    return [preprocess(inst) for inst in out]
+
+
+def truncated_at_min_regret(inst: Instance) -> tuple[Instance, int]:
+    """The instance the generous solve eliminates rotations of, and its degree."""
+    degree = min_regret_degree(inst)
+    return truncate(inst, degree).instance, degree
+
+
+def linear_scan_digraph_oracle(inst: Instance, rotations: list[Rotation]) -> RotationDigraph:
+    """Precedence digraph by scanning every move of each woman passed over.
+
+    For each pair it finds the type-2 predecessor by walking the woman's
+    whole move list, and each man's list positions by bisection, so it
+    assumes nothing about the order of rotations or moves: the
+    differential oracle for ``build_digraph``.
+    """
+    mover: dict[tuple[int, int], int] = {}
+    wmoves: dict[int, list[tuple[int, int, int]]] = {}
+    for rot in rotations:
+        k = len(rot.cycle)
+        for idx, (m, _w) in enumerate(rot.cycle):
+            m_next, w_next = rot.cycle[(idx + 1) % k]
+            mover[(m, w_next)] = rot.rid
+            # w_next's partner drops from rank `before` to rank `after`.
+            wmoves.setdefault(w_next, []).append(
+                (rot.rid, inst.women_rank[w_next][m_next], inst.women_rank[w_next][m])
+            )
+
+    labels: dict[tuple[int, int], set[int]] = {}
+
+    def add(u: int, v: int, lab: int) -> None:
+        labels.setdefault((u, v), set()).add(lab)
+
+    for rot in rotations:
+        k = len(rot.cycle)
+        for idx, (m, w) in enumerate(rot.cycle):
+            r1 = mover.get((m, w))
+            if r1 is not None:
+                add(r1, rot.rid, 1)
+            _, w_next = rot.cycle[(idx + 1) % k]
+            lst = inst.men_lists[m]
+            a = inst.man_list_position(m, w)
+            b = inst.man_list_position(m, w_next)
+            for pos in range(a, b):
+                wj = lst[pos]
+                r_me = inst.women_rank[wj][m]
+                for rid2, before, after in wmoves.get(wj, ()):
+                    if after < r_me <= before:
+                        if rid2 != rot.rid:
+                            add(rid2, rot.rid, 2)
+                        break
+    return RotationDigraph(
+        len(rotations), {e: frozenset(s) for e, s in labels.items()}
+    )
+
+
+class DenseProfile:
+    """Reference profile arithmetic on dense tuples, trailing zeros stripped:
+    the differential oracle for the sparse ``Profile``."""
+
+    def __init__(self, elems=()):
+        es = tuple(int(e) for e in elems)
+        end = len(es)
+        while end and not es[end - 1]:
+            end -= 1
+        self.elements = es[:end]
+
+    @property
+    def degree(self) -> int:
+        return len(self.elements)
+
+    @property
+    def sign(self) -> int:
+        for e in self.elements:
+            if e:
+                return 1 if e > 0 else -1
+        return 0
+
+    def padded(self, length: int) -> tuple[int, ...]:
+        if length < len(self.elements):
+            raise ValueError(f"cannot pad to {length}: degree is {len(self.elements)}")
+        return self.elements + (0,) * (length - len(self.elements))
+
+    def element(self, index: int) -> int:
+        if index < 1:
+            raise ValueError("profile indices are 1-based")
+        return self.elements[index - 1] if index <= len(self.elements) else 0
+
+    def __add__(self, other: "DenseProfile") -> "DenseProfile":
+        a, b = self.elements, other.elements
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, x in enumerate(b):
+            out[i] += x
+        return DenseProfile(out)
+
+    def __sub__(self, other: "DenseProfile") -> "DenseProfile":
+        return self + (-other)
+
+    def __neg__(self) -> "DenseProfile":
+        return DenseProfile(-e for e in self.elements)
+
+    def abs_value(self) -> "DenseProfile":
+        return -self if self.sign < 0 else self
+
+    def reverse_negate(self, length: int) -> "DenseProfile":
+        return DenseProfile(-e for e in reversed(self.padded(length)))
+
+    def cmp(self, other: "DenseProfile") -> int:
+        width = max(self.degree, other.degree)
+        a, b = self.padded(width), other.padded(width)
+        return (a > b) - (a < b)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, DenseProfile) and self.elements == other.elements
+
+    def display(self) -> str:
+        return ",".join(str(e) for e in self.elements) if self.elements else "0"
+
+    def high_weight(self, n: int) -> int:
+        if self.degree > n:
+            raise ValueError(f"profile degree {self.degree} exceeds window {n}")
+        base = 2 * n + 1
+        return sum(e * base ** (n - i) for i, e in enumerate(self.elements, start=1) if e)

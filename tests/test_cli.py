@@ -213,6 +213,23 @@ def test_oracle_check_passes(capsys):
     assert "agreed" in capsys.readouterr().out
 
 
+def test_oracle_check_compares_closed_subsets(monkeypatch, capsys):
+    # A vector closed subset missing one rotation must be reported, even
+    # though the flow values still agree.
+    from profmatch import cli
+
+    real = cli.max_profile_closed_subset
+
+    def drop_one(net, digraph, cut):
+        subset = real(net, digraph, cut)
+        return subset - {max(subset)} if subset else subset
+
+    monkeypatch.setattr(cli, "max_profile_closed_subset", drop_one)
+    assert main(["oracle-check", "--n", "8", "--trials", "6", "--seed", "7"]) == 1
+    err = capsys.readouterr().err
+    assert "vector closed subset disagrees with exponential-weight oracle" in err
+
+
 def test_oracle_check_flag_validation(capsys):
     assert main(["oracle-check", "--n", "0", "--trials", "5", "--seed", "1"]) == 2
     capsys.readouterr()

@@ -1,7 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from profmatch import Profile, high_weight
+
+from helpers import DenseProfile
 
 
 profile_entries = st.lists(st.integers(-3, 3), max_size=8)
@@ -120,3 +122,69 @@ def test_foreign_type_comparisons():
     assert Profile([1]) != [1]
     with pytest.raises(TypeError):
         Profile([1]) < 5
+
+
+# Signed entries padded with trailing zeros, which must not matter.
+padded_entries = st.builds(
+    lambda es, zeros: es + [0] * zeros,
+    st.lists(st.integers(-4, 4), max_size=10),
+    st.integers(0, 4),
+)
+
+
+def _agree(a, b, lengths):
+    """Every operation on Profile(a), Profile(b) against the dense reference;
+    windows and indices are taken from ``lengths`` and the degree."""
+    p, q, dp, dq = Profile(a), Profile(b), DenseProfile(a), DenseProfile(b)
+    assert p.elements == dp.elements and tuple(p) == dp.elements
+    pairs = ((p + q, dp + dq), (p - q, dp - dq), (-p, -dp), (p.abs_value(), dp.abs_value()))
+    for got, want in pairs:
+        assert got.elements == want.elements
+    c = dp.cmp(dq)
+    assert ((p < q), (p <= q), (p > q), (p >= q)) == (c < 0, c <= 0, c > 0, c >= 0)
+    assert (p == q) == (dp == dq) and (p == q) == (c == 0)
+    if p == q:
+        assert hash(p) == hash(q)
+    assert hash(p) == hash(Profile(dp.elements)) == hash(Profile(list(a) + [0, 0]))
+    assert (p.sign, p.degree, p.is_zero) == (dp.sign, dp.degree, not dp.elements)
+    assert p.display() == dp.display()
+    for length in lengths:
+        if length >= dp.degree:
+            assert p.padded(length) == dp.padded(length)
+            assert p.reverse_negate(length).elements == dp.reverse_negate(length).elements
+            assert high_weight(p, length) == dp.high_weight(length)
+    if dp.degree:
+        with pytest.raises(ValueError):
+            p.padded(dp.degree - 1)
+        with pytest.raises(ValueError):
+            p.reverse_negate(dp.degree - 1)
+        with pytest.raises(ValueError):
+            high_weight(p, dp.degree - 1)
+    for index in (1, 2, dp.degree, dp.degree + 1, *lengths):
+        if index >= 1:
+            assert p.element(index) == dp.element(index)
+
+
+@given(padded_entries, padded_entries, st.integers(0, 16))
+def test_sparse_profile_matches_dense_reference(a, b, k):
+    degree = len(DenseProfile(a).elements)
+    _agree(a, b, (k, degree, degree + 3))
+
+
+# Shrinking 100,000-entry dense vectors takes minutes, and two nonzero
+# entries are already a small counterexample.
+@settings(max_examples=10, deadline=None, phases=(Phase.explicit, Phase.generate))
+@given(
+    st.lists(st.tuples(st.integers(1, 100_000), st.integers(-3, 3)), min_size=2, max_size=2),
+    st.lists(st.tuples(st.integers(1, 100_000), st.integers(-3, 3)), min_size=2, max_size=2),
+)
+def test_sparse_profile_matches_dense_reference_at_degree_100000(a, b):
+    # Two nonzero entries at ranks up to 100,000: O(nonzeros) arithmetic on
+    # one side, dense tuples of that length on the other.
+    def dense(entries):
+        out = [0] * 100_000
+        for rank, value in entries:
+            out[rank - 1] = value
+        return out
+
+    _agree(dense(a), dense(b), (100_000,))

@@ -1,7 +1,6 @@
 import pytest
 
 from profmatch import (
-    Instance,
     Matching,
     Profile,
     build_digraph,
@@ -24,8 +23,12 @@ from helpers import (
     I0_RANK_MAXIMAL,
     I0_ROTATIONS,
     all_closed_subsets,
+    latin_chain,
+    linear_scan_digraph_oracle,
+    poset_families,
     rotation_name_map,
     tiny_unique_instance,
+    truncated_at_min_regret,
 )
 
 
@@ -127,18 +130,10 @@ def test_rotation_delta_is_matching_independent():
                 assert profile_of(inst, after) == profile_of(inst, before) + rot.profile
 
 
-def _latin_chain(n):
-    # Man i ranks women i, i+1, ..., i-1 and woman j ranks men j+1, ..., j
-    # (mod n): a chain of n-1 rotations that each move every man.
-    men = [[(i + k) % n + 1 for k in range(n)] for i in range(n)]
-    women = [[(j + 1 + k) % n + 1 for k in range(n)] for j in range(n)]
-    return Instance.from_lists(men, women)
-
-
 def test_rotation_ids_are_a_topological_order(i0_pre):
     # Every precedence edge u -> v has u < v, which also makes the digraph
     # acyclic; elimination and enumeration rely on it.
-    instances = [i0_pre, _latin_chain(8)]
+    instances = [i0_pre, latin_chain(8)]
     instances += [generate_I1(n) for n in range(4, 11, 2)]
     for seed in range(10):
         instances.append(generate_uniform(7, 7, 1.0, seed=700 + seed))
@@ -159,6 +154,24 @@ def test_rotation_ids_are_a_topological_order(i0_pre):
             assert u < v
             edges_seen += 1
     assert edges_seen
+
+
+def test_build_digraph_matches_linear_scan(i0_pre):
+    # Bisected type-2 lookups and carried list positions give the labelled
+    # edge set of the scan over every move of each woman passed over.
+    # Type-2 edges are rare below n = 20, so larger instances are added.
+    instances = poset_families(i0_pre)
+    for seed in range(16):
+        n, density = 40 + 4 * seed, (1.0, 0.6)[seed % 2]
+        instances.append(preprocess(generate_uniform(n, n, density, seed=6500 + seed)))
+    instances += [truncated_at_min_regret(inst)[0] for inst in instances]
+    type2 = 0
+    for inst in instances:
+        rotations = find_rotations(inst)
+        got = build_digraph(inst, rotations)
+        assert got == linear_scan_digraph_oracle(inst, rotations)
+        type2 += sum(2 in labels for _u, _v, labels in got.edges())
+    assert type2 >= 500
 
 
 def test_eliminate_golden_subset(i0_pre):

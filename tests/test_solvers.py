@@ -41,8 +41,10 @@ from helpers import (
     I0_RANK_MAXIMAL,
     bfs_enumeration_oracle,
     brute_force_stable_matchings,
+    poset_families,
     rotation_name_map,
     tiny_unique_instance,
+    truncated_at_min_regret,
 )
 
 
@@ -330,35 +332,51 @@ def test_oracle_empty():
     assert value == 0 and subset == frozenset()
 
 
-def test_oracle_agrees_with_pipeline_in_both_modes():
+def test_oracle_agrees_with_pipeline_in_both_modes(i0_pre):
+    # Both flows take the positive rotations outside the residual-reachable
+    # set, closed upward, and that set is the same for every maximum flow:
+    # the vector and scalar pipelines must choose the same closed subset.
     from profmatch import eliminate_closed_subset
     from profmatch.solvers import _optimal_closed_subset
 
-    for seed in range(25):
-        inst = _random_pre(5600 + seed, n=4 + seed % 5, density=1.0 if seed % 2 else 0.6)
-        if inst.n_men == 0:
-            continue
+    def agree(inst, profiles, mode, window):
         rotations = find_rotations(inst)
-        if not rotations:
-            continue
         digraph = build_digraph(inst, rotations)
-        m0 = man_optimal(inst)
         n = inst.n_men
-
-        subset_vb = _optimal_closed_subset([r.profile for r in rotations], digraph)
-        _value, subset_or = oracle_exponential_flow(rotations, digraph, n, OracleMode.RANK_MAX)
+        subset_vb = _optimal_closed_subset(profiles(rotations), digraph)
+        _value, subset_or = oracle_exponential_flow(rotations, digraph, n, mode, window=window)
+        assert subset_vb == subset_or
+        m0 = man_optimal(inst)
         vb_match = eliminate_closed_subset(inst, m0, rotations, digraph, subset_vb)
         or_match = eliminate_closed_subset(inst, m0, rotations, digraph, subset_or)
         assert profile_of(inst, vb_match) == profile_of(inst, or_match)
+        return bool(subset_vb)
 
-        mapped = [r.profile.reverse_negate(n) for r in rotations]
-        subset_vb_gen = _optimal_closed_subset(mapped, digraph)
-        _value, subset_or_gen = oracle_exponential_flow(
-            rotations, digraph, n, OracleMode.GENEROUS, window=n
+    instances = poset_families(i0_pre)
+    for seed in range(25):
+        instances.append(
+            _random_pre(5600 + seed, n=4 + seed % 5, density=1.0 if seed % 2 else 0.6)
         )
-        vb_gen = eliminate_closed_subset(inst, m0, rotations, digraph, subset_vb_gen)
-        or_gen = eliminate_closed_subset(inst, m0, rotations, digraph, subset_or_gen)
-        assert profile_of(inst, vb_gen) == profile_of(inst, or_gen)
+    nonempty = 0
+    for inst in instances:
+        n = inst.n_men
+        if not find_rotations(inst):
+            continue
+        nonempty += agree(inst, lambda rots: [r.profile for r in rots], OracleMode.RANK_MAX, None)
+        nonempty += agree(
+            inst, lambda rots: [r.profile.reverse_negate(n) for r in rots], OracleMode.GENEROUS, n
+        )
+        # The generous solve's own network: the truncation at the
+        # minimum-regret degree d, with profiles reverse-negated over d ranks.
+        trunc, d = truncated_at_min_regret(inst)
+        if find_rotations(trunc):
+            nonempty += agree(
+                trunc,
+                lambda rots: [r.profile.reverse_negate(d) for r in rots],
+                OracleMode.GENEROUS,
+                d,
+            )
+    assert nonempty >= 150
 
 
 def test_solve_dispatcher_all_criteria(i0_pre):
