@@ -200,10 +200,10 @@ def batch_stats(
     """CSV with one row per (instance, criterion).
 
     Instances are preprocessed here and enumerated once each; the
-    enumeration-backed rows select from that one list.  When the
-    stable-matching count exceeds ``cap``, the count column and every
-    enumeration-backed row are marked TIMEOUT instead of failing the whole
-    batch.
+    enumeration-backed rows (sex-equal, median) select from that one list.
+    When the stable-matching count exceeds ``cap``, the count column and
+    those rows are marked TIMEOUT instead of failing the whole batch; the
+    other criteria, egalitarian included, are solved without enumeration.
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

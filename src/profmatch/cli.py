@@ -31,6 +31,7 @@ from .solvers import (
     enumerate_stable_matchings,
     matching_degree,
     oracle_exponential_flow,
+    select_egalitarian,
     solve,
     solve_generous,
     solve_rank_maximal,
@@ -154,6 +155,8 @@ def _agreement_failure(pre: Instance) -> Optional[str]:
     rank_max = solve_rank_maximal(pre)
     if prof(pre, rank_max) != best:
         return "rank-maximal profile differs from enumeration maximum"
+    if solve(pre, Criterion.EGALITARIAN) != select_egalitarian(matchings, pre):
+        return "egalitarian matching differs from first enumerated minimum-cost matching"
 
     rotations = find_rotations(pre)
     if rotations:

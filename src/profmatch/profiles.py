@@ -21,7 +21,6 @@ Trailing zeros never matter: ``Profile([2, 0]) == Profile([2])``.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Iterable, Iterator
 
 
@@ -78,14 +77,6 @@ class Profile:
         for i, e in self._pairs:
             out[i - 1] = e
         return tuple(out)
-
-    def element(self, index: int) -> int:
-        """Entry at 1-based position ``index`` (0 beyond the degree)."""
-        if index < 1:
-            raise ValueError("profile indices are 1-based")
-        pairs = self._pairs
-        at = bisect_left(pairs, (index,))
-        return pairs[at][1] if at < len(pairs) and pairs[at][0] == index else 0
 
     def __add__(self, other: "Profile") -> "Profile":
         a, b = self._pairs, other._pairs

@@ -1,19 +1,21 @@
 """Top-level solvers for profile-optimal and enumeration-backed criteria.
 
-The flow-backed solvers (rank-maximal, generous) share one pipeline:
-rotations -> precedence digraph -> vector-capacity network -> max flow ->
-min cut -> maximum-profile closed subset -> elimination from the
-man-optimal matching.  The generous case first truncates preference lists
+The flow-backed solvers (rank-maximal, generous, egalitarian) share one
+pipeline: rotations -> precedence digraph -> vector-capacity network -> max
+flow -> min cut -> maximum-weight closed subset -> elimination from the
+man-optimal matching.  They differ only in the weight vector each rotation
+profile is mapped to.  The generous case first truncates preference lists
 at the minimum-regret degree and swaps each rotation profile for its
-reverse-negated image, after which the identical machinery applies.
+reverse-negated image; the egalitarian weight is the two-entry vector
+(-cost change, -1).
 
 Minimum regret comes straight from :func:`stability.min_regret`: the
 man-optimal stable matching of the minimum degree, which is also the first
 matching of that degree in enumeration order.
 
-Enumeration-backed criteria (egalitarian, sex-equal, median) rank an
-explicit list of all stable matchings and refuse instances whose count
-exceeds a cap.  The ``select_*`` functions, minimum regret included, stay
+Enumeration-backed criteria (sex-equal, median) rank an explicit list of
+all stable matchings and refuse instances whose count exceeds a cap.  The
+``select_*`` functions, egalitarian and minimum regret included, stay
 usable as oracles over any enumeration.
 
 ``oracle_exponential_flow`` re-solves the same cut problem on a scalar
@@ -86,6 +88,23 @@ def solve_generous(inst: Instance) -> Matching:
     degree, m0 = min_regret(inst)
     trunc = _truncated_instance(inst, [degree] * (inst.n_men + 1), [degree] * (inst.n_women + 1))
     return _max_weight_matching(trunc, m0, lambda p: p.reverse_negate(degree))
+
+
+def _egalitarian_weight(p: Profile) -> Profile:
+    """Weight ``(-c, -1)`` of a rotation whose elimination changes the cost by c.
+
+    The cost of a matching is the sum of k * p_k over its profile, so c is
+    that sum over the rotation's profile.  Summed over a closed set, the
+    weight ranks the least total cost first and the fewest rotations second.
+    Cost is modular on the lattice of closed sets, so its minimisers are
+    closed under union and intersection, and the least-cost closed set with
+    the fewest rotations is unique: the intersection of all of them.
+    Enumeration is breadth-first by closed-set size, so that set is also the
+    first minimum-cost matching :func:`select_egalitarian` meets, and every
+    minimum cut returns it.  Without the -1 entry, ties among minimum-cost
+    sets would be broken by whichever cut the flow happens to leave.
+    """
+    return Profile([-sum(k * e for k, e in p.pairs), -1])
 
 
 def _max_weight_matching(
@@ -324,13 +343,15 @@ def oracle_exponential_flow(
 
 # Criteria answered by selecting from the full enumeration, and the rest.
 _SELECTORS: dict[Criterion, Callable[[list[Matching], Instance], Matching]] = {
-    Criterion.EGALITARIAN: select_egalitarian,
     Criterion.SEX_EQUAL: select_sex_equal,
     Criterion.MEDIAN: select_median,
 }
 _SOLVERS: dict[Criterion, Callable[[Instance], Matching]] = {
     Criterion.RANK_MAXIMAL: solve_rank_maximal,
     Criterion.GENEROUS: solve_generous,
+    Criterion.EGALITARIAN: lambda inst: _max_weight_matching(
+        inst, man_optimal(inst), _egalitarian_weight
+    ),
     Criterion.MAN_OPTIMAL: man_optimal,
     Criterion.WOMAN_OPTIMAL: woman_optimal,
     Criterion.MIN_REGRET: lambda inst: min_regret(inst)[1],

@@ -329,11 +329,6 @@ class DenseProfile:
             raise ValueError(f"cannot pad to {length}: degree is {len(self.elements)}")
         return self.elements + (0,) * (length - len(self.elements))
 
-    def element(self, index: int) -> int:
-        if index < 1:
-            raise ValueError("profile indices are 1-based")
-        return self.elements[index - 1] if index <= len(self.elements) else 0
-
     def __add__(self, other: "DenseProfile") -> "DenseProfile":
         a, b = self.elements, other.elements
         if len(a) < len(b):

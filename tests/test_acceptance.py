@@ -242,7 +242,7 @@ def test_criterion_8_measure_sanity(pool):
                 assert stats.cost == stats.man_cost + stats.woman_cost
                 assert stats.sex_equal == abs(stats.man_cost - stats.woman_cost)
                 assert stats.degree == max(stats.man_degree, stats.woman_degree)
-                assert stats.first_choices == profile.element(1)
+                assert stats.first_choices == dict(profile.pairs).get(1, 0)
                 assert stats.degree == profile.degree
                 assert stats.cost == sum(
                     k * c for k, c in enumerate(profile.elements, start=1)

@@ -4,7 +4,7 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from profmatch import Criterion, Matching, is_stable, parse_instance, preprocess
+from profmatch import Criterion, Matching, Profile, is_stable, parse_instance, preprocess
 from profmatch.cli import main
 
 from helpers import I0_MAN_OPTIMAL, I0_RANK_MAXIMAL, I0_TEXT
@@ -115,9 +115,13 @@ def test_solve_cap_exit_for_enumeration_backed(i0_file, capsys, monkeypatch):
     monkeypatch.setattr("profmatch.cli.DEFAULT_ENUMERATION_CAP", 4)
     assert main(["solve", "--in", i0_file, "--criterion", "median"]) == 3
     capsys.readouterr()
+    assert main(["solve", "--in", i0_file, "--criterion", "sex-equal"]) == 3
+    capsys.readouterr()
     # Flow-backed criteria and minimum regret never enumerate, so the cap
     # is irrelevant there.
     assert main(["solve", "--in", i0_file, "--criterion", "rank-maximal"]) == 0
+    capsys.readouterr()
+    assert main(["solve", "--in", i0_file, "--criterion", "egalitarian"]) == 0
     capsys.readouterr()
     assert main(["solve", "--in", i0_file, "--criterion", "min-regret"]) == 0
     capsys.readouterr()
@@ -228,6 +232,21 @@ def test_oracle_check_compares_closed_subsets(monkeypatch, capsys):
     assert main(["oracle-check", "--n", "8", "--trials", "6", "--seed", "7"]) == 1
     err = capsys.readouterr().err
     assert "vector closed subset disagrees with exponential-weight oracle" in err
+
+
+def test_oracle_check_compares_egalitarian_matchings(monkeypatch, capsys):
+    # An egalitarian weight without the rotation-count entry still finds a
+    # least-cost matching, but not always the first enumerated one; with
+    # this seed, trial 30 is the first where the two differ.
+    from profmatch import solvers
+
+    def cost_only(p):
+        return Profile([-sum(k * e for k, e in p.pairs)])
+
+    monkeypatch.setattr(solvers, "_egalitarian_weight", cost_only)
+    assert main(["oracle-check", "--n", "8", "--trials", "40", "--seed", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "egalitarian matching differs from first enumerated minimum-cost matching" in err
 
 
 def test_oracle_check_flag_validation(capsys):

@@ -306,7 +306,7 @@ def test_min_regret_equals_first_enumerated_of_least_degree():
 
 
 def test_criteria_outside_enumeration_backed_never_enumerate(i0_pre, monkeypatch):
-    assert ENUMERATION_BACKED == {Criterion.EGALITARIAN, Criterion.SEX_EQUAL, Criterion.MEDIAN}
+    assert ENUMERATION_BACKED == {Criterion.SEX_EQUAL, Criterion.MEDIAN}
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("enumeration called")
@@ -314,6 +314,27 @@ def test_criteria_outside_enumeration_backed_never_enumerate(i0_pre, monkeypatch
     monkeypatch.setattr("profmatch.solvers.enumerate_stable_matchings", refuse)
     for criterion in set(Criterion) - ENUMERATION_BACKED:
         assert is_stable(i0_pre, solve(i0_pre, criterion))
+
+
+def test_egalitarian_equals_first_enumerated_tie(i0_pre):
+    # The closure with weight (-cost change, -1) per rotation is the unique
+    # least-cost closed set with the fewest rotations, which breadth-first
+    # enumeration meets first: the matching itself must agree, not only
+    # its cost.
+    instances = poset_families(i0_pre)
+    for seed in range(300):
+        n, density = 6 + seed % 10, (1.0, 0.7, 0.5)[seed % 3]
+        instances.append(preprocess(generate_uniform(n, n, density, seed=7700 + seed)))
+    instances += [truncated_at_min_regret(inst)[0] for inst in instances if inst.n_men]
+    tied = 0
+    for inst in instances:
+        matchings = enumerate_stable_matchings(inst)
+        costs = [
+            sum(inst.men_rank[m][w] + inst.women_rank[w][m] for m, w in M) for M in matchings
+        ]
+        tied += costs.count(min(costs)) > 1
+        assert solve(inst, Criterion.EGALITARIAN) == select_egalitarian(matchings, inst)
+    assert len(instances) >= 1200 and tied >= 100
 
 
 def test_oracle_i0(i0_pre):

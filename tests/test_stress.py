@@ -39,7 +39,7 @@ def test_paired_block_family_by_size():
     for n in (4, 6, 8, 10, 12):
         inst = preprocess(generate_I1(n))
         rank_max = solve_rank_maximal(inst)
-        assert profile_of(inst, rank_max).element(1) == n
+        assert profile_of(inst, rank_max).elements[0] == n
         generous = solve_generous(inst)
         assert matching_degree(inst, generous) == 2
         count = len(enumerate_stable_matchings(inst))
