@@ -32,11 +32,11 @@ from .solvers import (
     matching_degree,
     oracle_exponential_flow,
     select_egalitarian,
+    select_min_regret,
     solve,
     solve_generous,
     solve_rank_maximal,
 )
-from .stability import min_regret_degree
 from .vbflow import build_vb_network, max_profile_closed_subset, max_vb_flow, min_cut
 
 CRITERION_TOKENS = [c.value for c in Criterion]
@@ -147,16 +147,16 @@ def cmd_space(args) -> int:
 
 def _agreement_failure(pre: Instance) -> Optional[str]:
     """Run the cross-validation battery; describe the first failure, if any."""
-    prof = profile_of
     n = pre.n_men
     matchings = enumerate_stable_matchings(pre)
-    profiles = [prof(pre, M) for M in matchings]
-    best = max(profiles)
-    rank_max = solve_rank_maximal(pre)
-    if prof(pre, rank_max) != best:
+    profiles = [profile_of(pre, M) for M in matchings]
+    if profile_of(pre, solve_rank_maximal(pre)) != max(profiles):
         return "rank-maximal profile differs from enumeration maximum"
     if solve(pre, Criterion.EGALITARIAN) != select_egalitarian(matchings, pre):
         return "egalitarian matching differs from first enumerated minimum-cost matching"
+    witness = select_min_regret(matchings, pre)
+    if solve(pre, Criterion.MIN_REGRET) != witness:
+        return "min-regret matching differs from first enumerated minimum-degree matching"
 
     rotations = find_rotations(pre)
     if rotations:
@@ -173,13 +173,10 @@ def _agreement_failure(pre: Instance) -> Optional[str]:
         if subset != oracle_subset:
             return "vector closed subset disagrees with exponential-weight oracle"
 
-    degree = min_regret_degree(pre)
     generous = solve_generous(pre)
-    rev = prof(pre, generous).reverse_negate(n)
-    best_rev = max(p.reverse_negate(n) for p in profiles)
-    if rev != best_rev:
+    if profile_of(pre, generous).reverse_negate(n) != max(p.reverse_negate(n) for p in profiles):
         return "generous reverse profile differs from enumeration minimum"
-    if n and matching_degree(pre, generous) != degree:
+    if n and matching_degree(pre, generous) != matching_degree(pre, witness):
         return "generous degree differs from minimum-regret degree"
     return None
 

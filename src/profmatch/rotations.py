@@ -107,21 +107,30 @@ def find_rotations(inst: Instance) -> list[Rotation]:
     return _rotations_from(inst, wife)
 
 
-def _rotations_from(inst: Instance, wife: list[int]) -> list[Rotation]:
-    """:func:`find_rotations` from the man-optimal ``wife`` array, which it overwrites."""
+def _rotations_from(
+    inst: Instance, wife: list[int], cutoff: Optional[int] = None
+) -> list[Rotation]:
+    """:func:`find_rotations` from the man-optimal ``wife`` array, which it overwrites.
+
+    From the man-optimal matching of the instance truncated at rank
+    ``cutoff``, men scan only the women they rank within it, and no woman
+    prefers a man she ranks worse than it to her partner, so the rotations,
+    ids included, are those of the truncation.
+    """
     n = inst.n_men
     if n == 0:
         return []
     if inst.n_women != n or any(wife[m] == 0 for m in range(1, n + 1)):
         raise ValueError("rotation extraction requires a preprocessed instance")
-    husband = [0] * (inst.n_women + 1)
-    for m in range(1, n + 1):
-        husband[wife[m]] = m
     men_lists = inst.men_lists
     women_rank = inst.women_rank
-    ptr = [0] * (n + 1)
+    husband = [0] * (inst.n_women + 1)
+    ptr, end = [0] * (n + 1), [len(lst) for lst in men_lists]  # m scans lst[ptr[m]:end[m]]
     for m in range(1, n + 1):
+        husband[wife[m]] = m
         ptr[m] = inst.man_list_position(m, wife[m]) + 1
+        if cutoff is not None:
+            end[m] = bisect_right(men_lists[m], cutoff, key=inst.men_rank[m].__getitem__)
 
     rotations: list[Rotation] = []
 
@@ -133,8 +142,7 @@ def _rotations_from(inst: Instance, wife: list[int]) -> list[Rotation]:
         pairs = tuple((m, wife[m]) for m in cycle_men)
         rotations.append(Rotation(len(rotations), pairs, _cycle_profile(inst, pairs)))
         new_wives = [wife[cycle_men[(idx + 1) % k]] for idx in range(k)]
-        for idx in range(k):
-            m, w = cycle_men[idx], new_wives[idx]
+        for m, w in zip(cycle_men, new_wives):
             wife[m] = w
             husband[w] = m
             ptr[m] += 1
@@ -162,9 +170,9 @@ def _rotations_from(inst: Instance, wife: list[int]) -> list[Rotation]:
                         state[x] = 2
                     break
                 lst = men_lists[m]
-                p = ptr[m]
+                p, stop = ptr[m], end[m]
                 nxt = 0
-                while p < len(lst):
+                while p < stop:
                     w = lst[p]
                     if women_rank[w][m] < women_rank[w][husband[w]]:
                         nxt = w
@@ -203,14 +211,15 @@ _TYPE1, _TYPE2, _BOTH = frozenset({1}), frozenset({2}), frozenset({1, 2})
 def build_digraph(inst: Instance, rotations: list[Rotation]) -> RotationDigraph:
     """Precedence digraph with type-1/type-2 labels (merged per edge).
 
-    Rotations are taken in id order, which is the order one maximal chain
-    eliminates them in (see :func:`find_rotations`).  Along it each man
-    only moves down his list, so his list position is carried from one
-    rotation to the next, and each woman only moves up hers: the partner
-    ranks of her moves strictly decrease, each move starting at the rank
-    the one before it ended.  The move of a woman that takes her from a
-    partner ranked at or below m to one ranked above m is therefore found
-    by bisection over the ranks her moves end at.
+    Rotations are taken in id order: one maximal chain from the matching
+    extraction started at eliminates them in that order (see
+    :func:`find_rotations`).  Along it each man only moves down his list, so
+    his list position is carried from one rotation to the next, and each
+    woman only moves up hers: the partner ranks of her moves strictly
+    decrease, each move starting at the rank the one before it ended.  The
+    move of a woman that takes her from a partner ranked at or below m to
+    one ranked above m is therefore found by bisection over the ranks her
+    moves end at; a woman who ranks m worse than a cutoff d has none.
     """
     women_rank = inst.women_rank
     mover: dict[tuple[int, int], int] = {}

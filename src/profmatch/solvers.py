@@ -4,10 +4,10 @@ The flow-backed solvers (rank-maximal, generous, egalitarian) share one
 pipeline: rotations -> precedence digraph -> vector-capacity network -> max
 flow -> min cut -> maximum-weight closed subset -> elimination from the
 man-optimal matching.  They differ only in the weight vector each rotation
-profile is mapped to.  The generous case first truncates preference lists
-at the minimum-regret degree and swaps each rotation profile for its
-reverse-negated image; the egalitarian weight is the two-entry vector
-(-cost change, -1).
+profile is mapped to.  The generous case extracts rotations under a cutoff
+at the minimum-regret degree, building no truncated instance, and swaps each
+rotation profile for its reverse-negated image; the egalitarian weight is
+the two-entry vector (-cost change, -1).
 
 Minimum regret comes straight from :func:`stability.min_regret`: the
 man-optimal stable matching of the minimum degree, which is also the first
@@ -31,7 +31,7 @@ from enum import Enum
 from math import ceil
 from typing import Callable, Optional
 
-from .model import Instance, Matching, _truncated_instance
+from .model import Instance, Matching
 from .profiles import Profile, high_weight
 from .rotations import (
     Rotation,
@@ -78,16 +78,14 @@ def solve_generous(inst: Instance) -> Matching:
     """Stable matching with the lexicographically minimum reverse profile.
 
     No agent does worse than the minimum-regret degree d in any generous
-    matching, so preference lists are truncated at rank d first; maximising
-    reverse-negated profiles over the truncation then reuses the
-    rank-maximal machinery unchanged.  The output degree always equals d.
-    The minimum-regret search already ends with the truncation's
-    man-optimal matching, and d is feasible by construction, so the
-    truncation is built without :func:`stability.truncate`'s check.
+    matching, so only the instance truncated at rank d matters; maximising
+    reverse-negated profiles over its rotations reuses the rank-maximal
+    machinery unchanged, and the output degree always equals d.  The
+    minimum-regret search ends with the truncation's man-optimal matching,
+    and rotations are extracted from it under the cutoff d, unbuilt.
     """
     degree, m0 = min_regret(inst)
-    trunc = _truncated_instance(inst, [degree] * (inst.n_men + 1), [degree] * (inst.n_women + 1))
-    return _max_weight_matching(trunc, m0, lambda p: p.reverse_negate(degree))
+    return _max_weight_matching(inst, m0, lambda p: p.reverse_negate(degree), degree)
 
 
 def _egalitarian_weight(p: Profile) -> Profile:
@@ -108,13 +106,16 @@ def _egalitarian_weight(p: Profile) -> Profile:
 
 
 def _max_weight_matching(
-    inst: Instance, m0: Matching, weight: Callable[[Profile], Profile]
+    inst: Instance,
+    m0: Matching,
+    weight: Callable[[Profile], Profile],
+    cutoff: Optional[int] = None,
 ) -> Matching:
     """Stable matching whose rotations have the maximum total ``weight(profile)``.
 
-    ``m0`` is the man-optimal stable matching of ``inst``.
+    ``m0`` is the man-optimal stable matching of ``inst``, truncated at ``cutoff`` if given.
     """
-    rotations = _rotations_from(inst, m0.wife_array(inst.n_men))
+    rotations = _rotations_from(inst, m0.wife_array(inst.n_men), cutoff)
     if not rotations:
         return m0
     digraph = build_digraph(inst, rotations)

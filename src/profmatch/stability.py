@@ -1,7 +1,8 @@
 """Stable matchings: deferred acceptance, stability checks, regret, truncation.
 
-Minimum regret is found without enumeration or truncated instances, by cutoff
-proposal rounds on the instance itself; only :func:`truncate` builds one.
+Minimum regret is found by cutoff proposal rounds on the instance itself,
+and the generous solve extracts rotations under that cutoff; only
+:func:`truncate`, the checked public view, builds a truncated instance.
 """
 
 from __future__ import annotations
@@ -49,14 +50,9 @@ def is_stable(inst: Instance, matching: Matching) -> bool:
 
 @dataclass(frozen=True)
 class TruncatedInstance:
-    """An instance with every pair of rank > cutoff (either side) removed.
+    """An instance with every pair of rank > cutoff (either side) removed.  It keeps
+    the base instance's ranks, so its profiles line up rank-for-rank with the base's."""
 
-    ``instance`` keeps the base instance's ranks, so profiles computed on it
-    line up rank-for-rank with profiles of the base instance.
-    """
-
-    base: Instance
-    cutoff: int
     instance: Instance
 
 
@@ -69,12 +65,9 @@ def truncate(inst: Instance, cutoff: int) -> TruncatedInstance:
     if cutoff < 1:
         raise ValueError("cutoff rank must be >= 1")
     trunc = _truncated_instance(inst, [cutoff] * (inst.n_men + 1), [cutoff] * (inst.n_women + 1))
-    wife = gs_propose(trunc.men_lists, trunc.women_rank, trunc.n_men, trunc.n_women)
-    if any(wife[m] == 0 for m in range(1, trunc.n_men + 1)) or trunc.n_men != trunc.n_women:
-        raise ValueError(
-            f"truncating at rank {cutoff} leaves no perfect stable matching"
-        )
-    return TruncatedInstance(inst, cutoff, trunc)
+    if not man_optimal(trunc).is_perfect(trunc):
+        raise ValueError(f"truncating at rank {cutoff} leaves no perfect stable matching")
+    return TruncatedInstance(trunc)
 
 
 def min_regret(inst: Instance) -> tuple[int, Matching]:

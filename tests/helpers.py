@@ -24,7 +24,8 @@ from profmatch import (
     preprocess,
     truncate,
 )
-from profmatch.rotations import Rotation, apply_rotation
+from profmatch.rotations import Rotation, _rotations_from, apply_rotation
+from profmatch.stability import min_regret
 
 # 8x8 textbook instance used for the golden pipeline tests.
 I0_TEXT = """8 8
@@ -246,6 +247,25 @@ def poset_families(i0: Instance) -> list[Instance]:
         out.append(generate_uniform(n, n, density, seed=6100 + seed))
     out += [latin_chain(n) for n in range(5, 31)]
     return [preprocess(inst) for inst in out]
+
+
+def cutoff_families(i0: Instance) -> list[Instance]:
+    """``poset_families`` plus 360 seeded instances with n = 20, 40 and 80 at
+    densities 1.0, 0.5 and 0.2, preprocessed: large enough for type-2 edges
+    and for minimum-regret cutoffs that drop most of every list."""
+    out = poset_families(i0)
+    for seed in range(360):
+        n, density = (20, 40, 80)[seed % 3], (1.0, 0.5, 0.2)[seed // 3 % 3]
+        out.append(preprocess(generate_uniform(n, n, density, seed=6600 + seed)))
+    return out
+
+
+def cutoff_rotations(inst: Instance) -> list[Rotation]:
+    """The generous solve's rotations: extracted on ``inst`` itself under the
+    minimum-regret cutoff d, from the matching the minimum-regret search ends
+    with, which is the man-optimal matching of the truncation at d."""
+    degree, m0 = min_regret(inst)
+    return _rotations_from(inst, m0.wife_array(inst.n_men), degree)
 
 
 def truncated_at_min_regret(inst: Instance) -> tuple[Instance, int]:

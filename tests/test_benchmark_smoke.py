@@ -11,12 +11,17 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_benchmark_traced_smoke_run():
+# latin-chain has n-1 rotations that each move every man; on uniform-complete
+# the minimum-regret cutoff drops most of every list before the generous solve.
+@pytest.mark.parametrize("workload", ["latin-chain", "uniform-complete"])
+def test_benchmark_traced_smoke_run(workload):
     argv = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
-            "--workload", "latin-chain", "--seed", "1", "--seconds", "1", "--trace", "1"]
+            "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "1"]
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     summary = json.loads(proc.stdout.strip().splitlines()[-1])

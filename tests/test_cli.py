@@ -249,6 +249,17 @@ def test_oracle_check_compares_egalitarian_matchings(monkeypatch, capsys):
     assert "egalitarian matching differs from first enumerated minimum-cost matching" in err
 
 
+def test_oracle_check_compares_min_regret_matchings(monkeypatch, capsys):
+    # The man-optimal matching is stable but not always of the minimum
+    # degree; the first minimum-degree matching of the enumeration judges it.
+    from profmatch import man_optimal, solvers
+
+    monkeypatch.setitem(solvers._SOLVERS, Criterion.MIN_REGRET, man_optimal)
+    assert main(["oracle-check", "--n", "8", "--trials", "40", "--seed", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "min-regret matching differs from first enumerated minimum-degree matching" in err
+
+
 def test_oracle_check_flag_validation(capsys):
     assert main(["oracle-check", "--n", "0", "--trials", "5", "--seed", "1"]) == 2
     capsys.readouterr()

@@ -23,6 +23,8 @@ from helpers import (
     I0_RANK_MAXIMAL,
     I0_ROTATIONS,
     all_closed_subsets,
+    cutoff_families,
+    cutoff_rotations,
     latin_chain,
     linear_scan_digraph_oracle,
     poset_families,
@@ -139,16 +141,16 @@ def test_rotation_ids_are_a_topological_order(i0_pre):
         instances.append(generate_uniform(7, 7, 1.0, seed=700 + seed))
         for density in (0.7, 0.4):
             instances.append(generate_uniform(7, 7, density, seed=700 + seed))
+    instances = [preprocess(inst) for inst in instances]
+    pairs = [(inst, find_rotations(inst)) for inst in instances]
     # The generous path eliminates rotations of the truncation at the
-    # minimum-regret degree.
-    for inst in list(instances):
-        inst = preprocess(inst)
-        if inst.n_men:
-            instances.append(truncate(inst, min_regret_degree(inst)).instance)
-    edges_seen = 0
+    # minimum-regret degree, extracted on the instance under that cutoff.
     for inst in instances:
-        inst = preprocess(inst)
-        rotations = find_rotations(inst)
+        if inst.n_men:
+            trunc = truncate(inst, min_regret_degree(inst)).instance
+            pairs += [(trunc, find_rotations(trunc)), (inst, cutoff_rotations(inst))]
+    edges_seen = 0
+    for inst, rotations in pairs:
         assert [rot.rid for rot in rotations] == list(range(len(rotations)))
         for u, v, _labels in build_digraph(inst, rotations).edges():
             assert u < v
@@ -164,14 +166,35 @@ def test_build_digraph_matches_linear_scan(i0_pre):
     for seed in range(16):
         n, density = 40 + 4 * seed, (1.0, 0.6)[seed % 2]
         instances.append(preprocess(generate_uniform(n, n, density, seed=6500 + seed)))
-    instances += [truncated_at_min_regret(inst)[0] for inst in instances]
+    truncations = [truncated_at_min_regret(inst)[0] for inst in instances]
+    pairs = [(inst, find_rotations(inst)) for inst in instances + truncations]
+    pairs += [(inst, cutoff_rotations(inst)) for inst in instances]
     type2 = 0
-    for inst in instances:
-        rotations = find_rotations(inst)
+    for inst, rotations in pairs:
         got = build_digraph(inst, rotations)
         assert got == linear_scan_digraph_oracle(inst, rotations)
         type2 += sum(2 in labels for _u, _v, labels in got.edges())
     assert type2 >= 500
+
+
+def test_cutoff_rotations_equal_truncation_rotations(i0_pre):
+    # Extracting under the minimum-regret cutoff d from the man-optimal
+    # matching of the truncation at d gives that truncation's rotations, and
+    # the digraph built on the whole instance is the truncation's, labels
+    # included: women the truncation drops rank the man worse than d.
+    checked = type2 = 0
+    for inst in cutoff_families(i0_pre):
+        if inst.n_men == 0:
+            continue
+        trunc, _degree = truncated_at_min_regret(inst)
+        expected = find_rotations(trunc)
+        got = cutoff_rotations(inst)
+        assert got == expected  # ids, cycles and profiles
+        digraph = build_digraph(inst, got)
+        assert digraph == build_digraph(trunc, expected)
+        checked += 1
+        type2 += sum(2 in labels for _u, _v, labels in digraph.edges())
+    assert checked >= 600 and type2 >= 100
 
 
 def test_eliminate_golden_subset(i0_pre):

@@ -3,6 +3,7 @@ import pytest
 from profmatch import (
     Criterion,
     EnumerationCapError,
+    Instance,
     Matching,
     OracleMode,
     build_digraph,
@@ -41,6 +42,7 @@ from helpers import (
     I0_RANK_MAXIMAL,
     bfs_enumeration_oracle,
     brute_force_stable_matchings,
+    cutoff_families,
     poset_families,
     rotation_name_map,
     tiny_unique_instance,
@@ -451,6 +453,23 @@ def test_deferred_acceptance_runs_once_per_poset(monkeypatch):
         assert len(calls) == runs, criterion
 
 
+def test_generous_builds_no_instance(i0_pre, monkeypatch):
+    # The generous solve works on the preprocessed instance itself, under
+    # the minimum-regret cutoff: no truncated copy is built.
+    seeded = preprocess(generate_uniform(40, 40, 1.0, seed=3))
+    built = []
+    real = Instance.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Instance, "__init__", counting)
+    for inst in (i0_pre, seeded):
+        assert is_stable(inst, solve(inst, Criterion.GENEROUS))
+        assert built == []
+
+
 def _staged_generous(inst):
     degree = min_regret_degree(inst)
     trunc = truncate(inst, degree).instance
@@ -464,11 +483,10 @@ def _staged_generous(inst):
     return eliminate_closed_subset(trunc, m0, rotations, digraph, subset)
 
 
-def test_solve_generous_equals_staged_path():
-    instances = [preprocess(generate_I1(n)) for n in range(4, 11, 2)]
-    for seed in range(45):
-        instances.append(_random_pre(5900 + seed, n=4 + seed % 5, density=(1.0, 0.7, 0.4)[seed % 3]))
-    for inst in instances:
+def test_solve_generous_equals_staged_path(i0_pre):
+    # The staged path builds the truncation at the minimum-regret degree;
+    # the solve extracts the same rotations under that cutoff instead.
+    for inst in cutoff_families(i0_pre):
         if inst.n_men == 0:
             assert solve_generous(inst) == Matching(())
         else:
