@@ -3,7 +3,9 @@
 An instance holds, for each man and each woman, an ordered list of
 acceptable partners on the other side plus a rank table.  Acceptability is
 always mutual.  Indices are 1-based (slot 0 of every per-agent table is a
-stub) to match the usual presentation of these problems.
+stub) to match the usual presentation of these problems.  A
+:class:`Matching` is one such table, a tuple whose entry m is man m's wife
+(0 = unmatched), with no trailing zeros, so equal pair sets give equal tuples.
 
 Ranks are stored explicitly rather than recomputed from list positions so
 that derived instances (truncated preference lists) can keep the ranks of
@@ -144,71 +146,71 @@ def _positional_ranks(
 
 
 class Matching:
-    """A set of disjoint man-woman pairs (each agent in at most one pair)."""
+    """A set of disjoint man-woman pairs, stored as one wife tuple (see the module docs)."""
 
-    __slots__ = ("_pairs", "_wife", "_husband")
+    __slots__ = ("_wife",)
 
     def __init__(self, pairs=()):
-        ps = sorted((int(a), int(b)) for a, b in pairs)
-        wife: dict[int, int] = {}
-        husband: dict[int, int] = {}
-        for m, w in ps:
-            if m in wife:
+        wife, taken = [0], set()
+        for a, b in pairs:
+            m, w = int(a), int(b)
+            if m < 1 or w < 1:
+                raise ValueError(f"pair ({m},{w}) has an index below 1")
+            wife += [0] * (m + 1 - len(wife))
+            if wife[m]:
                 raise ValueError(f"man {m} appears in two pairs")
-            if w in husband:
+            if w in taken:
                 raise ValueError(f"woman {w} appears in two pairs")
             wife[m] = w
-            husband[w] = m
-        self._pairs = tuple(ps)
-        self._wife = wife
-        self._husband = husband
+            taken.add(w)
+        self._wife = tuple(wife)
 
     @classmethod
     def from_wife_array(cls, wife: Sequence[int]) -> "Matching":
-        """Build from a 1-based array mapping man -> woman (0 = unmatched)."""
-        return cls((m, w) for m, w in enumerate(wife) if m >= 1 and w)
+        """Build from a 1-based array mapping man -> woman (0 = unmatched),
+        trusted to name each woman at most once (this is not checked)."""
+        end = len(wife)
+        while end > 1 and not wife[end - 1]:
+            end -= 1
+        matching = cls.__new__(cls)
+        matching._wife = (0, *wife[1:end])
+        return matching
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        return self._pairs
+        return tuple(self)
 
     def wife_of(self, man: int) -> Optional[int]:
-        return self._wife.get(man)
-
-    def husband_of(self, woman: int) -> Optional[int]:
-        return self._husband.get(woman)
+        return (self._wife[man] or None) if 0 <= man < len(self._wife) else None
 
     def wife_array(self, n_men: int) -> list[int]:
-        arr = [0] * (n_men + 1)
-        for m, w in self._pairs:
-            arr[m] = w
-        return arr
+        return list(self._wife) + [0] * (n_men + 1 - len(self._wife))
 
     def validate_in(self, inst: Instance) -> None:
         """Raise ValueError unless every pair is mutually acceptable in inst."""
-        for m, w in self._pairs:
+        for m, w in self:
             if not (1 <= m <= inst.n_men and 1 <= w <= inst.n_women):
                 raise ValueError(f"pair ({m},{w}) references unknown agents")
             if not inst.acceptable(m, w):
                 raise ValueError(f"pair ({m},{w}) is not mutually acceptable")
 
     def is_perfect(self, inst: Instance) -> bool:
-        return len(self._pairs) == inst.n_men == inst.n_women
+        return len(self) == inst.n_men == inst.n_women
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self._wife) - self._wife.count(0)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self._pairs)
+        return ((m, w) for m, w in enumerate(self._wife) if w)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Matching) and self._pairs == other._pairs
+        return isinstance(other, Matching) and self._wife == other._wife
 
     def __hash__(self) -> int:
-        return hash(self._pairs)
+        return hash(self._wife)
 
     def __repr__(self) -> str:
-        return f"Matching({list(self._pairs)!r})"
+        return f"Matching({list(self)!r})"
 
 
 def parse_instance(text: str, warnings: Optional[list[str]] = None) -> Instance:

@@ -272,7 +272,8 @@ def build_digraph(inst: Instance, rotations: list[Rotation]) -> RotationDigraph:
 
 
 def apply_rotation(wife: list[int], cycle) -> None:
-    """Advance each cycle man to the next woman, in place."""
+    """Advance each cycle man to the next woman, in place.  Checks only that the
+    rotation's pairs are present in ``wife``, which does not make it exposed."""
     for m, w in cycle:
         if wife[m] != w:
             raise RuntimeError(f"rotation pair ({m},{w}) absent; rotation not exposed")
@@ -290,8 +291,8 @@ def eliminate_closed_subset(
     """Stable matching reached by eliminating a predecessor-closed rotation set.
 
     The subset is validated eagerly; its rotations are applied in id
-    order, which is a topological order (see :func:`find_rotations`), so
-    each is guaranteed (and checked) to be exposed when its turn comes.
+    order, a topological order (see :func:`find_rotations`), so each is
+    exposed when its turn comes (only the presence of its pairs is checked).
     """
     chosen = frozenset(subset)
     for rid in chosen:

@@ -218,17 +218,14 @@ def select_median(matchings: list[Matching], inst: Instance) -> Matching:
     """
     if not matchings:
         raise ValueError("no matchings to select from")
-    count = len(matchings)
-    j = ceil(count / 2)
+    j = ceil(len(matchings) / 2)
     pairs = []
     for m in range(1, inst.n_men + 1):
-        partners = sorted(
-            (M.wife_of(m) for M in matchings if M.wife_of(m) is not None),
-            key=lambda w: inst.men_rank[m][w],
-        )
+        partners = [w for w in (M.wife_of(m) for M in matchings) if w is not None]
+        partners.sort(key=inst.men_rank[m].__getitem__)
         if not partners:
             continue
-        if len(partners) != count:
+        if len(partners) != len(matchings):
             raise RuntimeError("median selection requires the full enumeration")
         pairs.append((m, partners[j - 1]))
     try:

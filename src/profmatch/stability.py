@@ -33,12 +33,12 @@ def blocking_pair(inst: Instance, matching: Matching) -> Optional[tuple[int, int
     including) his current partner covers all candidate pairs.
     """
     matching.validate_in(inst)
-    for m in range(1, inst.n_men + 1):
-        w_cur = matching.wife_of(m)
+    husband = {w: m for m, w in matching}
+    for m, w_cur in enumerate(matching.wife_array(inst.n_men)):
         for w in inst.men_lists[m]:
             if w == w_cur:
                 break
-            h = matching.husband_of(w)
+            h = husband.get(w)
             if h is None or inst.women_rank[w][m] < inst.women_rank[w][h]:
                 return (m, w)
     return None

@@ -173,6 +173,42 @@ def test_matching_rejects_reused_agents():
         Matching([(1, 1), (2, 1)])
 
 
+def test_matching_rejects_index_below_one():
+    for pairs in ([(-1, 2), (1, 1)], [(1, -3)], [(0, 1)], [(1, 0)]):
+        with pytest.raises(ValueError, match="index below 1"):
+            Matching(pairs)
+
+
+def test_matching_from_pairs_and_wife_arrays_agree():
+    rng = random.Random(41)
+    for trial in range(300):
+        n = trial % 9
+        women = rng.sample(range(1, n + 3), n)
+        pairs = [(m, w) for m, w in enumerate(women, start=1) if rng.random() < 0.7]
+        wife = [0] * (n + 1)
+        for m, w in pairs:
+            wife[m] = w
+        shuffled = pairs[:]
+        rng.shuffle(shuffled)
+        forms = [
+            Matching(shuffled),
+            Matching.from_wife_array(wife),
+            Matching.from_wife_array(wife + [0] * rng.randrange(1, 4)),
+        ]
+        for matching in forms:
+            assert matching.pairs == tuple(pairs)
+            assert list(matching) == pairs
+            assert len(matching) == len(pairs)
+            assert matching == forms[0] and hash(matching) == hash(forms[0])
+            assert repr(matching) == f"Matching({pairs!r})"
+            assert matching.wife_array(n) == wife
+            assert [matching.wife_of(m) for m in range(n + 2)] == [
+                w or None for w in wife + [0]
+            ]
+        if pairs:
+            assert forms[0] != Matching(pairs[1:])
+
+
 def test_matching_profile_sums_to_two_n_when_perfect(i0_pre):
     for pairs in I0_ALL_MATCHINGS:
         p = profile_of(i0_pre, Matching(pairs))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from profmatch import (
@@ -198,6 +200,19 @@ def test_enumeration_matches_visited_set_bfs(i0_pre):
             with pytest.raises(EnumerationCapError):
                 enumerate_stable_matchings(inst, cap=count - 1)
     assert most >= 64
+
+
+def test_enumeration_memory_is_a_wife_tuple_per_matching():
+    # 4,096 stable matchings of 24 men: about 4 MiB would be 1 KB a matching.
+    inst = preprocess(generate_I1(24))
+    tracemalloc.start()
+    try:
+        matchings = enumerate_stable_matchings(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(matchings) == 4096
+    assert peak < 4 * 2**20
 
 
 def test_median_singleton():

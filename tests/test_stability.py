@@ -51,7 +51,7 @@ def test_blocking_pair_prefers_each_other():
     witness = blocking_pair(inst, bad)
     if witness is not None:
         m, w = witness
-        h = bad.husband_of(w)
+        h = {w2: m2 for m2, w2 in bad}.get(w)
         wc = bad.wife_of(m)
         assert h is None or inst.women_rank[w][m] < inst.women_rank[w][h]
         assert wc is None or inst.men_rank[m][w] < inst.men_rank[m][wc]
@@ -144,11 +144,13 @@ def test_lattice_bounds_on_enumerated_matchings():
         if inst.n_men == 0:
             continue
         m0, mz = man_optimal(inst), woman_optimal(inst)
+        m0_husband = {w: m for m, w in m0}
+        mz_husband = {w: m for m, w in mz}
         for matching in enumerate_stable_matchings(inst):
             for m, w in matching:
                 r = inst.men_rank[m][w]
                 assert inst.men_rank[m][m0.wife_of(m)] <= r
                 assert r <= inst.men_rank[m][mz.wife_of(m)]
                 rw = inst.women_rank[w][m]
-                assert inst.women_rank[w][mz.husband_of(w)] <= rw
-                assert rw <= inst.women_rank[w][m0.husband_of(w)]
+                assert inst.women_rank[w][mz_husband[w]] <= rw
+                assert rw <= inst.women_rank[w][m0_husband[w]]
