@@ -1,11 +1,18 @@
 """Two-sided preference instances, matchings, and matching profiles.
 
 An instance holds, for each man and each woman, an ordered list of
-acceptable partners on the other side plus a rank table.  Acceptability is
+acceptable partners on the other side plus a rank row.  Acceptability is
 always mutual.  Indices are 1-based (slot 0 of every per-agent table is a
 stub) to match the usual presentation of these problems.  A
 :class:`Matching` is one such table, a tuple whose entry m is man m's wife
 (0 = unmatched), with no trailing zeros, so equal pair sets give equal tuples.
+
+Storage grows with the lists.  A rank row is a dict ``{partner: rank}``
+when the agent's list is short against the other side (four times its
+length below the other side's size plus one), and otherwise a tuple
+indexed by partner with 0 at unlisted partners.  The input decides which;
+both give ``row[partner]`` for a listed partner, and only
+:meth:`Instance.acceptable` tests whether a partner is listed.
 
 Ranks are stored explicitly rather than recomputed from list positions so
 that derived instances (truncated preference lists) can keep the ranks of
@@ -32,7 +39,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .profiles import Profile
 
@@ -41,22 +48,28 @@ class ParseError(ValueError):
     """Raised on malformed instance text; the message names the line."""
 
 
+RankRow = Union[dict[int, int], tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class Instance:
     """Immutable SMI instance with mutual acceptability.
 
     ``men_lists[i]`` / ``women_lists[j]`` are preference-ordered tuples of
     opposite-side indices; index 0 of the outer tuples is an empty stub.
-    ``men_rank[i][w]`` is man i's rank of woman w (0 = unacceptable), and
-    symmetrically for ``women_rank``.  ``orig_men`` / ``orig_women`` map
-    dense indices back to the indices of the instance this one was derived
-    from (identity for freshly parsed instances).
+    ``men_rank[i][w]`` is man i's rank of a woman w he lists, and
+    symmetrically for ``women_rank``.  A row is a dict over the listed
+    partners or a dense tuple (see the module docs), so it is read only at
+    listed partners; :meth:`acceptable` is the membership test.
+    ``orig_men`` / ``orig_women`` map dense indices back to the indices of
+    the instance this one was derived from (identity for freshly parsed
+    instances).
     """
 
     men_lists: tuple[tuple[int, ...], ...]
     women_lists: tuple[tuple[int, ...], ...]
-    men_rank: tuple[tuple[int, ...], ...]
-    women_rank: tuple[tuple[int, ...], ...]
+    men_rank: tuple[RankRow, ...]
+    women_rank: tuple[RankRow, ...]
     orig_men: tuple[int, ...] = field(default=())
     orig_women: tuple[int, ...] = field(default=())
 
@@ -69,26 +82,32 @@ class Instance:
         orig_women: Optional[Sequence[int]] = None,
     ) -> "Instance":
         """Build an instance with rank == list position; validates invariants."""
-        n_men, n_women = len(men_lists), len(women_lists)
         # One int object per agent, shared by every list that names him or
         # her.  Ints above 256 are not cached by the interpreter, so lists of
         # freshly parsed ints point all over the heap, and every rank lookup
         # through them costs a cache miss whose price depends on the heap.
-        men_ids, women_ids = tuple(range(n_men + 1)), tuple(range(n_women + 1))
-        m_lists = [()] + [_shared_ids(lst, women_ids) for lst in men_lists]
-        w_lists = [()] + [_shared_ids(lst, men_ids) for lst in women_lists]
-        m_rank = _positional_ranks(m_lists, n_women, "man", "woman")
-        w_rank = _positional_ranks(w_lists, n_men, "woman", "man")
-        for i in range(1, n_men + 1):
-            for w in m_lists[i]:
-                if w_rank[w][i] == 0:
-                    raise ValueError(
-                        f"acceptability is not mutual: man {i} lists woman {w} "
-                        f"but not vice versa"
-                    )
-        om = men_ids if orig_men is None else tuple(orig_men)
-        ow = women_ids if orig_women is None else tuple(orig_women)
-        return cls(tuple(m_lists), tuple(w_lists), m_rank, w_rank, om, ow)
+        men_ids = tuple(range(len(men_lists) + 1))
+        women_ids = tuple(range(len(women_lists) + 1))
+        men_index = {j: j for j in men_ids[1:]}
+        women_index = {j: j for j in women_ids[1:]}
+        m_lists = [()] + [
+            _checked_list(lst, i, women_index, "man", "woman")
+            for i, lst in enumerate(men_lists, start=1)
+        ]
+        w_lists = [()] + [
+            _checked_list(lst, j, men_index, "woman", "man")
+            for j, lst in enumerate(women_lists, start=1)
+        ]
+        inst = _by_position(
+            m_lists,
+            w_lists,
+            men_ids if orig_men is None else orig_men,
+            women_ids if orig_women is None else orig_women,
+        )
+        unreturned = _first_unreturned(inst)
+        if unreturned:
+            raise ValueError(f"acceptability is not mutual: {unreturned}")
+        return inst
 
     @property
     def n_men(self) -> int:
@@ -110,7 +129,9 @@ class Instance:
         return sum(len(lst) for lst in self.men_lists)
 
     def acceptable(self, man: int, woman: int) -> bool:
-        return self.men_rank[man][woman] > 0
+        """Whether the man lists the woman (and so she lists him); rank rows
+        are read only at listed partners, so this is their membership test."""
+        return _listed(self.men_rank[man], woman)
 
     def man_list_position(self, man: int, woman: int) -> int:
         """0-based position of an acceptable woman in a man's list.
@@ -122,27 +143,88 @@ class Instance:
         return bisect_left(self.men_lists[man], row[woman], key=row.__getitem__)
 
 
-def _shared_ids(lst: Sequence[int], ids: tuple[int, ...]) -> tuple[int, ...]:
-    """``lst`` with each index in range replaced by its object in ``ids``;
-    out-of-range entries pass through for :func:`_positional_ranks` to report."""
-    n = len(ids)
-    return tuple(ids[j] if 0 < j < n else j for j in map(int, lst))
+def _listed(row: RankRow, j: int) -> bool:
+    """Whether the rank row ``row`` lists partner ``j``."""
+    return j in row if type(row) is dict else 0 < j < len(row) and row[j] > 0
 
 
-def _positional_ranks(
-    lists: list[tuple[int, ...]], n_other: int, side: str, other: str
-) -> tuple[tuple[int, ...], ...]:
-    rows = [(0,) * (n_other + 1)]
-    for i, lst in enumerate(lists[1:], start=1):
-        row = [0] * (n_other + 1)
-        for pos, j in enumerate(lst, start=1):
-            if not 1 <= j <= n_other:
-                raise ValueError(f"{side} {i} lists {other} {j}, out of range 1..{n_other}")
-            if row[j]:
+def _rank_row(partners: Sequence[int], ranks: Iterable[int], width: int) -> RankRow:
+    """The rank row of one agent who ranks ``partners`` at ``ranks``, over
+    the ``width - 1`` agents of the other side (row kinds: see the module docs)."""
+    if 4 * len(partners) < width:
+        return dict(zip(partners, ranks))
+    row = [0] * width
+    for j, r in zip(partners, ranks):
+        row[j] = r
+    return tuple(row)
+
+
+def _by_position(
+    men_lists: Sequence[tuple[int, ...]],
+    women_lists: Sequence[tuple[int, ...]],
+    orig_men: Sequence[int],
+    orig_women: Sequence[int],
+) -> Instance:
+    """Instance with rank == list position, from lists with the index-0
+    stub that are trusted to be in range and free of duplicates."""
+    def ranks(lists, width):
+        return tuple(_rank_row(lst, range(1, len(lst) + 1), width) for lst in lists)
+
+    return Instance(
+        tuple(men_lists),
+        tuple(women_lists),
+        ranks(men_lists, len(women_lists)),
+        ranks(women_lists, len(men_lists)),
+        tuple(orig_men),
+        tuple(orig_women),
+    )
+
+
+def _checked_list(
+    lst: Sequence[int], i: int, index: dict[int, int], side: str, other: str
+) -> tuple[int, ...]:
+    """``lst`` as the shared index objects that ``index`` maps 1..n to;
+    raises ValueError on an entry out of range or listed twice."""
+    # One lookup per entry checks the range; anything else (an error, or
+    # an entry that is not an int, such as '3') goes through int().
+    shared = tuple(map(index.get, lst))
+    distinct = set(shared)
+    if None in distinct or len(distinct) < len(shared):
+        seen = set()
+        for j in map(int, lst):
+            if j not in index:
+                raise ValueError(f"{side} {i} lists {other} {j}, out of range 1..{len(index)}")
+            if j in seen:
                 raise ValueError(f"{side} {i} lists {other} {j} more than once")
-            row[j] = pos
-        rows.append(tuple(row))
-    return tuple(rows)
+            seen.add(j)
+        shared = tuple(index[j] for j in map(int, lst))
+    return shared
+
+
+def _unreturned(
+    lists: Sequence[tuple[int, ...]], other_rank: Sequence[RankRow]
+) -> Iterator[tuple[int, int]]:
+    """Each entry (i, j) of ``lists``, in order, that j's row does not list back."""
+    for i, lst in enumerate(lists):
+        for j in lst:
+            # _listed, inlined: this runs once per entry, and i is in range.
+            row = other_rank[j]
+            if not (i in row if type(row) is dict else row[i]):
+                yield i, j
+
+
+def _first_unreturned(inst: Instance) -> Optional[str]:
+    """The first entry not listed back, as text, or None if acceptability is mutual.
+
+    Lists hold no duplicates, so when every man's entries are listed back
+    and both sides list equally many pairs, the two pair sets are equal.
+    """
+    for i, w in _unreturned(inst.men_lists, inst.women_rank):
+        return f"man {i} lists woman {w} but not vice versa"
+    if inst.acceptable_pairs != sum(map(len, inst.women_lists)):
+        j, m = next(_unreturned(inst.women_lists, inst.men_rank))
+        return f"woman {j} lists man {m} but not vice versa"
+    return None
 
 
 class Matching:
@@ -241,54 +323,59 @@ def parse_instance(text: str, warnings: Optional[list[str]] = None) -> Instance:
             f"expected {needed} lines (header plus one list per agent), got {len(lines)}"
         )
 
-    def read_lists(start: int, count: int, n_other: int, side: str, other: str):
-        out = []
-        for k in range(count):
-            lineno = start + k + 1
-            seen = set()
-            lst = []
-            for tok in lines[start + k].split():
-                try:
-                    j = int(tok)
-                except ValueError:
-                    raise ParseError(f"line {lineno}: malformed integer {tok!r}") from None
-                if not 1 <= j <= n_other:
-                    raise ParseError(
-                        f"line {lineno}: {other} index {j} out of range 1..{n_other}"
-                    )
-                if j in seen:
-                    raise ParseError(f"line {lineno}: duplicate entry {j} in {side}'s list")
-                seen.add(j)
-                lst.append(j)
+    men_ids, women_ids = tuple(range(n_men + 1)), tuple(range(n_women + 1))
+
+    def read_lists(start: int, count: int, ids: tuple[int, ...], side: str, other: str):
+        # A canonical token maps to its shared index object, so one lookup
+        # per token checks the range; a line with anything else (a bad,
+        # duplicate or non-canonical token such as '+3') goes through
+        # _read_tokens, which reports the first error as it finds it.
+        table = {str(j): j for j in ids[1:]}
+        out = [()]
+        for lineno in range(start + 1, start + count + 1):
+            tokens = lines[lineno - 1].split()
+            lst = tuple(map(table.get, tokens))
+            distinct = set(lst)
+            if None in distinct or len(distinct) < len(lst):
+                n_other = len(ids) - 1
+                lst = tuple(ids[j] for j in _read_tokens(tokens, lineno, n_other, side, other))
             out.append(lst)
         return out
 
-    men_raw = read_lists(1, n_men, n_women, "man", "woman")
-    women_raw = read_lists(1 + n_men, n_women, n_men, "woman", "man")
-
-    men_sets = [set(lst) for lst in men_raw]
-    women_sets = [set(lst) for lst in women_raw]
-    men_lists, women_lists = [], []
-    for i, lst in enumerate(men_raw, start=1):
-        kept = [w for w in lst if i in women_sets[w - 1]]
+    men_lists = read_lists(1, n_men, women_ids, "man", "woman")
+    women_lists = read_lists(1 + n_men, n_women, men_ids, "woman", "man")
+    inst = _by_position(men_lists, women_lists, men_ids, women_ids)
+    if _first_unreturned(inst) is None:
+        return inst
+    for lists, rank, side, other in (
+        (men_lists, inst.women_rank, "man", "woman"),
+        (women_lists, inst.men_rank, "woman", "man"),
+    ):
         if warnings is not None:
-            for w in lst:
-                if i not in women_sets[w - 1]:
-                    warnings.append(
-                        f"man {i} lists woman {w} but not vice versa; entry dropped"
-                    )
-        men_lists.append(kept)
-    for j, lst in enumerate(women_raw, start=1):
-        kept = [m for m in lst if j in men_sets[m - 1]]
-        if warnings is not None:
-            for m in lst:
-                if j not in men_sets[m - 1]:
-                    warnings.append(
-                        f"woman {j} lists man {m} but not vice versa; entry dropped"
-                    )
-        women_lists.append(kept)
+            warnings.extend(
+                f"{side} {i} lists {other} {j} but not vice versa; entry dropped"
+                for i, j in _unreturned(lists, rank)
+            )
+        lists[:] = [tuple(j for j in lst if _listed(rank[j], i)) for i, lst in enumerate(lists)]
+    return _by_position(men_lists, women_lists, men_ids, women_ids)
 
-    return Instance.from_lists(men_lists, women_lists)
+
+def _read_tokens(tokens: list[str], lineno: int, n_other: int, side: str, other: str) -> list[int]:
+    """One list's indices, token by token; raises ParseError at the first bad one."""
+    seen = set()
+    lst = []
+    for tok in tokens:
+        try:
+            j = int(tok)
+        except ValueError:
+            raise ParseError(f"line {lineno}: malformed integer {tok!r}") from None
+        if not 1 <= j <= n_other:
+            raise ParseError(f"line {lineno}: {other} index {j} out of range 1..{n_other}")
+        if j in seen:
+            raise ParseError(f"line {lineno}: duplicate entry {j} in {side}'s list")
+        seen.add(j)
+        lst.append(j)
+    return lst
 
 
 def format_instance(inst: Instance) -> str:
@@ -364,15 +451,12 @@ def _truncated_instance(
 def _kept_side(lists, rank, limit, other_rank, other_limit):
     """One side's kept lists and rank rows, both with the index-0 stub."""
     width = len(other_rank)
-    kept_lists, rows = [()], [(0,) * width]
+    kept_lists, rows = [()], [_rank_row((), (), width)]
     for i in range(1, len(lists)):
         own, lim = rank[i], limit[i]
         kept = tuple(j for j in lists[i] if own[j] <= lim and other_rank[j][i] <= other_limit[j])
-        row = [0] * width
-        for j in kept:
-            row[j] = own[j]
         kept_lists.append(kept)
-        rows.append(tuple(row))
+        rows.append(_rank_row(kept, map(own.__getitem__, kept), width))
     return tuple(kept_lists), tuple(rows)
 
 
@@ -397,27 +481,47 @@ def preprocess(inst: Instance) -> Instance:
         return inst
     husband = gs_propose(inst.women_lists, inst.men_rank, n_women, n_men)
     kept_women = sorted(wife[m] for m in kept_men)
-    new_m = {old: new for new, old in enumerate(kept_men, start=1)}
-    new_w = {old: new for new, old in enumerate(kept_women, start=1)}
-    men_lists = [
-        [new_w[w] for w in inst.men_lists[old] if w in new_w] for old in kept_men
-    ]
-    women_lists = [
-        [new_m[m] for m in inst.women_lists[old] if m in new_m] for old in kept_women
-    ]
-    orig_men = (0,) + tuple(inst.orig_men[old] for old in kept_men)
-    orig_women = (0,) + tuple(inst.orig_women[old] for old in kept_women)
-    reduced = Instance.from_lists(men_lists, women_lists, orig_men, orig_women)
     # Each agent's worst stable partner bounds the ranks worth keeping: the
     # woman-optimal wife of a man, the man-optimal husband of a woman.
-    men_limit = [0] * (reduced.n_men + 1)
+    men_limit = [0] * (n_men + 1)
     for w, m in enumerate(husband):
         if m:
-            men_limit[new_m[m]] = reduced.men_rank[new_m[m]][new_w[w]]
-    women_limit = [0] * (reduced.n_women + 1)
+            men_limit[m] = inst.men_rank[m][w]
+    women_limit = [0] * (n_women + 1)
     for m in kept_men:
-        women_limit[new_w[wife[m]]] = reduced.women_rank[new_w[wife[m]]][new_m[m]]
-    return _truncated_instance(reduced, men_limit, women_limit)
+        women_limit[wife[m]] = inst.women_rank[wife[m]][m]
+    # The dicts' values give one int object per agent.
+    new_m = {old: new for new, old in enumerate(kept_men, start=1)}
+    new_w = {old: new for new, old in enumerate(kept_women, start=1)}
+    men = _reduced_side(inst.men_lists, inst.men_rank, kept_men, men_limit, new_w, inst.women_rank, women_limit)
+    women = _reduced_side(inst.women_lists, inst.women_rank, kept_women, women_limit, new_m, inst.men_rank, men_limit)
+    orig_men = (0,) + tuple(inst.orig_men[old] for old in kept_men)
+    orig_women = (0,) + tuple(inst.orig_women[old] for old in kept_women)
+    return Instance(men[0], women[0], men[1], women[1], orig_men, orig_women)
+
+
+def _reduced_side(lists, rank, kept, limit, new_other, other_rank, other_limit):
+    """One side of :func:`preprocess`'s result, lists and rank rows with the
+    index-0 stub: each kept agent's pairs within both limits, re-indexed
+    through ``new_other`` and ranked by position among the kept partners."""
+    width = len(new_other) + 1
+    kept_lists, rows = [()], [_rank_row((), (), width)]
+    for i in kept:
+        own, lim = rank[i], limit[i]
+        partners, ranks = [], []
+        pos = 0
+        for j in lists[i]:
+            if j not in new_other:
+                continue
+            if own[j] > lim:
+                break  # ranks rise along a list
+            pos += 1
+            if other_rank[j][i] <= other_limit[j]:
+                partners.append(new_other[j])
+                ranks.append(pos)
+        kept_lists.append(tuple(partners))
+        rows.append(_rank_row(partners, ranks, width))
+    return tuple(kept_lists), tuple(rows)
 
 
 def profile_of(inst: Instance, matching: Matching) -> Profile:

@@ -154,9 +154,10 @@ def enumerate_stable_matchings(
     rotations = _rotations_from(inst, m0.wife_array(inst.n_men))
     digraph = build_digraph(inst, rotations)
     out = [m0]
-    queue = deque([(frozenset(), 0, m0.wife_array(inst.n_men))])
+    queue = deque([(frozenset(), 0, m0)])
     while queue:
-        subset, start, wife = queue.popleft()
+        subset, start, matching = queue.popleft()
+        wife = matching.wife_array(inst.n_men)
         for rot in rotations[start:]:
             if any(p not in subset for p in digraph.predecessors(rot.rid)):
                 continue
@@ -165,7 +166,7 @@ def enumerate_stable_matchings(
             if len(out) + 1 > cap:
                 raise EnumerationCapError(cap)
             out.append(Matching.from_wife_array(wife2))
-            queue.append((subset | {rot.rid}, rot.rid + 1, wife2))
+            queue.append((subset | {rot.rid}, rot.rid + 1, out[-1]))
     return out
 
 

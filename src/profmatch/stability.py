@@ -97,7 +97,7 @@ def min_regret(inst: Instance) -> tuple[int, Matching]:
     husband = gs_propose(inst.women_lists, men_rank, inst.n_women, n)
     lo = max(
         max(men_rank[m][best[m]] for m in range(1, n + 1)),
-        max(women_rank[w][m] for w, m in enumerate(husband)),
+        max(women_rank[w][m] for w, m in enumerate(husband) if w),
     )
     hi = max(lo, max(women_rank[best[m]][m] for m in range(1, n + 1)))
     while lo < hi:

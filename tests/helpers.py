@@ -7,8 +7,10 @@ library's own algorithms, so that agreement is meaningful.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from itertools import permutations
+from typing import Sequence
 
 from profmatch import (
     Instance,
@@ -110,12 +112,11 @@ def brute_force_stable_matchings(inst: Instance) -> list[Matching]:
     assert n == inst.n_women
     if n == 0:
         return [Matching(())]
-    men_rank = inst.men_rank
     women_rank = inst.women_rank
     men_lists = inst.men_lists
     out = []
     for perm in permutations(range(1, n + 1)):
-        if any(men_rank[m][perm[m - 1]] == 0 for m in range(1, n + 1)):
+        if any(not inst.acceptable(m, perm[m - 1]) for m in range(1, n + 1)):
             continue
         husband = [0] * (n + 1)
         for m in range(1, n + 1):
@@ -224,6 +225,27 @@ def bfs_enumeration_oracle(inst: Instance) -> list[Matching]:
 def tiny_unique_instance() -> Instance:
     """2x2 instance where everyone has their mutual first choice."""
     return Instance.from_lists([[1, 2], [2, 1]], [[1, 2], [2, 1]])
+
+
+def sparse_lists(n: int, lengths: Sequence[int], seed: int):
+    """Mutual lists on n men and n women: man m accepts ``lengths[m - 1]``
+    women drawn uniformly, in random order, and each woman lists the men
+    who accept her, shuffled."""
+    rng = random.Random(seed)
+    men = [rng.sample(range(1, n + 1), k) for k in lengths]
+    women: list[list[int]] = [[] for _ in range(n)]
+    for m, lst in enumerate(men, start=1):
+        for w in lst:
+            women[w - 1].append(m)
+    for lst in women:
+        rng.shuffle(lst)
+    return men, women
+
+
+def lists_text(men: list[list[int]], women: list[list[int]]) -> str:
+    """The text format of mutual lists, without building an Instance."""
+    lines = [f"{len(men)} {len(women)}"] + [" ".join(map(str, lst)) for lst in men + women]
+    return "\n".join(lines) + "\n"
 
 
 def latin_chain(n: int) -> Instance:

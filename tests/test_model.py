@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,7 +20,7 @@ from profmatch import (
     solve,
 )
 
-from helpers import I0_ALL_MATCHINGS, brute_force_all_stable_matchings
+from helpers import I0_ALL_MATCHINGS, brute_force_all_stable_matchings, lists_text, sparse_lists
 
 
 def test_parse_i0(i0):
@@ -229,6 +230,33 @@ def test_format_parse_roundtrip(i0):
 def test_from_lists_rejects_non_mutual():
     with pytest.raises(ValueError, match="mutual"):
         Instance.from_lists([[1]], [[]])
+
+
+def test_from_lists_checks_mutuality_from_both_sides():
+    # Woman 1 lists man 1, who lists nobody.
+    with pytest.raises(ValueError, match="woman 1 lists man 1 but not vice versa"):
+        Instance.from_lists([[]], [[1]])
+    with pytest.raises(ValueError, match="woman 2 lists man 1 but not vice versa"):
+        Instance.from_lists([[1], [2]], [[1], [2, 1]])
+
+
+def test_parse_non_canonical_tokens_equal_canonical_ones():
+    canonical = parse_instance("2 2\n1 2\n2 1\n1 2\n2 1\n")
+    assert parse_instance("2 2\n+1 02\n2 001\n1 +2\n02 1\n") == canonical
+
+
+def test_load_memory_grows_with_the_lists():
+    # n = 3,000 with lists of 15: two dense (n+1)^2 rank tables alone
+    # would take about 140 MiB.
+    text = lists_text(*sparse_lists(3000, [15] * 3000, seed=91))
+    tracemalloc.start()
+    try:
+        pre = preprocess(parse_instance(text))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pre.n_men > 2900
+    assert peak < 24 * 2**20
 
 
 def test_from_lists_shares_one_int_per_agent():

@@ -1,4 +1,6 @@
+import random
 import tracemalloc
+from math import prod
 
 import pytest
 
@@ -43,10 +45,12 @@ from helpers import (
     I0_OPTIMAL_SUBSET,
     I0_RANK_MAXIMAL,
     bfs_enumeration_oracle,
+    brute_force_all_stable_matchings,
     brute_force_stable_matchings,
     cutoff_families,
     poset_families,
     rotation_name_map,
+    sparse_lists,
     tiny_unique_instance,
     truncated_at_min_regret,
 )
@@ -352,6 +356,41 @@ def test_egalitarian_equals_first_enumerated_tie(i0_pre):
         tied += costs.count(min(costs)) > 1
         assert solve(inst, Criterion.EGALITARIAN) == select_egalitarian(matchings, inst)
     assert len(instances) >= 1200 and tied >= 100
+
+
+def test_mixed_rank_rows_agree_with_oracles():
+    # Lists of 1..n entries give dict rows to short lists and dense rows to
+    # long ones, within one instance and within its preprocessed form.
+    kinds_in, kinds_pre = set(), set()
+    brute_forced = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(12, 16)
+        inst = Instance.from_lists(
+            *sparse_lists(n, [rng.randint(1, n) for _ in range(n)], seed=9100 + seed)
+        )
+        pre = preprocess(inst)
+        kinds_in.update(type(row) for row in inst.men_rank[1:] + inst.women_rank[1:])
+        kinds_pre.update(type(row) for row in pre.men_rank[1:] + pre.women_rank[1:])
+        matchings = enumerate_stable_matchings(pre)
+        # The brute force grows every matching, so run it where that is small.
+        if prod(1 + len(lst) for lst in pre.men_lists) <= 2**16:
+            brute = brute_force_all_stable_matchings(pre)
+            assert brute == {frozenset(M) for M in matchings}
+            brute_forced += 1
+        profiles = [profile_of(pre, M) for M in matchings]
+        n = pre.n_men
+        rank_max = solve(pre, Criterion.RANK_MAXIMAL)
+        assert profile_of(pre, rank_max) == max(profiles) and rank_max in matchings
+        generous = solve(pre, Criterion.GENEROUS)
+        assert profile_of(pre, generous).reverse_negate(n) == max(
+            p.reverse_negate(n) for p in profiles
+        )
+        assert generous in matchings
+        assert solve(pre, Criterion.EGALITARIAN) == select_egalitarian(matchings, pre)
+        assert solve(pre, Criterion.MIN_REGRET) == select_min_regret(matchings, pre)
+    assert kinds_in == kinds_pre == {dict, tuple}
+    assert brute_forced >= 30
 
 
 def test_oracle_i0(i0_pre):
