@@ -109,6 +109,11 @@ class Instance:
             raise ValueError(f"acceptability is not mutual: {unreturned}")
         return inst
 
+    def __hash__(self) -> int:
+        # Dict rows are unhashable; the lists and index maps determine the
+        # rest of an instance that compares equal, so they suffice.
+        return hash((self.men_lists, self.women_lists, self.orig_men, self.orig_women))
+
     @property
     def n_men(self) -> int:
         return len(self.men_lists) - 1
@@ -481,47 +486,27 @@ def preprocess(inst: Instance) -> Instance:
         return inst
     husband = gs_propose(inst.women_lists, inst.men_rank, n_women, n_men)
     kept_women = sorted(wife[m] for m in kept_men)
-    # Each agent's worst stable partner bounds the ranks worth keeping: the
-    # woman-optimal wife of a man, the man-optimal husband of a woman.
-    men_limit = [0] * (n_men + 1)
-    for w, m in enumerate(husband):
-        if m:
-            men_limit[m] = inst.men_rank[m][w]
-    women_limit = [0] * (n_women + 1)
-    for m in kept_men:
-        women_limit[wife[m]] = inst.women_rank[wife[m]][m]
-    # The dicts' values give one int object per agent.
     new_m = {old: new for new, old in enumerate(kept_men, start=1)}
     new_w = {old: new for new, old in enumerate(kept_women, start=1)}
-    men = _reduced_side(inst.men_lists, inst.men_rank, kept_men, men_limit, new_w, inst.women_rank, women_limit)
-    women = _reduced_side(inst.women_lists, inst.women_rank, kept_women, women_limit, new_m, inst.men_rank, men_limit)
+    men_lists = [
+        [new_w[w] for w in inst.men_lists[old] if w in new_w] for old in kept_men
+    ]
+    women_lists = [
+        [new_m[m] for m in inst.women_lists[old] if m in new_m] for old in kept_women
+    ]
     orig_men = (0,) + tuple(inst.orig_men[old] for old in kept_men)
     orig_women = (0,) + tuple(inst.orig_women[old] for old in kept_women)
-    return Instance(men[0], women[0], men[1], women[1], orig_men, orig_women)
-
-
-def _reduced_side(lists, rank, kept, limit, new_other, other_rank, other_limit):
-    """One side of :func:`preprocess`'s result, lists and rank rows with the
-    index-0 stub: each kept agent's pairs within both limits, re-indexed
-    through ``new_other`` and ranked by position among the kept partners."""
-    width = len(new_other) + 1
-    kept_lists, rows = [()], [_rank_row((), (), width)]
-    for i in kept:
-        own, lim = rank[i], limit[i]
-        partners, ranks = [], []
-        pos = 0
-        for j in lists[i]:
-            if j not in new_other:
-                continue
-            if own[j] > lim:
-                break  # ranks rise along a list
-            pos += 1
-            if other_rank[j][i] <= other_limit[j]:
-                partners.append(new_other[j])
-                ranks.append(pos)
-        kept_lists.append(tuple(partners))
-        rows.append(_rank_row(partners, ranks, width))
-    return tuple(kept_lists), tuple(rows)
+    reduced = Instance.from_lists(men_lists, women_lists, orig_men, orig_women)
+    # Each agent's worst stable partner bounds the ranks worth keeping: the
+    # woman-optimal wife of a man, the man-optimal husband of a woman.
+    men_limit = [0] * (reduced.n_men + 1)
+    for w, m in enumerate(husband):
+        if m:
+            men_limit[new_m[m]] = reduced.men_rank[new_m[m]][new_w[w]]
+    women_limit = [0] * (reduced.n_women + 1)
+    for m in kept_men:
+        women_limit[new_w[wife[m]]] = reduced.women_rank[new_w[wife[m]]][new_m[m]]
+    return _truncated_instance(reduced, men_limit, women_limit)
 
 
 def profile_of(inst: Instance, matching: Matching) -> Profile:

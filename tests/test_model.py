@@ -245,6 +245,17 @@ def test_parse_non_canonical_tokens_equal_canonical_ones():
     assert parse_instance("2 2\n+1 02\n2 001\n1 +2\n02 1\n") == canonical
 
 
+def test_instances_hash_consistently_with_equality(i0):
+    dense = Instance.from_lists([[1]], [[1]])
+    sparse = parse_instance(lists_text(*sparse_lists(40, [3] * 40, seed=5)))
+    assert isinstance(dense.men_rank[1], tuple) and isinstance(sparse.men_rank[1], dict)
+    for inst in (dense, sparse, i0):
+        copy = parse_instance(format_instance(inst))
+        assert copy == inst and hash(copy) == hash(inst)
+    assert preprocess(sparse).n_men < sparse.n_men
+    assert len({dense, sparse, i0, preprocess(sparse), Instance.from_lists([[1]], [[1]])}) == 4
+
+
 def test_load_memory_grows_with_the_lists():
     # n = 3,000 with lists of 15: two dense (n+1)^2 rank tables alone
     # would take about 140 MiB.
