@@ -20,7 +20,6 @@ the stable matchings of the instance.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -136,13 +135,12 @@ def _rotations_from(
 
     def extract(cycle_men: list[int]) -> None:
         # Canonical form: start the cycle at its smallest man index.
-        k = len(cycle_men)
-        lead = min(range(k), key=cycle_men.__getitem__)
+        lead = cycle_men.index(min(cycle_men))
         cycle_men = cycle_men[lead:] + cycle_men[:lead]
-        pairs = tuple((m, wife[m]) for m in cycle_men)
+        wives = [wife[m] for m in cycle_men]
+        pairs = tuple(zip(cycle_men, wives))
         rotations.append(Rotation(len(rotations), pairs, _cycle_profile(inst, pairs)))
-        new_wives = [wife[cycle_men[(idx + 1) % k]] for idx in range(k)]
-        for m, w in zip(cycle_men, new_wives):
+        for m, w in zip(cycle_men, wives[1:] + wives[:1]):
             wife[m] = w
             husband[w] = m
             ptr[m] += 1
@@ -196,13 +194,19 @@ def _cycle_profile(inst: Instance, cycle: tuple[tuple[int, int], ...]) -> Profil
     """Profile change of eliminating ``cycle``: each man moves to the next
     pair's woman, who trades the next pair's man for him."""
     men_rank, women_rank = inst.men_rank, inst.women_rank
-    moves = list(zip(cycle, cycle[1:] + cycle[:1]))
-    gained = Counter(men_rank[m][w_new] for (m, _), (_, w_new) in moves)
-    gained.update(women_rank[w_new][m] for (m, _), (_, w_new) in moves)
-    lost = Counter(men_rank[m][w_old] for (m, w_old), _ in moves)
-    lost.update(women_rank[w_new][m_next] for _, (m_next, w_new) in moves)
-    delta = ((r, gained[r] - lost[r]) for r in gained.keys() | lost.keys())
-    return Profile._from_pairs(tuple(sorted(p for p in delta if p[1])))
+    delta: dict[int, int] = {}
+    get = delta.get
+    for (m, w), (m_next, w_next) in zip(cycle, cycle[1:] + cycle[:1]):
+        m_row, w_row = men_rank[m], women_rank[w_next]
+        r = m_row[w_next]
+        delta[r] = get(r, 0) + 1
+        r = w_row[m]
+        delta[r] = get(r, 0) + 1
+        r = m_row[w]
+        delta[r] = get(r, 0) - 1
+        r = w_row[m_next]
+        delta[r] = get(r, 0) - 1
+    return Profile._from_pairs(tuple(sorted(p for p in delta.items() if p[1])))
 
 
 _TYPE1, _TYPE2, _BOTH = frozenset({1}), frozenset({2}), frozenset({1, 2})
@@ -214,45 +218,43 @@ def build_digraph(inst: Instance, rotations: list[Rotation]) -> RotationDigraph:
     Rotations are taken in id order: one maximal chain from the matching
     extraction started at eliminates them in that order (see
     :func:`find_rotations`).  Along it each man only moves down his list, so
-    his list position is carried from one rotation to the next, and each
-    woman only moves up hers: the partner ranks of her moves strictly
-    decrease, each move starting at the rank the one before it ended.  The
-    move of a woman that takes her from a partner ranked at or below m to
-    one ranked above m is therefore found by bisection over the ranks her
-    moves end at; a woman who ranks m worse than a cutoff d has none.
+    the rotation that last moved m moved him to his current wife: it is the
+    type-1 predecessor of the rotation that moves him next, and his list
+    position is carried from one rotation to the next.
+
+    Each woman only moves up her list: the partner ranks of her moves
+    strictly decrease, each move starting at the rank the one before it
+    ended.  The move of a woman that takes her from a partner ranked at or
+    below m to one ranked above m is therefore found by bisection over the
+    ranks her earlier moves end at; a woman who ranks m worse than a cutoff
+    d has none.  The scan for m starts after his current wife, whose such
+    move is the rotation being scanned.  Every other woman m passes over
+    ranks her partner above m, since the matching the rotation is exposed in
+    is stable, so no move of that rotation passes the test and its moves can
+    be recorded while it is scanned.
     """
-    women_rank = inst.women_rank
-    mover: dict[tuple[int, int], int] = {}
+    men_lists, women_rank = inst.men_lists, inst.women_rank
     # Per woman who moves, over her moves in id order: the rotations, the
     # negated ranks of the partners they give her (ascending), and the ranks
     # of the partners they take away.  Only those women get lists, so an
     # instance with few rotations allocates little per agent.
     moves: list[Optional[tuple[list[int], list[int], list[int]]]] = [None] * (inst.n_women + 1)
-    for rot in rotations:
-        rid, cycle = rot.rid, rot.cycle
-        for (m, _), (m_next, w_next) in zip(cycle, cycle[1:] + cycle[:1]):
-            mover[(m, w_next)] = rid
-            rank_w = women_rank[w_next]
-            mv = moves[w_next]
-            if mv is None:
-                mv = moves[w_next] = ([], [], [])
-            mv[0].append(rid)
-            mv[1].append(-rank_w[m])
-            mv[2].append(rank_w[m_next])
-
+    last = [-1] * (inst.n_men + 1)  # the rotation that last moved each man
+    position = [0] * (inst.n_men + 1)  # list position of his wife once he has moved
     type1: set[tuple[int, int]] = set()
     type2: set[tuple[int, int]] = set()
-    position = [-1] * (inst.n_men + 1)  # list position of each man's wife
     for rot in rotations:
         rid, cycle = rot.rid, rot.cycle
-        for (m, w), (_, w_next) in zip(cycle, cycle[1:] + cycle[:1]):
-            r1 = mover.get((m, w))
-            if r1 is not None:
+        for (m, w), (m_next, w_next) in zip(cycle, cycle[1:] + cycle[:1]):
+            r1 = last[m]
+            if r1 >= 0:
                 type1.add((r1, rid))
-            lst = inst.men_lists[m]
-            pos = position[m]
-            if pos < 0:
+                pos = position[m]
+            else:
                 pos = inst.man_list_position(m, w)
+            last[m] = rid
+            lst = men_lists[m]
+            pos += 1
             wj = lst[pos]
             while wj != w_next:
                 mv = moves[wj]
@@ -261,11 +263,18 @@ def build_digraph(inst: Instance, rotations: list[Rotation]) -> RotationDigraph:
                     rids, after, before = mv
                     r_me = women_rank[wj][m]
                     j = bisect_right(after, -r_me)
-                    if j < len(after) and r_me <= before[j] and rids[j] != rid:
+                    if j < len(after) and r_me <= before[j]:
                         type2.add((rids[j], rid))
                 pos += 1
                 wj = lst[pos]
             position[m] = pos
+            rank_w = women_rank[w_next]
+            mv = moves[w_next]
+            if mv is None:
+                mv = moves[w_next] = ([], [], [])
+            mv[0].append(rid)
+            mv[1].append(-rank_w[m])
+            mv[2].append(rank_w[m_next])
     labels = {e: _BOTH if e in type2 else _TYPE1 for e in type1}
     labels.update((e, _TYPE2) for e in type2 - type1)
     return RotationDigraph(len(rotations), labels)

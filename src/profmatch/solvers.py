@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from enum import Enum
+from itertools import islice, zip_longest
 from math import ceil
 from typing import Callable, Optional
 
@@ -220,10 +221,12 @@ def select_median(matchings: list[Matching], inst: Instance) -> Matching:
     if not matchings:
         raise ValueError("no matchings to select from")
     j = ceil(len(matchings) / 2)
+    # Column m holds man m's wife in each matching, 0 where he is unmatched;
+    # the stored wife tuples are read in place rather than copied.
+    columns = zip_longest(*(M._wife for M in matchings), fillvalue=0)
     pairs = []
-    for m in range(1, inst.n_men + 1):
-        partners = [w for w in (M.wife_of(m) for M in matchings) if w is not None]
-        partners.sort(key=inst.men_rank[m].__getitem__)
+    for m, column in enumerate(islice(columns, 1, inst.n_men + 1), start=1):
+        partners = sorted(filter(None, column), key=inst.men_rank[m].__getitem__)
         if not partners:
             continue
         if len(partners) != len(matchings):

@@ -17,6 +17,8 @@ from profmatch import (
     truncate,
     woman_optimal,
 )
+from profmatch.rotations import apply_rotation
+from profmatch.stability import min_regret
 
 from helpers import (
     I0_DIGRAPH_EDGES,
@@ -130,6 +132,42 @@ def test_rotation_delta_is_matching_independent():
                     inst, m0, rotations, digraph, subset | {rot.rid}
                 )
                 assert profile_of(inst, after) == profile_of(inst, before) + rot.profile
+
+
+def test_rotation_profiles_equal_profile_differences(i0_pre):
+    # Eliminating the rotations in id order from the matching extraction
+    # started at, each rotation's profile is the profile of the matching
+    # after it minus the profile before it; with and without the cutoff.
+    checked = 0
+    for inst in poset_families(i0_pre):
+        if inst.n_men == 0:
+            continue
+        starts = [
+            (man_optimal(inst), find_rotations(inst)),
+            (min_regret(inst)[1], cutoff_rotations(inst)),
+        ]
+        for start, rotations in starts:
+            wife = start.wife_array(inst.n_men)
+            before = profile_of(inst, start)
+            for rot in rotations:
+                apply_rotation(wife, rot.cycle)
+                after = profile_of(inst, Matching.from_wife_array(wife))
+                assert rot.profile == after - before
+                before = after
+                checked += 1
+    assert checked >= 700
+
+
+def test_latin_chain_poset_is_one_type1_chain():
+    # Each of the n - 1 rotations moves every man one place down his list,
+    # so each is preceded by the one before it and by nothing else.
+    for n in range(5, 31):
+        inst = preprocess(latin_chain(n))
+        rotations = find_rotations(inst)
+        assert len(rotations) == n - 1
+        assert all(len(rot.cycle) == n for rot in rotations)
+        chain = tuple((rid, rid + 1, frozenset({1})) for rid in range(n - 2))
+        assert build_digraph(inst, rotations).edges() == chain
 
 
 def test_rotation_ids_are_a_topological_order(i0_pre):

@@ -266,6 +266,19 @@ def test_median_always_stable():
         assert is_stable(inst, select_median(ms, inst))
 
 
+def test_median_rejects_partial_enumeration_and_unstable_assembly(i0_pre):
+    matchings = enumerate_stable_matchings(i0_pre)
+    # Man 8, the last, is unmatched in one matching: its wife tuple is short.
+    partial = Matching(pair for pair in matchings[0] if pair[0] != 8)
+    with pytest.raises(RuntimeError, match="full enumeration"):
+        select_median(matchings[1:] + [partial], i0_pre)
+    # The median of one unstable perfect matching is that matching.
+    unstable = Matching((m, m) for m in range(1, 9))
+    assert not is_stable(i0_pre, unstable)
+    with pytest.raises(RuntimeError, match="not stable"):
+        select_median([unstable], i0_pre)
+
+
 def test_egalitarian_and_sex_equal_i0(i0_pre):
     matchings = enumerate_stable_matchings(i0_pre)
 
