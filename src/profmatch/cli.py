@@ -32,7 +32,9 @@ from .solvers import (
     matching_degree,
     oracle_exponential_flow,
     select_egalitarian,
+    select_median,
     select_min_regret,
+    select_sex_equal,
     solve,
     solve_generous,
     solve_rank_maximal,
@@ -157,6 +159,10 @@ def _agreement_failure(pre: Instance) -> Optional[str]:
     witness = select_min_regret(matchings, pre)
     if solve(pre, Criterion.MIN_REGRET) != witness:
         return "min-regret matching differs from first enumerated minimum-degree matching"
+    if solve(pre, Criterion.SEX_EQUAL) != select_sex_equal(matchings, pre):
+        return "sex-equal matching differs from first enumerated most balanced matching"
+    if solve(pre, Criterion.MEDIAN) != select_median(matchings, pre):
+        return "median matching differs from median assembled over the enumeration"
 
     rotations = find_rotations(pre)
     if rotations:

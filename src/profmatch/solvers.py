@@ -13,9 +13,11 @@ Minimum regret comes straight from :func:`stability.min_regret`: the
 man-optimal stable matching of the minimum degree, which is also the first
 matching of that degree in enumeration order.
 
-Enumeration-backed criteria (sex-equal, median) rank an explicit list of
-all stable matchings and refuse instances whose count exceeds a cap.  The
-``select_*`` functions, egalitarian and minimum regret included, stay
+Enumeration-backed criteria (sex-equal, median) walk every closed subset
+of the rotation poset, one per stable matching, and refuse instances whose
+count exceeds a cap; the walk holds two ints per node and no matching, and
+only the answer is built.  The ``select_*`` functions, egalitarian and
+minimum regret included, rank an explicit list of stable matchings and stay
 usable as oracles over any enumeration.
 
 ``oracle_exponential_flow`` re-solves the same cut problem on a scalar
@@ -133,42 +135,132 @@ def _optimal_closed_subset(
     return max_profile_closed_subset(net, digraph, cut)
 
 
+def _closed_subsets(digraph: RotationDigraph, cap: int) -> tuple[list[int], list[int]]:
+    """Every predecessor-closed subset of the rotations, breadth-first, as a tree.
+
+    Returns parallel arrays ``parent`` and ``added``: node 0 is the empty
+    set (both entries -1), and node x > 0 is node ``parent[x]``'s subset
+    plus rotation ``added[x]``, so ``parent[x] < x``.  Nodes are numbered in
+    visiting order, which is ordered by subset size.  Rotation ids are a
+    topological order (see :func:`rotations.find_rotations`), so each
+    nonempty closed subset C has a canonical parent, C minus its largest id,
+    which is closed too.  A node is extended only by rotations above its
+    ``added`` id, so each closed subset is reached exactly once, from its
+    canonical parent, and no set of visited subsets is kept.  The canonical
+    parent is visited before C's other parents, so the order is the one a
+    breadth-first search that discards revisits gives.  Only the subsets of
+    the nodes not yet extended are held, as int bitmasks.  Raises
+    EnumerationCapError as soon as the count would exceed ``cap``.
+    """
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    size = digraph.size
+    pred_mask = [sum(1 << u for u in digraph.predecessors(r)) for r in range(size)]
+    parent, added = [-1], [-1]
+    pending = deque([0])  # the subsets of nodes x, x + 1, ... not yet extended
+    x = 0
+    while pending:
+        mask = pending.popleft()
+        missing = ~mask
+        for r in range(added[x] + 1, size):
+            if pred_mask[r] & missing:
+                continue
+            if len(parent) == cap:
+                raise EnumerationCapError(cap)
+            parent.append(x)
+            added.append(r)
+            pending.append(mask | 1 << r)
+        x += 1
+    return parent, added
+
+
+def _walked_poset(inst: Instance, cap: int):
+    """The man-optimal matching, rotations and digraph of ``inst``, and
+    ``(parent, added)`` from :func:`_closed_subsets` over them."""
+    m0 = man_optimal(inst)
+    rotations = _rotations_from(inst, m0.wife_array(inst.n_men))
+    digraph = build_digraph(inst, rotations)
+    return (m0, rotations, digraph, *_closed_subsets(digraph, cap))
+
+
 def enumerate_stable_matchings(
     inst: Instance, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[Matching]:
     """All stable matchings, man-optimal first, walking down the man-lattice.
 
-    Breadth-first over predecessor-closed rotation subsets, so the list is
-    ordered by closed-subset size.  Rotation ids are a topological order
-    (see :func:`rotations.find_rotations`), so each nonempty closed subset C
-    has a canonical parent, C minus its largest id, which is closed too.  A
-    queued subset is extended only by rotations above its largest id, so
-    each closed subset is reached exactly once, from its canonical parent,
-    and no set of visited subsets is kept.  The canonical parent is dequeued
-    before C's other parents, so the order is the one a breadth-first search
-    that discards revisits gives.  Raises EnumerationCapError as soon as the
-    count would exceed ``cap``.
+    One matching per node of :func:`_closed_subsets`, in its breadth-first
+    order, so the list is ordered by closed-subset size; each is its parent
+    node's matching with the node's rotation applied.  Raises
+    EnumerationCapError when the count would exceed ``cap``.
     """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    m0 = man_optimal(inst)
-    rotations = _rotations_from(inst, m0.wife_array(inst.n_men))
-    digraph = build_digraph(inst, rotations)
+    m0, rotations, _digraph, parent, added = _walked_poset(inst, cap)
+    n = inst.n_men
     out = [m0]
-    queue = deque([(frozenset(), 0, m0)])
-    while queue:
-        subset, start, matching = queue.popleft()
-        wife = matching.wife_array(inst.n_men)
-        for rot in rotations[start:]:
-            if any(p not in subset for p in digraph.predecessors(rot.rid)):
-                continue
-            wife2 = list(wife)
-            apply_rotation(wife2, rot.cycle)
-            if len(out) + 1 > cap:
-                raise EnumerationCapError(cap)
-            out.append(Matching.from_wife_array(wife2))
-            queue.append((subset | {rot.rid}, rot.rid + 1, out[-1]))
+    for x in range(1, len(parent)):
+        wife = out[parent[x]].wife_array(n)
+        apply_rotation(wife, rotations[added[x]].cycle)
+        out.append(Matching.from_wife_array(wife))
     return out
+
+
+def _solve_sex_equal(inst: Instance, cap: int) -> Matching:
+    """:func:`select_sex_equal` over the enumeration, without building it.
+
+    Eliminating a rotation changes man cost minus woman cost by a fixed
+    amount, read once from its cycle, so each node's balance is its parent's
+    plus that of the node's rotation.  Only the first node of least
+    absolute balance, in enumeration order, gets its matching built.
+    """
+    m0, rotations, digraph, parent, added = _walked_poset(inst, cap)
+    men_rank, women_rank = inst.men_rank, inst.women_rank
+    step = []
+    for rot in rotations:
+        cycle = rot.cycle
+        change = 0
+        # m leaves w for w_next, who leaves m_next for m.
+        for (m, w), (m_next, w_next) in zip(cycle, cycle[1:] + cycle[:1]):
+            row = women_rank[w_next]
+            change += men_rank[m][w_next] - men_rank[m][w] - row[m] + row[m_next]
+        step.append(change)
+    man_cost, woman_cost = _cost_pair(inst, m0)
+    balance = [man_cost - woman_cost]
+    for x in range(1, len(parent)):
+        balance.append(balance[parent[x]] + step[added[x]])
+    score = list(map(abs, balance))
+    x = score.index(min(score))
+    subset = []
+    while x:
+        subset.append(added[x])
+        x = parent[x]
+    return eliminate_closed_subset(inst, m0, rotations, digraph, subset)
+
+
+def _solve_median(inst: Instance, cap: int) -> Matching:
+    """:func:`select_median` over the enumeration, without building it.
+
+    With N stable matchings, c(r) of them eliminate rotation r: the sum of
+    the subtree sizes of the walk nodes that add r, since every closed
+    subset holding r descends from exactly one of them.  A man's rotations
+    form a chain in the poset, each moving him down his list, so his
+    j-th best stable partner (j = ceil(N/2), repeats counted) is past
+    rotation r of his exactly when fewer than j matchings leave him above
+    it: N - c(r) < j.  The rotations with c(r) > N - j therefore give every
+    man that partner at once, and they form a closed set, as c never rises
+    along an edge of the digraph (Teo & Sethuraman, 1998).
+    """
+    m0, rotations, digraph, parent, added = _walked_poset(inst, cap)
+    total = len(parent)
+    below = [1] * total  # the closed subsets in each node's subtree
+    count = [0] * len(rotations)
+    for x in range(total - 1, 0, -1):
+        below[parent[x]] += below[x]
+        count[added[x]] += below[x]
+    keep = total - ceil(total / 2)
+    chosen = [r for r, c in enumerate(count) if c > keep]
+    result = eliminate_closed_subset(inst, m0, rotations, digraph, chosen)
+    if blocking_pair(inst, result) is not None:
+        raise RuntimeError("assembled median matching is not stable")
+    return result
 
 
 def _cost_pair(inst: Instance, matching: Matching) -> tuple[int, int]:
@@ -343,10 +435,16 @@ def oracle_exponential_flow(
     return value, digraph.ancestors(kept)
 
 
-# Criteria answered by selecting from the full enumeration, and the rest.
+# The criteria whose solve walks every closed rotation subset, so the cap
+# bounds them, and their selectors over a full enumeration, which
+# batch_stats applies to the list it enumerates anyway.
 _SELECTORS: dict[Criterion, Callable[[list[Matching], Instance], Matching]] = {
     Criterion.SEX_EQUAL: select_sex_equal,
     Criterion.MEDIAN: select_median,
+}
+_WALKERS: dict[Criterion, Callable[[Instance, int], Matching]] = {
+    Criterion.SEX_EQUAL: _solve_sex_equal,
+    Criterion.MEDIAN: _solve_median,
 }
 _SOLVERS: dict[Criterion, Callable[[Instance], Matching]] = {
     Criterion.RANK_MAXIMAL: solve_rank_maximal,
@@ -358,13 +456,13 @@ _SOLVERS: dict[Criterion, Callable[[Instance], Matching]] = {
     Criterion.WOMAN_OPTIMAL: woman_optimal,
     Criterion.MIN_REGRET: lambda inst: min_regret(inst)[1],
 }
-ENUMERATION_BACKED = frozenset(_SELECTORS)
+ENUMERATION_BACKED = frozenset(_WALKERS)
 
 
 def solve(
     inst: Instance, criterion: Criterion, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Matching:
     """Dispatch a preprocessed instance to the requested solver."""
-    if criterion in _SELECTORS:
-        return _SELECTORS[criterion](enumerate_stable_matchings(inst, cap), inst)
+    if criterion in _WALKERS:
+        return _WALKERS[criterion](inst, cap)
     return _SOLVERS[criterion](inst)

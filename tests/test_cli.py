@@ -260,6 +260,26 @@ def test_oracle_check_compares_min_regret_matchings(monkeypatch, capsys):
     assert "min-regret matching differs from first enumerated minimum-degree matching" in err
 
 
+@pytest.mark.parametrize(
+    "criterion, message",
+    [
+        (
+            Criterion.SEX_EQUAL,
+            "sex-equal matching differs from first enumerated most balanced matching",
+        ),
+        (Criterion.MEDIAN, "median matching differs from median assembled over the enumeration"),
+    ],
+)
+def test_oracle_check_compares_walked_matchings(monkeypatch, capsys, criterion, message):
+    # The man-optimal matching is stable but not always the sex-equal or the
+    # median one; the selectors over the enumeration judge the walks.
+    from profmatch import man_optimal, solvers
+
+    monkeypatch.setitem(solvers._WALKERS, criterion, lambda inst, cap: man_optimal(inst))
+    assert main(["oracle-check", "--n", "8", "--trials", "40", "--seed", "3"]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_oracle_check_flag_validation(capsys):
     assert main(["oracle-check", "--n", "0", "--trials", "5", "--seed", "1"]) == 2
     capsys.readouterr()

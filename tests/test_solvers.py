@@ -219,6 +219,48 @@ def test_enumeration_memory_is_a_wife_tuple_per_matching():
     assert peak < 4 * 2**20
 
 
+def test_sex_equal_and_median_walks_equal_the_selectors(i0_pre):
+    # solve walks the closed subsets without building the enumeration; its
+    # answers must be the selectors' over it, and the cap must trip at the
+    # same count.
+    instances = poset_families(i0_pre)
+    instances += [preprocess(generate_I1(n)) for n in (14, 16)]
+    for seed in range(300):
+        # The instances of test_enumeration_matches_visited_set_bfs.
+        instances.append(
+            _random_pre(4800 + seed, n=4 + seed % 9, density=(1.0, 0.7, 0.4)[seed % 3])
+        )
+    most = 0
+    for inst in instances:
+        matchings = enumerate_stable_matchings(inst)
+        count = len(matchings)
+        most = max(most, count)
+        for criterion, select in (
+            (Criterion.SEX_EQUAL, select_sex_equal),
+            (Criterion.MEDIAN, select_median),
+        ):
+            assert solve(inst, criterion) == select(matchings, inst), criterion
+            assert solve(inst, criterion, cap=count) == select(matchings, inst)
+            if count > 1:
+                with pytest.raises(EnumerationCapError):
+                    solve(inst, criterion, cap=count - 1)
+    assert len(instances) == 634 and most == 256
+
+
+@pytest.mark.parametrize("criterion", [Criterion.SEX_EQUAL, Criterion.MEDIAN])
+def test_sex_equal_and_median_hold_no_matching_per_node(criterion):
+    # 4,096 stable matchings of 24 men, whose enumeration peaks near 3 MiB.
+    inst = preprocess(generate_I1(24))
+    tracemalloc.start()
+    try:
+        matching = solve(inst, criterion)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert is_stable(inst, matching)
+    assert peak < 2**19
+
+
 def test_median_singleton():
     inst = preprocess(tiny_unique_instance())
     ms = enumerate_stable_matchings(inst)
