@@ -37,7 +37,7 @@ An empty line is an empty preference list.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -393,54 +393,79 @@ def format_instance(inst: Instance) -> str:
     return "\n".join(out) + "\n"
 
 
+class DeferredAcceptance:
+    """The state of a deferred-acceptance run, which a caller may resume.
+
+    ``prop_match`` is the 1-based proposer -> receiver assignment and
+    ``recv_match`` its inverse (0 = unmatched).  ``held[r]`` is the rank r
+    gives her partner; a free receiver holds an imaginary proposer ranked
+    past everyone.  Proposer p has proposed to ``prop_lists[p][:next_pos[p]]``
+    and may go on to ``end[p]``.  Between runs a caller may free matched
+    pairs, clearing both matches, and lower ``end``; a receiver left free
+    keeps her ``held`` rank, so she takes only proposers she ranks above the
+    one she lost.  The next :meth:`propose` continues from there.
+    """
+
+    __slots__ = ("prop_lists", "recv_rank", "end", "next_pos", "prop_match", "recv_match", "held")
+
+    def __init__(
+        self,
+        prop_lists: Sequence[Sequence[int]],
+        recv_rank: Sequence[Sequence[int]],
+        n_prop: int,
+        n_recv: int,
+    ):
+        self.prop_lists = prop_lists
+        self.recv_rank = recv_rank
+        self.end = [len(lst) for lst in prop_lists]
+        self.next_pos = [0] * (n_prop + 1)
+        self.prop_match = [0] * (n_prop + 1)
+        self.recv_match = [0] * (n_recv + 1)
+        self.held = [sys.maxsize] * (n_recv + 1)
+
+    def propose(self, free: list[int]) -> list[int]:
+        """Let the free proposers propose until every one is held or exhausted.
+
+        Each proposer displaced on the way is appended to ``free``, which is
+        returned: every proposer that moved, in the order they proposed.
+        """
+        prop_lists, recv_rank, end, next_pos = self.prop_lists, self.recv_rank, self.end, self.next_pos
+        prop_match, recv_match, held = self.prop_match, self.recv_match, self.held
+        for p in free:
+            lst = prop_lists[p]
+            i, stop = next_pos[p], end[p]
+            while i < stop:
+                r = lst[i]
+                i += 1
+                rank = recv_rank[r][p]
+                if rank < held[r]:
+                    cur = recv_match[r]
+                    recv_match[r] = p
+                    held[r] = rank
+                    prop_match[p] = r
+                    if cur:
+                        prop_match[cur] = 0
+                        free.append(cur)
+                    break
+            next_pos[p] = i
+        return free
+
+
 def gs_propose(
     prop_lists: Sequence[Sequence[int]],
     recv_rank: Sequence[Sequence[int]],
     n_prop: int,
     n_recv: int,
-    cutoff: Optional[tuple[int, Sequence[Sequence[int]]]] = None,
 ) -> list[int]:
     """Deferred acceptance with the given side proposing.
 
     Returns the 1-based proposer -> receiver assignment (0 = unmatched).
-    Proposers are processed in ascending index order so runs are
-    reproducible, although the outcome is order-independent.
-
-    ``cutoff = (d, prop_rank)`` runs the same rounds on the instance
-    truncated at rank d without building it: a proposer stops at the first
-    entry he ranks worse than d (ranks rise strictly along every list), and
-    a receiver rejects every proposer she ranks worse than d.
+    Proposers start in ascending index order so runs are reproducible,
+    although the outcome is order-independent.
     """
-    limit, prop_rank = cutoff if cutoff else (sys.maxsize, None)
-    next_pos = [0] * (n_prop + 1)
-    recv_match = [0] * (n_recv + 1)
-    # Rank of each receiver's current proposer; a free receiver holds an
-    # imaginary one ranked just past the cutoff.
-    held = [limit + 1] * (n_recv + 1)
-    prop_match = [0] * (n_prop + 1)
-    free = list(range(n_prop, 0, -1))
-    while free:
-        p = free.pop()
-        lst = prop_lists[p]
-        end = len(lst)
-        if prop_rank is not None:
-            end = bisect_right(lst, limit, key=prop_rank[p].__getitem__)
-        i = next_pos[p]
-        while i < end:
-            r = lst[i]
-            i += 1
-            rank = recv_rank[r][p]
-            if rank < held[r]:
-                cur = recv_match[r]
-                recv_match[r] = p
-                held[r] = rank
-                prop_match[p] = r
-                if cur:
-                    prop_match[cur] = 0
-                    free.append(cur)
-                break
-        next_pos[p] = i
-    return prop_match
+    run = DeferredAcceptance(prop_lists, recv_rank, n_prop, n_recv)
+    run.propose(list(range(1, n_prop + 1)))
+    return run.prop_match
 
 
 def _truncated_instance(

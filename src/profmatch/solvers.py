@@ -9,9 +9,11 @@ at the minimum-regret degree, building no truncated instance, and swaps each
 rotation profile for its reverse-negated image; the egalitarian weight is
 the two-entry vector (-cost change, -1).
 
-Minimum regret comes straight from :func:`stability.min_regret`: the
+Minimum regret comes straight from :func:`stability.min_regret`, one
+deferred-acceptance run resumed at each rank cutoff on the way down: the
 man-optimal stable matching of the minimum degree, which is also the first
-matching of that degree in enumeration order.
+matching of that degree in enumeration order.  The generous solve starts
+from the same matching.
 
 Enumeration-backed criteria (sex-equal, median) walk every closed subset
 of the rotation poset, one per stable matching, and refuse instances whose
@@ -84,7 +86,7 @@ def solve_generous(inst: Instance) -> Matching:
     matching, so only the instance truncated at rank d matters; maximising
     reverse-negated profiles over its rotations reuses the rank-maximal
     machinery unchanged, and the output degree always equals d.  The
-    minimum-regret search ends with the truncation's man-optimal matching,
+    minimum-regret descent ends with the truncation's man-optimal matching,
     and rotations are extracted from it under the cutoff d, unbuilt.
     """
     degree, m0 = min_regret(inst)

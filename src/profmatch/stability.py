@@ -1,7 +1,9 @@
 """Stable matchings: deferred acceptance, stability checks, regret, truncation.
 
-Minimum regret is found by cutoff proposal rounds on the instance itself,
-and the generous solve extracts rotations under that cutoff; only
+Minimum regret is found by one men-proposing deferred-acceptance run on
+the instance itself, resumed as the rank cutoff steps down from the
+man-optimal matching's degree: O(m) proposals in all for m acceptable
+pairs.  The generous solve extracts rotations under that cutoff; only
 :func:`truncate`, the checked public view, builds a truncated instance.
 """
 
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import Instance, Matching, _truncated_instance, gs_propose
+from .model import DeferredAcceptance, Instance, Matching, _truncated_instance, gs_propose
 
 
 def man_optimal(inst: Instance) -> Matching:
@@ -74,40 +76,84 @@ def min_regret(inst: Instance) -> tuple[int, Matching]:
     """The minimum-regret degree d and the man-optimal stable matching of degree d.
 
     d is the smallest rank such that truncating at d keeps a perfect stable
-    matching; it equals the degree of every generous stable matching.
-    Feasibility is monotone in d (any stable matching of degree <= d
-    survives truncation at d, and a perfect stable matching of the
-    truncation is stable in the full instance), so d is found by binary
-    search, each probe one cutoff proposal round on ``inst`` itself.  No
-    stable matching gives an agent a better partner than his or her optimal
-    one, which bounds d from below; the man-optimal matching is stable,
-    which bounds it from above.  The last feasible probe runs at d and
-    yields the man-optimal matching among those of degree <= d (Gusfield,
-    SIAM J. Comput. 1987).  The stable matchings of degree <= d form a
-    sublattice, so this matching has the smallest rotation subset among
-    them.  Requires a preprocessed instance.
+    matching; it equals the degree of every generous stable matching.  One
+    men-proposing run finds it, resumed at each cutoff and never restarted
+    (Gusfield, SIAM J. Comput. 1987).  The run first reaches the man-optimal
+    matching, whose degree bounds d from above.  From then on the state
+    holds the man-optimal matching of the truncation at the last feasible
+    cutoff c, and the cutoff steps down to c - 1:
+
+    * If the worst-off man ranks his wife c, c - 1 is infeasible: a perfect
+      stable matching of a truncation is stable in every looser one, so it
+      gives no man a better wife than the state does.
+    * Otherwise every woman holding a man she ranks c drops him, and the
+      freed men propose on from where they stopped.  Every earlier
+      rejection stays justified, since a woman only drops men she ranks
+      worse than the cutoff, so the run ends at the man-optimal matching of
+      the truncation at c - 1, or shows that it has no perfect stable
+      matching; then the state before the step is the answer.
+
+    No list pointer moves back, so the whole descent makes at most one
+    proposal per acceptable pair, O(m).  Women to drop are kept in buckets
+    by the rank they hold, so a step costs time in proportion to the men it
+    moves, plus one copy of the wife array.  The stable matchings of degree
+    <= d form a sublattice, so the answer has the smallest rotation subset
+    among them.  Requires a preprocessed instance.
     """
     n = inst.n_men
     if n == 0:
         return 0, Matching(())
-    men_rank, women_rank = inst.men_rank, inst.women_rank
-    best = gs_propose(inst.men_lists, women_rank, n, inst.n_women)
-    if not all(best[1:]):
-        raise ValueError("instance admits no perfect stable matching; preprocess first")
-    husband = gs_propose(inst.women_lists, men_rank, inst.n_women, n)
-    lo = max(
-        max(men_rank[m][best[m]] for m in range(1, n + 1)),
-        max(women_rank[w][m] for w, m in enumerate(husband) if w),
+    men_lists, men_rank = inst.men_lists, inst.men_rank
+    run = DeferredAcceptance(men_lists, inst.women_rank, n, inst.n_women)
+    run.propose(list(range(1, n + 1)))
+    wife, husband, held, next_pos, end = (
+        run.prop_match, run.recv_match, run.held, run.next_pos, run.end
     )
-    hi = max(lo, max(women_rank[best[m]][m] for m in range(1, n + 1)))
-    while lo < hi:
-        mid = (lo + hi) // 2
-        wife = gs_propose(inst.men_lists, women_rank, n, inst.n_women, (mid, men_rank))
-        if all(wife[1:]):
-            hi, best = mid, wife
-        else:
-            lo = mid + 1
-    return lo, Matching.from_wife_array(best)
+    if not all(wife[1:]):
+        raise ValueError("instance admits no perfect stable matching; preprocess first")
+    worst = max(men_rank[m][wife[m]] for m in range(1, n + 1))
+    degree = max(worst, max(held[w] for w in wife[1:]))
+    # Women by the rank they hold; an entry is stale once her rank drops.
+    by_held: list[list[int]] = [[] for _ in range(degree + 1)]
+    for w in wife[1:]:
+        by_held[held[w]].append(w)
+    while worst < degree:
+        cutoff = degree - 1
+        before = wife[:]
+        freed = []
+        for w in by_held[degree]:
+            m = husband[w]
+            if m and held[w] == degree:
+                # Her held rank stays cutoff + 1: a free woman's imaginary man.
+                husband[w] = wife[m] = 0
+                # Ranks rise by at least one per place, so no place from
+                # ``cutoff`` on is within it; step back over the rest, down
+                # to the wife he just lost at the latest.
+                lst, row, e = men_lists[m], men_rank[m], end[m]
+                if e > cutoff:
+                    e = cutoff
+                while row[lst[e - 1]] > cutoff:
+                    e -= 1
+                end[m] = e
+                freed.append(m)
+        if freed:
+            # Only freed men have their list ends cut to the cutoff.  In a
+            # feasible step no man proposes past his wife in the truncation's
+            # man-optimal matching, so no end binds; in an infeasible one a
+            # man runs out or is accepted past the cutoff, caught here.
+            moved = run.propose(freed)
+            if not all(wife[1:]):
+                return degree, Matching.from_wife_array(before)
+            for m in moved:
+                w = wife[m]
+                rank = men_rank[m][w]
+                if rank > worst:
+                    worst = rank
+                by_held[held[w]].append(w)
+            if worst > cutoff:
+                return degree, Matching.from_wife_array(before)
+        degree = cutoff
+    return degree, Matching.from_wife_array(wife)
 
 
 def min_regret_degree(inst: Instance) -> int:

@@ -101,8 +101,8 @@ def _residual_search(
     Returns node -> (edge index, is_forward) parent links; SOURCE maps to
     None.  Residual edges: forward while ``open_fwd`` (flow < capacity under
     lex order, always for uncapacitated edges), backward while flow > 0.
+    No flow is ever lexicographically negative, so nonzero means positive.
     """
-    zero = Profile.zero()
     prev: dict[int, Optional[tuple[int, bool]]] = {SOURCE: None}
     queue = deque([SOURCE])
     while queue:
@@ -116,7 +116,7 @@ def _residual_search(
                 queue.append(e.v)
         for ei in net.in_edges[u]:
             e = net.edges[ei]
-            if e.u not in prev and flows[ei] > zero:
+            if e.u not in prev and not flows[ei].is_zero:
                 prev[e.u] = (ei, False)
                 if stop_at_sink and e.u == SINK:
                     return prev

@@ -26,6 +26,7 @@ from profmatch import (
     preprocess,
     truncate,
 )
+from profmatch.model import _truncated_instance, gs_propose
 from profmatch.rotations import Rotation, _rotations_from, apply_rotation
 from profmatch.stability import min_regret
 
@@ -284,10 +285,42 @@ def cutoff_families(i0: Instance) -> list[Instance]:
 
 def cutoff_rotations(inst: Instance) -> list[Rotation]:
     """The generous solve's rotations: extracted on ``inst`` itself under the
-    minimum-regret cutoff d, from the matching the minimum-regret search ends
+    minimum-regret cutoff d, from the matching the minimum-regret descent ends
     with, which is the man-optimal matching of the truncation at d."""
     degree, m0 = min_regret(inst)
     return _rotations_from(inst, m0.wife_array(inst.n_men), degree)
+
+
+def binary_search_min_regret(inst: Instance) -> tuple[int, Matching]:
+    """Reference for ``stability.min_regret``: a binary search over rank cutoffs.
+
+    The woman-optimal matching bounds the degree from below and the
+    man-optimal one from above; each probe is a fresh deferred-acceptance
+    run on the instance truncated at the probe, and the last feasible
+    probe, at the degree, gives the truncation's man-optimal matching.
+    """
+    n = inst.n_men
+    if n == 0:
+        return 0, Matching(())
+    men_rank, women_rank = inst.men_rank, inst.women_rank
+    best = gs_propose(inst.men_lists, women_rank, n, inst.n_women)
+    if not all(best[1:]):
+        raise ValueError("instance admits no perfect stable matching")
+    husband = gs_propose(inst.women_lists, men_rank, inst.n_women, n)
+    lo = max(
+        max(men_rank[m][best[m]] for m in range(1, n + 1)),
+        max(women_rank[w][m] for w, m in enumerate(husband) if w),
+    )
+    hi = max(lo, max(women_rank[best[m]][m] for m in range(1, n + 1)))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        trunc = _truncated_instance(inst, [mid] * (n + 1), [mid] * (inst.n_women + 1))
+        wife = gs_propose(trunc.men_lists, trunc.women_rank, n, inst.n_women)
+        if all(wife[1:]):
+            hi, best = mid, wife
+        else:
+            lo = mid + 1
+    return lo, Matching.from_wife_array(best)
 
 
 def truncated_at_min_regret(inst: Instance) -> tuple[Instance, int]:

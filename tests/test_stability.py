@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from profmatch import (
+    Instance,
     Matching,
     blocking_pair,
     enumerate_stable_matchings,
@@ -15,7 +18,18 @@ from profmatch import (
     woman_optimal,
 )
 
-from helpers import I0_MAN_OPTIMAL, I0_WOMAN_OPTIMAL, tiny_unique_instance
+from profmatch.model import DeferredAcceptance
+from profmatch.stability import min_regret
+
+from helpers import (
+    I0_MAN_OPTIMAL,
+    I0_WOMAN_OPTIMAL,
+    binary_search_min_regret,
+    cutoff_families,
+    latin_chain,
+    sparse_lists,
+    tiny_unique_instance,
+)
 
 
 def test_man_optimal_i0(i0_pre):
@@ -77,6 +91,92 @@ def test_min_regret_degree_matches_enumeration_on_random_instances():
 
 def test_truncate_full_depth_is_identity(i0_pre):
     assert truncate(i0_pre, i0_pre.n_men).instance == i0_pre
+
+
+def test_min_regret_matches_binary_search_reference(i0_pre):
+    # The resumed descent against the binary search of fresh runs it
+    # replaced: the cutoff families, denser and sparser seeded instances,
+    # longer I1 and Latin chains, and the empty instance.
+    instances = cutoff_families(i0_pre) + [preprocess(Instance.from_lists([], []))]
+    for seed in range(48):
+        n, density = (10, 30, 60)[seed % 3], (1.0, 0.6, 0.3, 0.1)[seed // 3 % 4]
+        instances.append(preprocess(generate_uniform(n, n, density, seed=7300 + seed)))
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = 40 + 20 * seed
+        men, women = sparse_lists(n, [rng.randint(1, 8) for _ in range(n)], seed=7400 + seed)
+        instances.append(preprocess(Instance.from_lists(men, women)))
+    instances += [preprocess(generate_I1(n)) for n in range(14, 31, 4)]
+    instances += [preprocess(latin_chain(n)) for n in (41, 64)]
+    for inst in instances:
+        assert min_regret(inst) == binary_search_min_regret(inst)
+
+
+def _recorded_runs(monkeypatch) -> list[list[int]]:
+    """The wife array each deferred-acceptance run or resumption leaves, in order."""
+    runs = []
+    real = DeferredAcceptance.propose
+
+    def propose(self, free):
+        moved = real(self, free)
+        runs.append(self.prop_match[:])
+        return moved
+
+    monkeypatch.setattr(DeferredAcceptance, "propose", propose)
+    return runs
+
+
+def _descent(men, women, monkeypatch):
+    inst = preprocess(Instance.from_lists(men, women))
+    expected = binary_search_min_regret(inst)
+    runs = _recorded_runs(monkeypatch)
+    degree, matching = min_regret(inst)
+    assert (degree, matching) == expected
+    return inst, degree, matching, [Matching.from_wife_array(w) for w in runs]
+
+
+def test_min_regret_descent_stops_at_worst_man(monkeypatch):
+    # Woman 3 ranks her man-optimal husband 3rd.  At cutoff 2 she drops
+    # him, and the resumed run ends within 2, where man 1 ranks his wife
+    # 2nd: no cutoff below can keep him, so the descent stops.
+    inst, degree, matching, runs = _descent(
+        [[3, 1], [1, 3], [2, 3]], [[1, 2], [3], [2, 3, 1]], monkeypatch
+    )
+    assert [matching_degree(inst, m) for m in runs] == [3, 2]
+    assert degree == 2 and matching == runs[-1]
+    assert inst.men_rank[1][matching.wife_of(1)] == 2
+
+
+def test_min_regret_descent_returns_state_before_exhausted_man(monkeypatch):
+    # At cutoff 1 woman 1 drops man 1, who lists no other woman: the
+    # cutoff is infeasible, and the man-optimal matching of degree 2 stands.
+    inst, degree, matching, runs = _descent([[1], [2, 1]], [[2, 1], [2]], monkeypatch)
+    assert len(runs) == 2 and runs[1].wife_of(1) is None
+    assert degree == 2 and matching == runs[0]
+
+
+def test_min_regret_descent_returns_state_before_man_past_cutoff(monkeypatch):
+    # At cutoff 2 woman 2 drops man 1, who takes woman 3 from man 2; man 2
+    # goes on to woman 2, whom he ranks 3rd.  Everyone is matched, but
+    # past the cutoff, so it is infeasible.
+    inst, degree, matching, runs = _descent(
+        [[2, 3], [1, 3, 2], [1, 2]], [[3, 2], [3, 2, 1], [1, 2]], monkeypatch
+    )
+    assert len(runs) == 2 and runs[1].is_perfect(inst)
+    assert inst.men_rank[2][runs[1].wife_of(2)] == 3
+    assert degree == 3 and matching == runs[0]
+
+
+def test_min_regret_descent_skips_cutoff_with_no_violating_woman(monkeypatch):
+    # The man-optimal matching has degree 4.  The run resumed at cutoff 3
+    # already reaches degree 2, so cutoff 2 drops nobody and runs nothing.
+    inst, degree, matching, runs = _descent(
+        [[4, 1, 3, 2], [2, 1, 3], [3, 4], [1, 3]],
+        [[1, 4, 2], [1, 2], [4, 1, 2, 3], [3, 1]],
+        monkeypatch,
+    )
+    assert [matching_degree(inst, m) for m in runs] == [4, 2]
+    assert degree == 2 and matching == runs[-1]
 
 
 def test_truncate_at_min_regret_stays_stable_in_original():
