@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import Instance, Matching, preprocess
+from .model import Instance, Matching, _by_position, preprocess
 from .profiles import Profile
 from .rotations import find_rotations
 from .solvers import (
@@ -141,17 +141,20 @@ def generate_uniform(
     The acceptable-pair set is sampled first (each pair kept with
     probability ``density``), then each agent's list is an independent
     shuffle of their acceptable partners.  Deterministic for a fixed seed.
+    The lists are mutual and duplicate-free by construction, and hold one
+    int object per agent, so they are not validated again.
     """
     if n_men < 0 or n_women < 0:
         raise ValueError("agent counts must be non-negative")
     if not 0 < density <= 1:
         raise ValueError("density must lie in (0, 1]")
     rng = random.Random(seed)
+    men_ids, women_ids = tuple(range(n_men + 1)), tuple(range(n_women + 1))
     men_sets: list[list[int]] = [[] for _ in range(n_men + 1)]
     women_sets: list[list[int]] = [[] for _ in range(n_women + 1)]
     complete = density >= 1
-    for m in range(1, n_men + 1):
-        for w in range(1, n_women + 1):
+    for m in men_ids[1:]:
+        for w in women_ids[1:]:
             if complete or rng.random() < density:
                 men_sets[m].append(w)
                 women_sets[w].append(m)
@@ -159,7 +162,9 @@ def generate_uniform(
         rng.shuffle(men_sets[m])
     for w in range(1, n_women + 1):
         rng.shuffle(women_sets[w])
-    return Instance.from_lists(men_sets[1:], women_sets[1:])
+    return _by_position(
+        [tuple(lst) for lst in men_sets], [tuple(lst) for lst in women_sets], men_ids, women_ids
+    )
 
 
 def generate_I1(n: int) -> Instance:
@@ -173,14 +178,15 @@ def generate_I1(n: int) -> Instance:
     """
     if n < 4 or n % 2:
         raise ValueError("the paired-block family needs an even size of at least 4")
-    men_lists = []
-    women_lists = []
-    for i in range(1, n + 1):
-        mate = i + 1 if i % 2 else i - 1
-        others = [w for w in range(1, n + 1) if w != i and w != mate]
-        men_lists.append([i] + others + [mate])
-        women_lists.append([mate, i] + others)
-    return Instance.from_lists(men_lists, women_lists)
+    ids = tuple(range(n + 1))
+    men_lists: list[tuple[int, ...]] = [()]
+    women_lists: list[tuple[int, ...]] = [()]
+    for i in ids[1:]:
+        mate = ids[i + 1 if i % 2 else i - 1]
+        others = tuple(j for j in ids[1:] if j != i and j != mate)
+        men_lists.append((i, *others, mate))
+        women_lists.append((mate, i, *others))
+    return _by_position(men_lists, women_lists, ids, ids)
 
 
 def i1_rotation_profiles(n: int) -> list[Profile]:

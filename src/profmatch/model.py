@@ -141,11 +141,16 @@ class Instance:
     def man_list_position(self, man: int, woman: int) -> int:
         """0-based position of an acceptable woman in a man's list.
 
-        Ranks increase strictly along a list, so the position can be found
-        by bisection even when ranks are sparse (truncated instances).
+        Ranks are positive and increase strictly along a list, so a woman
+        ranked r sits at position r - 1 at the latest.  She is there
+        whenever ranks are positions; otherwise (truncated instances, with
+        sparse ranks) her position is found by bisection.
         """
-        row = self.men_rank[man]
-        return bisect_left(self.men_lists[man], row[woman], key=row.__getitem__)
+        row, lst = self.men_rank[man], self.men_lists[man]
+        rank = row[woman]
+        if rank <= len(lst) and lst[rank - 1] == woman:
+            return rank - 1
+        return bisect_left(lst, rank, key=row.__getitem__)
 
 
 def _listed(row: RankRow, j: int) -> bool:
@@ -400,10 +405,13 @@ class DeferredAcceptance:
     ``recv_match`` its inverse (0 = unmatched).  ``held[r]`` is the rank r
     gives her partner; a free receiver holds an imaginary proposer ranked
     past everyone.  Proposer p has proposed to ``prop_lists[p][:next_pos[p]]``
-    and may go on to ``end[p]``.  Between runs a caller may free matched
+    and may go on to ``end[p]``; a matched proposer's partner is the last of
+    those, at ``next_pos[p] - 1``.  Between runs a caller may free matched
     pairs, clearing both matches, and lower ``end``; a receiver left free
     keeps her ``held`` rank, so she takes only proposers she ranks above the
-    one she lost.  The next :meth:`propose` continues from there.
+    one she lost.  The next :meth:`propose` continues from there.  The
+    rotation walk (:func:`rotations.find_rotations`) continues a finished
+    men-proposing run the same way, in place.
     """
 
     __slots__ = ("prop_lists", "recv_rank", "end", "next_pos", "prop_match", "recv_match", "held")
@@ -456,16 +464,17 @@ def gs_propose(
     recv_rank: Sequence[Sequence[int]],
     n_prop: int,
     n_recv: int,
-) -> list[int]:
+) -> DeferredAcceptance:
     """Deferred acceptance with the given side proposing.
 
-    Returns the 1-based proposer -> receiver assignment (0 = unmatched).
-    Proposers start in ascending index order so runs are reproducible,
-    although the outcome is order-independent.
+    Returns the finished run, whose ``prop_match`` is the 1-based proposer
+    -> receiver assignment (0 = unmatched).  Proposers start in ascending
+    index order so runs are reproducible, although the outcome is
+    order-independent.
     """
     run = DeferredAcceptance(prop_lists, recv_rank, n_prop, n_recv)
     run.propose(list(range(1, n_prop + 1)))
-    return run.prop_match
+    return run
 
 
 def _truncated_instance(
@@ -505,11 +514,11 @@ def preprocess(inst: Instance) -> Instance:
     ``orig_women``, are exactly those of the input, and all are perfect.
     """
     n_men, n_women = inst.n_men, inst.n_women
-    wife = gs_propose(inst.men_lists, inst.women_rank, n_men, n_women)
+    wife = gs_propose(inst.men_lists, inst.women_rank, n_men, n_women).prop_match
     kept_men = [m for m in range(1, n_men + 1) if wife[m]]
     if len(kept_men) == n_men == n_women:
         return inst
-    husband = gs_propose(inst.women_lists, inst.men_rank, n_women, n_men)
+    husband = gs_propose(inst.women_lists, inst.men_rank, n_women, n_men).prop_match
     kept_women = sorted(wife[m] for m in kept_men)
     new_m = {old: new for new, old in enumerate(kept_men, start=1)}
     new_w = {old: new for new, old in enumerate(kept_women, start=1)}

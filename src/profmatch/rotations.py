@@ -4,7 +4,10 @@ A rotation is an ordered cycle of man-woman pairs inside a stable matching;
 re-assigning each man to the next woman in the cycle yields another stable
 matching one step down the man-lattice.  Every run from the man-optimal to
 the woman-optimal matching eliminates each rotation of the instance exactly
-once, which is how :func:`find_rotations` collects them all.
+once, which is how :func:`find_rotations` collects them all.  That walk
+continues the deferred-acceptance run that reached the man-optimal matching
+(Gusfield & Irving, 1989), in place: its proposal pointers become the scan
+pointers, and no list position is searched for.
 
 The digraph records two kinds of forced precedence between rotations:
 
@@ -23,8 +26,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import Instance, Matching, gs_propose
+from .model import DeferredAcceptance, Instance, Matching
 from .profiles import Profile
+from .stability import _man_optimal_run
 
 
 @dataclass(frozen=True)
@@ -93,43 +97,66 @@ def find_rotations(inst: Instance) -> list[Rotation]:
     exactly the rotations currently exposed, and eliminating them until none
     remain visits every rotation of the instance exactly once.
 
-    Per-man scan pointers only ever advance (a woman who once rejected m
-    keeps rejecting him as her partners improve), so the total scanning work
-    is linear in the number of acceptable pairs.
+    The walk continues the deferred-acceptance run that reached the
+    man-optimal matching, from its own state (see :func:`_rotations_from`):
+    each man's scan pointer starts where his proposals stopped, one past his
+    wife.  Pointers only ever advance (a woman who once rejected m keeps
+    rejecting him as her partners improve), so deferred acceptance and the
+    walk together advance each pointer at most once per acceptable pair.
 
     Rotation ids are a topological order of the precedence digraph: every
     edge u -> v has u < v.  A rotation is given its id when it is
     eliminated, and it can be eliminated only once it is exposed, which is
     after all of its predecessors have been eliminated and numbered.
     """
-    wife = gs_propose(inst.men_lists, inst.women_rank, inst.n_men, inst.n_women)
-    return _rotations_from(inst, wife)
+    return _rotations_from(inst, _man_optimal_run(inst))
+
+
+_DEAD = -1  # the walk's mark for a man who can never move again
 
 
 def _rotations_from(
-    inst: Instance, wife: list[int], cutoff: Optional[int] = None
+    inst: Instance, run: DeferredAcceptance, cutoff: Optional[int] = None
 ) -> list[Rotation]:
-    """:func:`find_rotations` from the man-optimal ``wife`` array, which it overwrites.
+    """:func:`find_rotations`, continuing ``run``, a finished men-proposing
+    run on ``inst`` at its man-optimal matching, whose state it advances.
+
+    The run's arrays are the walk's: ``prop_match`` the wives,
+    ``recv_match`` the husbands, ``held`` the rank each woman gives her
+    husband (kept up to date as rotations are eliminated, so the pointer
+    test reads one rank), ``next_pos`` the scan pointers and ``end`` the
+    list ends.  No list position is searched for.
 
     From the man-optimal matching of the instance truncated at rank
     ``cutoff``, men scan only the women they rank within it, and no woman
     prefers a man she ranks worse than it to her partner, so the rotations,
     ids included, are those of the truncation.
+
+    Each sweep follows successor pointers from every man in index order,
+    and extracts the cycles it closes.  A man whose pointer has run out, or
+    leads to a man who can never move again, can never move again himself:
+    the woman it points at keeps a husband who never moves, and so keeps
+    preferring him.  Such men are marked once and skipped by every later
+    sweep; everyone else settled in a sweep is walked again in the next.
     """
     n = inst.n_men
     if n == 0:
         return []
-    if inst.n_women != n or any(wife[m] == 0 for m in range(1, n + 1)):
+    wife, husband, held, ptr, end = run.prop_match, run.recv_match, run.held, run.next_pos, run.end
+    if inst.n_women != n or not all(wife[1:]):
         raise ValueError("rotation extraction requires a preprocessed instance")
-    men_lists = inst.men_lists
-    women_rank = inst.women_rank
-    husband = [0] * (inst.n_women + 1)
-    ptr, end = [0] * (n + 1), [len(lst) for lst in men_lists]  # m scans lst[ptr[m]:end[m]]
-    for m in range(1, n + 1):
-        husband[wife[m]] = m
-        ptr[m] = inst.man_list_position(m, wife[m]) + 1
-        if cutoff is not None:
-            end[m] = bisect_right(men_lists[m], cutoff, key=inst.men_rank[m].__getitem__)
+    men_lists, women_rank = inst.men_lists, inst.women_rank
+    if cutoff is not None:
+        men_rank = inst.men_rank
+        for m in range(1, n + 1):
+            # Ranks rise by at least one per place, so no place from
+            # ``cutoff`` on is within it; step back over the rest.
+            lst, row, e = men_lists[m], men_rank[m], end[m]
+            if e > cutoff:
+                e = cutoff
+            while e > ptr[m] and row[lst[e - 1]] > cutoff:
+                e -= 1
+            end[m] = e
 
     rotations: list[Rotation] = []
 
@@ -143,18 +170,24 @@ def _rotations_from(
         for m, w in zip(cycle_men, wives[1:] + wives[:1]):
             wife[m] = w
             husband[w] = m
+            held[w] = women_rank[w][m]
             ptr[m] += 1
 
-    while True:
-        state = [0] * (n + 1)  # 0 fresh, 1 on current path, 2 settled this sweep
+    dead: list[int] = []  # men who can never move again
+    progressed = True
+    while progressed:
         progressed = False
+        state = [0] * (n + 1)  # 0 fresh, 1 on current path, 2 settled this sweep, or _DEAD
+        for m in dead:
+            state[m] = _DEAD
         for start in range(1, n + 1):
             if state[start]:
                 continue
             path: list[int] = []
             m = start
             while True:
-                if state[m] == 1:
+                s = state[m]
+                if s == 1:
                     at = path.index(m)
                     extract(path[at:])
                     for x in path[at:]:
@@ -163,30 +196,31 @@ def _rotations_from(
                         state[x] = 0
                     progressed = True
                     break
-                if state[m] == 2:
+                if s:
                     for x in path:
-                        state[x] = 2
+                        state[x] = s
+                    if s == _DEAD:
+                        dead += path
                     break
                 lst = men_lists[m]
                 p, stop = ptr[m], end[m]
                 nxt = 0
                 while p < stop:
                     w = lst[p]
-                    if women_rank[w][m] < women_rank[w][husband[w]]:
+                    if women_rank[w][m] < held[w]:
                         nxt = w
                         break
                     p += 1
                 ptr[m] = p
                 if not nxt:
-                    state[m] = 2
+                    path.append(m)
                     for x in path:
-                        state[x] = 2
+                        state[x] = _DEAD
+                    dead += path
                     break
                 state[m] = 1
                 path.append(m)
                 m = husband[nxt]
-        if not progressed:
-            break
     return rotations
 
 

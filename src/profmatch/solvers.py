@@ -4,10 +4,12 @@ The flow-backed solvers (rank-maximal, generous, egalitarian) share one
 pipeline: rotations -> precedence digraph -> vector-capacity network -> max
 flow -> min cut -> maximum-weight closed subset -> elimination from the
 man-optimal matching.  They differ only in the weight vector each rotation
-profile is mapped to.  The generous case extracts rotations under a cutoff
-at the minimum-regret degree, building no truncated instance, and swaps each
-rotation profile for its reverse-negated image; the egalitarian weight is
-the two-entry vector (-cost change, -1).
+profile is mapped to.  Each solve runs deferred acceptance once, and the
+rotation walk continues that run.  The generous case extracts rotations
+under a cutoff at the minimum-regret degree, continuing the minimum-regret
+descent's run and building no truncated instance, and swaps each rotation
+profile for its reverse-negated image; the egalitarian weight is the
+two-entry vector (-cost change, -1).
 
 Minimum regret comes straight from :func:`stability.min_regret`, one
 deferred-acceptance run resumed at each rank cutoff on the way down: the
@@ -36,7 +38,7 @@ from itertools import islice, zip_longest
 from math import ceil
 from typing import Callable, Optional
 
-from .model import Instance, Matching
+from .model import DeferredAcceptance, Instance, Matching
 from .profiles import Profile, high_weight
 from .rotations import (
     Rotation,
@@ -46,7 +48,14 @@ from .rotations import (
     build_digraph,
     eliminate_closed_subset,
 )
-from .stability import blocking_pair, man_optimal, min_regret, woman_optimal
+from .stability import (
+    _man_optimal_run,
+    _min_regret_run,
+    blocking_pair,
+    man_optimal,
+    min_regret,
+    woman_optimal,
+)
 from .vbflow import build_vb_network, max_profile_closed_subset, max_vb_flow, min_cut
 
 
@@ -76,7 +85,7 @@ class EnumerationCapError(RuntimeError):
 
 def solve_rank_maximal(inst: Instance) -> Matching:
     """Stable matching with the lexicographically maximum profile."""
-    return _max_weight_matching(inst, man_optimal(inst), lambda p: p)
+    return _max_weight_matching(inst, _man_optimal_run(inst), lambda p: p)
 
 
 def solve_generous(inst: Instance) -> Matching:
@@ -86,11 +95,11 @@ def solve_generous(inst: Instance) -> Matching:
     matching, so only the instance truncated at rank d matters; maximising
     reverse-negated profiles over its rotations reuses the rank-maximal
     machinery unchanged, and the output degree always equals d.  The
-    minimum-regret descent ends with the truncation's man-optimal matching,
-    and rotations are extracted from it under the cutoff d, unbuilt.
+    minimum-regret descent ends at the truncation's man-optimal matching,
+    and the rotation walk continues that run under the cutoff d, unbuilt.
     """
-    degree, m0 = min_regret(inst)
-    return _max_weight_matching(inst, m0, lambda p: p.reverse_negate(degree), degree)
+    degree, run = _min_regret_run(inst)
+    return _max_weight_matching(inst, run, lambda p: p.reverse_negate(degree), degree)
 
 
 def _egalitarian_weight(p: Profile) -> Profile:
@@ -112,15 +121,18 @@ def _egalitarian_weight(p: Profile) -> Profile:
 
 def _max_weight_matching(
     inst: Instance,
-    m0: Matching,
+    run: DeferredAcceptance,
     weight: Callable[[Profile], Profile],
     cutoff: Optional[int] = None,
 ) -> Matching:
     """Stable matching whose rotations have the maximum total ``weight(profile)``.
 
-    ``m0`` is the man-optimal stable matching of ``inst``, truncated at ``cutoff`` if given.
+    ``run`` is a finished men-proposing run at the man-optimal stable
+    matching of ``inst``, truncated at ``cutoff`` if given; the rotation
+    walk continues it.
     """
-    rotations = _rotations_from(inst, m0.wife_array(inst.n_men), cutoff)
+    m0 = Matching.from_wife_array(run.prop_match)
+    rotations = _rotations_from(inst, run, cutoff)
     if not rotations:
         return m0
     digraph = build_digraph(inst, rotations)
@@ -179,8 +191,9 @@ def _closed_subsets(digraph: RotationDigraph, cap: int) -> tuple[list[int], list
 def _walked_poset(inst: Instance, cap: int):
     """The man-optimal matching, rotations and digraph of ``inst``, and
     ``(parent, added)`` from :func:`_closed_subsets` over them."""
-    m0 = man_optimal(inst)
-    rotations = _rotations_from(inst, m0.wife_array(inst.n_men))
+    run = _man_optimal_run(inst)
+    m0 = Matching.from_wife_array(run.prop_match)
+    rotations = _rotations_from(inst, run)
     digraph = build_digraph(inst, rotations)
     return (m0, rotations, digraph, *_closed_subsets(digraph, cap))
 
@@ -452,7 +465,7 @@ _SOLVERS: dict[Criterion, Callable[[Instance], Matching]] = {
     Criterion.RANK_MAXIMAL: solve_rank_maximal,
     Criterion.GENEROUS: solve_generous,
     Criterion.EGALITARIAN: lambda inst: _max_weight_matching(
-        inst, man_optimal(inst), _egalitarian_weight
+        inst, _man_optimal_run(inst), _egalitarian_weight
     ),
     Criterion.MAN_OPTIMAL: man_optimal,
     Criterion.WOMAN_OPTIMAL: woman_optimal,

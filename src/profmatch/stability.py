@@ -3,8 +3,11 @@
 Minimum regret is found by one men-proposing deferred-acceptance run on
 the instance itself, resumed as the rank cutoff steps down from the
 man-optimal matching's degree: O(m) proposals in all for m acceptable
-pairs.  The generous solve extracts rotations under that cutoff; only
-:func:`truncate`, the checked public view, builds a truncated instance.
+pairs.  That run, left at the man-optimal matching of the truncation at
+the minimum-regret degree, is what the generous solve's rotation walk
+continues under that cutoff, just as the other solves' walks continue the
+run that reached the man-optimal matching.  Only :func:`truncate`, the
+checked public view, builds a truncated instance.
 """
 
 from __future__ import annotations
@@ -15,15 +18,19 @@ from typing import Optional
 from .model import DeferredAcceptance, Instance, Matching, _truncated_instance, gs_propose
 
 
+def _man_optimal_run(inst: Instance) -> DeferredAcceptance:
+    """The finished men-proposing run, at the man-optimal stable matching."""
+    return gs_propose(inst.men_lists, inst.women_rank, inst.n_men, inst.n_women)
+
+
 def man_optimal(inst: Instance) -> Matching:
     """Man-optimal stable matching (perfect on a preprocessed instance)."""
-    wife = gs_propose(inst.men_lists, inst.women_rank, inst.n_men, inst.n_women)
-    return Matching.from_wife_array(wife)
+    return Matching.from_wife_array(_man_optimal_run(inst).prop_match)
 
 
 def woman_optimal(inst: Instance) -> Matching:
     """Woman-optimal stable matching (perfect on a preprocessed instance)."""
-    husband = gs_propose(inst.women_lists, inst.men_rank, inst.n_women, inst.n_men)
+    husband = gs_propose(inst.women_lists, inst.men_rank, inst.n_women, inst.n_men).prop_match
     return Matching((m, w) for w, m in enumerate(husband) if w >= 1 and m)
 
 
@@ -76,12 +83,23 @@ def min_regret(inst: Instance) -> tuple[int, Matching]:
     """The minimum-regret degree d and the man-optimal stable matching of degree d.
 
     d is the smallest rank such that truncating at d keeps a perfect stable
-    matching; it equals the degree of every generous stable matching.  One
-    men-proposing run finds it, resumed at each cutoff and never restarted
-    (Gusfield, SIAM J. Comput. 1987).  The run first reaches the man-optimal
-    matching, whose degree bounds d from above.  From then on the state
-    holds the man-optimal matching of the truncation at the last feasible
-    cutoff c, and the cutoff steps down to c - 1:
+    matching; it equals the degree of every generous stable matching.  The
+    stable matchings of degree <= d form a sublattice, so the answer has the
+    smallest rotation subset among them.  Requires a preprocessed instance.
+    """
+    degree, run = _min_regret_run(inst)
+    return degree, Matching.from_wife_array(run.prop_match)
+
+
+def _min_regret_run(inst: Instance) -> tuple[int, DeferredAcceptance]:
+    """The minimum-regret degree d and the men-proposing run left at the
+    man-optimal matching of the truncation at d, which the caller may resume.
+
+    One men-proposing run finds d, resumed at each cutoff and never
+    restarted (Gusfield, SIAM J. Comput. 1987).  The run first reaches the
+    man-optimal matching, whose degree bounds d from above.  From then on
+    the state holds the man-optimal matching of the truncation at the last
+    feasible cutoff c, and the cutoff steps down to c - 1:
 
     * If the worst-off man ranks his wife c, c - 1 is infeasible: a perfect
       stable matching of a truncation is stable in every looser one, so it
@@ -91,21 +109,23 @@ def min_regret(inst: Instance) -> tuple[int, Matching]:
       rejection stays justified, since a woman only drops men she ranks
       worse than the cutoff, so the run ends at the man-optimal matching of
       the truncation at c - 1, or shows that it has no perfect stable
-      matching; then the state before the step is the answer.
+      matching.  Then the step is undone: the men it moved get back their
+      wives and list positions, and those wives the ranks they held, which
+      leaves the matching as it was before the step.
 
-    No list pointer moves back, so the whole descent makes at most one
-    proposal per acceptable pair, O(m).  Women to drop are kept in buckets
-    by the rank they hold, so a step costs time in proportion to the men it
-    moves, plus one copy of the wife array.  The stable matchings of degree
-    <= d form a sublattice, so the answer has the smallest rotation subset
-    among them.  Requires a preprocessed instance.
+    No list pointer moves back but in that undo, so the whole descent makes
+    at most one proposal per acceptable pair, O(m).  Women to drop are kept
+    in buckets by the rank they hold, so a step costs time in proportion to
+    the men it moves, plus one copy of the wife array; an undone step looks
+    up the list position of each wife it gives back.
+    The run leaves every man's list end past each woman he ranks within d:
+    the men an undone step moved get back the ends of their whole lists.
     """
     n = inst.n_men
+    men_lists, men_rank, women_rank = inst.men_lists, inst.men_rank, inst.women_rank
+    run = _man_optimal_run(inst)
     if n == 0:
-        return 0, Matching(())
-    men_lists, men_rank = inst.men_lists, inst.men_rank
-    run = DeferredAcceptance(men_lists, inst.women_rank, n, inst.n_women)
-    run.propose(list(range(1, n + 1)))
+        return 0, run
     wife, husband, held, next_pos, end = (
         run.prop_match, run.recv_match, run.held, run.next_pos, run.end
     )
@@ -142,18 +162,27 @@ def min_regret(inst: Instance) -> tuple[int, Matching]:
             # man-optimal matching, so no end binds; in an infeasible one a
             # man runs out or is accepted past the cutoff, caught here.
             moved = run.propose(freed)
-            if not all(wife[1:]):
-                return degree, Matching.from_wife_array(before)
-            for m in moved:
-                w = wife[m]
-                rank = men_rank[m][w]
-                if rank > worst:
-                    worst = rank
-                by_held[held[w]].append(w)
-            if worst > cutoff:
-                return degree, Matching.from_wife_array(before)
+            feasible = all(wife[1:])
+            if feasible:
+                for m in moved:
+                    w = wife[m]
+                    rank = men_rank[m][w]
+                    if rank > worst:
+                        worst = rank
+                    by_held[held[w]].append(w)
+                feasible = worst <= cutoff
+            if not feasible:
+                # Every woman was matched before the step, so each one the
+                # step touched lost a man it moved: restoring those men's
+                # wives restores every woman it touched.
+                for m in moved:
+                    w = before[m]
+                    wife[m], husband[w], held[w] = w, m, women_rank[w][m]
+                    next_pos[m] = inst.man_list_position(m, w) + 1
+                    end[m] = len(men_lists[m])
+                return degree, run
         degree = cutoff
-    return degree, Matching.from_wife_array(wife)
+    return degree, run
 
 
 def min_regret_degree(inst: Instance) -> int:

@@ -8,9 +8,10 @@ library's own algorithms, so that agreement is meaningful.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import permutations
-from typing import Sequence
+from typing import Optional, Sequence
 
 from profmatch import (
     Instance,
@@ -27,8 +28,8 @@ from profmatch import (
     truncate,
 )
 from profmatch.model import _truncated_instance, gs_propose
-from profmatch.rotations import Rotation, _rotations_from, apply_rotation
-from profmatch.stability import min_regret
+from profmatch.rotations import Rotation, _cycle_profile, _rotations_from, apply_rotation
+from profmatch.stability import _min_regret_run
 
 # 8x8 textbook instance used for the golden pipeline tests.
 I0_TEXT = """8 8
@@ -283,12 +284,129 @@ def cutoff_families(i0: Instance) -> list[Instance]:
     return out
 
 
+# Mutual lists (men, women) of four instances that pin each way the
+# minimum-regret descent ends: at a man who ranks his wife the degree, at a
+# man who runs out of women, at a man accepted past the cutoff (the last two
+# undo an infeasible step), and after a cutoff that drops nobody.
+DESCENT_ENDS = {
+    "worst_man": ([[3, 1], [1, 3], [2, 3]], [[1, 2], [3], [2, 3, 1]]),
+    "exhausted_man": ([[1], [2, 1]], [[2, 1], [2]]),
+    "man_past_cutoff": ([[2, 3], [1, 3, 2], [1, 2]], [[3, 2], [3, 2, 1], [1, 2]]),
+    "no_violating_woman": (
+        [[4, 1, 3, 2], [2, 1, 3], [3, 4], [1, 3]],
+        [[1, 4, 2], [1, 2], [4, 1, 2, 3], [3, 1]],
+    ),
+}
+
+
+def uniform_lists(n_men: int, n_women: int, density: float, seed: int):
+    """Reference for ``generate_uniform``'s lists: the same draws from the
+    same seeded generator, as plain lists without the index-0 stub."""
+    rng = random.Random(seed)
+    men: list[list[int]] = [[] for _ in range(n_men)]
+    women: list[list[int]] = [[] for _ in range(n_women)]
+    for m in range(1, n_men + 1):
+        for w in range(1, n_women + 1):
+            if density >= 1 or rng.random() < density:
+                men[m - 1].append(w)
+                women[w - 1].append(m)
+    for lst in men + women:
+        rng.shuffle(lst)
+    return men, women
+
+
 def cutoff_rotations(inst: Instance) -> list[Rotation]:
     """The generous solve's rotations: extracted on ``inst`` itself under the
-    minimum-regret cutoff d, from the matching the minimum-regret descent ends
-    with, which is the man-optimal matching of the truncation at d."""
-    degree, m0 = min_regret(inst)
-    return _rotations_from(inst, m0.wife_array(inst.n_men), degree)
+    minimum-regret cutoff d, continuing the run the minimum-regret descent
+    ends with, at the man-optimal matching of the truncation at d."""
+    degree, run = _min_regret_run(inst)
+    return _rotations_from(inst, run, degree)
+
+
+def sweep_rotations_reference(
+    inst: Instance, wife: list[int], cutoff: Optional[int] = None
+) -> list[Rotation]:
+    """Reference for ``rotations._rotations_from``: the rotation sweep from a
+    man-optimal ``wife`` array (of the truncation at ``cutoff``, if given),
+    which it overwrites.
+
+    It rebuilds the husbands, finds each man's list position and list end
+    by bisection, reads each woman's rank of her husband on every pointer
+    step, and walks every man again in each sweep: the walk as it stood
+    before it continued the deferred-acceptance run.
+    """
+    n = inst.n_men
+    if n == 0:
+        return []
+    if inst.n_women != n or any(wife[m] == 0 for m in range(1, n + 1)):
+        raise ValueError("rotation extraction requires a preprocessed instance")
+    men_lists = inst.men_lists
+    women_rank = inst.women_rank
+    husband = [0] * (inst.n_women + 1)
+    ptr, end = [0] * (n + 1), [len(lst) for lst in men_lists]  # m scans lst[ptr[m]:end[m]]
+    for m in range(1, n + 1):
+        husband[wife[m]] = m
+        row, lst = inst.men_rank[m], men_lists[m]
+        ptr[m] = bisect_left(lst, row[wife[m]], key=row.__getitem__) + 1
+        if cutoff is not None:
+            end[m] = bisect_right(lst, cutoff, key=row.__getitem__)
+
+    rotations: list[Rotation] = []
+
+    def extract(cycle_men: list[int]) -> None:
+        lead = cycle_men.index(min(cycle_men))
+        cycle_men = cycle_men[lead:] + cycle_men[:lead]
+        wives = [wife[m] for m in cycle_men]
+        pairs = tuple(zip(cycle_men, wives))
+        rotations.append(Rotation(len(rotations), pairs, _cycle_profile(inst, pairs)))
+        for m, w in zip(cycle_men, wives[1:] + wives[:1]):
+            wife[m] = w
+            husband[w] = m
+            ptr[m] += 1
+
+    while True:
+        state = [0] * (n + 1)  # 0 fresh, 1 on current path, 2 settled this sweep
+        progressed = False
+        for start in range(1, n + 1):
+            if state[start]:
+                continue
+            path: list[int] = []
+            m = start
+            while True:
+                if state[m] == 1:
+                    at = path.index(m)
+                    extract(path[at:])
+                    for x in path[at:]:
+                        state[x] = 2
+                    for x in path[:at]:
+                        state[x] = 0
+                    progressed = True
+                    break
+                if state[m] == 2:
+                    for x in path:
+                        state[x] = 2
+                    break
+                lst = men_lists[m]
+                p, stop = ptr[m], end[m]
+                nxt = 0
+                while p < stop:
+                    w = lst[p]
+                    if women_rank[w][m] < women_rank[w][husband[w]]:
+                        nxt = w
+                        break
+                    p += 1
+                ptr[m] = p
+                if not nxt:
+                    state[m] = 2
+                    for x in path:
+                        state[x] = 2
+                    break
+                state[m] = 1
+                path.append(m)
+                m = husband[nxt]
+        if not progressed:
+            break
+    return rotations
 
 
 def binary_search_min_regret(inst: Instance) -> tuple[int, Matching]:
@@ -303,10 +421,10 @@ def binary_search_min_regret(inst: Instance) -> tuple[int, Matching]:
     if n == 0:
         return 0, Matching(())
     men_rank, women_rank = inst.men_rank, inst.women_rank
-    best = gs_propose(inst.men_lists, women_rank, n, inst.n_women)
+    best = gs_propose(inst.men_lists, women_rank, n, inst.n_women).prop_match
     if not all(best[1:]):
         raise ValueError("instance admits no perfect stable matching")
-    husband = gs_propose(inst.women_lists, men_rank, inst.n_women, n)
+    husband = gs_propose(inst.women_lists, men_rank, inst.n_women, n).prop_match
     lo = max(
         max(men_rank[m][best[m]] for m in range(1, n + 1)),
         max(women_rank[w][m] for w, m in enumerate(husband) if w),
@@ -315,7 +433,7 @@ def binary_search_min_regret(inst: Instance) -> tuple[int, Matching]:
     while lo < hi:
         mid = (lo + hi) // 2
         trunc = _truncated_instance(inst, [mid] * (n + 1), [mid] * (inst.n_women + 1))
-        wife = gs_propose(trunc.men_lists, trunc.women_rank, n, inst.n_women)
+        wife = gs_propose(trunc.men_lists, trunc.women_rank, n, inst.n_women).prop_match
         if all(wife[1:]):
             hi, best = mid, wife
         else:

@@ -22,7 +22,7 @@ from profmatch import (
 )
 from profmatch import analytics, solvers
 
-from helpers import I0_RANK_MAXIMAL, tiny_unique_instance
+from helpers import I0_RANK_MAXIMAL, tiny_unique_instance, uniform_lists
 
 
 def test_last_choice_threshold():
@@ -173,8 +173,37 @@ def test_generate_uniform_validation():
         generate_uniform(-1, 4, 1.0, seed=1)
 
 
+def test_generators_build_what_from_lists_builds():
+    # The generators skip from_lists' validation.  On the lists of an
+    # independent copy of generate_uniform's draws, and on generate_I1's own
+    # lists, from_lists builds an equal instance, with the same hash and the
+    # same kind of rank row for every agent, dict and tuple both.
+    cases = []
+    for seed in range(12):
+        n_men, n_women = 5 + seed, (5 + seed, 300)[seed % 2]
+        density = (1.0, 0.5, 0.1)[seed % 3]
+        expected = Instance.from_lists(*uniform_lists(n_men, n_women, density, 9100 + seed))
+        cases.append((generate_uniform(n_men, n_women, density, seed=9100 + seed), expected))
+    for n in (4, 10, 300):
+        inst = generate_I1(n)
+        cases.append((inst, Instance.from_lists(inst.men_lists[1:], inst.women_lists[1:])))
+    kinds = set()
+    for inst, expected in cases:
+        assert inst == expected and hash(inst) == hash(expected)
+        for rows, expected_rows in (
+            (inst.men_rank, expected.men_rank),
+            (inst.women_rank, expected.women_rank),
+        ):
+            assert list(map(type, rows)) == list(map(type, expected_rows))
+            kinds.update(map(type, rows[1:]))
+        # One int object per agent, as from_lists shares them.
+        for lists, ids in ((inst.men_lists, inst.orig_women), (inst.women_lists, inst.orig_men)):
+            assert all(j is ids[j] for lst in lists for j in lst)
+    assert kinds == {dict, tuple}
+
+
 def test_generate_uniform_sparse_is_valid_instance():
-    # Construction through Instance.from_lists re-validates mutuality.
+    # The generator builds mutual lists without validating them again.
     inst = generate_uniform(8, 8, 0.5, seed=99)
     assert isinstance(inst, Instance)
     for m in range(1, 9):

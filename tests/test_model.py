@@ -14,10 +14,12 @@ from profmatch import (
     find_rotations,
     format_instance,
     generate_uniform,
+    min_regret_degree,
     parse_instance,
     preprocess,
     profile_of,
     solve,
+    truncate,
 )
 
 from helpers import I0_ALL_MATCHINGS, brute_force_all_stable_matchings, lists_text, sparse_lists
@@ -305,3 +307,17 @@ def test_parse_never_crashes(text):
 def test_man_list_position(i0):
     assert i0.man_list_position(1, 5) == 0
     assert i0.man_list_position(1, 3) == 7
+    # Ranks are positions in i0 and sparse in a truncation and in the
+    # preprocessed instances with agents removed, where the slot at a
+    # woman's rank can hold someone else.
+    trunc = truncate(i0, min_regret_degree(i0)).instance
+    reduced = [preprocess(generate_uniform(6, 8, 0.5, seed=8600 + s)) for s in range(8)]
+    assert all(inst.n_men < 6 or inst.n_women < 8 for inst in reduced)
+    sparse = 0
+    for inst in [i0, trunc] + reduced:
+        for m in range(1, inst.n_men + 1):
+            lst = inst.men_lists[m]
+            for w in lst:
+                assert inst.man_list_position(m, w) == lst.index(w)
+                sparse += inst.men_rank[m][w] != lst.index(w) + 1
+    assert sparse >= 20

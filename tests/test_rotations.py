@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
 from profmatch import (
+    Criterion,
+    Instance,
     Matching,
     Profile,
     build_digraph,
@@ -14,13 +18,16 @@ from profmatch import (
     min_regret_degree,
     preprocess,
     profile_of,
+    solve,
     truncate,
     woman_optimal,
 )
-from profmatch.rotations import apply_rotation
-from profmatch.stability import min_regret
+from profmatch import solvers
+from profmatch.rotations import _rotations_from, apply_rotation
+from profmatch.stability import _min_regret_run, min_regret
 
 from helpers import (
+    DESCENT_ENDS,
     I0_DIGRAPH_EDGES,
     I0_RANK_MAXIMAL,
     I0_ROTATIONS,
@@ -31,6 +38,8 @@ from helpers import (
     linear_scan_digraph_oracle,
     poset_families,
     rotation_name_map,
+    sparse_lists,
+    sweep_rotations_reference,
     tiny_unique_instance,
     truncated_at_min_regret,
 )
@@ -233,6 +242,97 @@ def test_cutoff_rotations_equal_truncation_rotations(i0_pre):
         checked += 1
         type2 += sum(2 in labels for _u, _v, labels in digraph.edges())
     assert checked >= 600 and type2 >= 100
+
+
+def _assert_resumable(inst, run) -> None:
+    """``run`` is deferred acceptance's state at its perfect matching: the
+    husbands invert the wives, each woman holds her husband's rank, and each
+    man's pointer is one past his wife."""
+    for m in range(1, inst.n_men + 1):
+        w = run.prop_match[m]
+        assert run.recv_match[w] == m
+        assert run.held[w] == inst.women_rank[w][m]
+        assert run.next_pos[m] == inst.men_lists[m].index(w) + 1
+
+
+def test_walk_equals_sweep_reference(i0_pre):
+    # The walk continues the deferred-acceptance run in place and skips men
+    # who can never move again; the reference sweeps from a wife array with
+    # bisected positions and list ends, and walks every man in each sweep.
+    # Rotations (ids, cycles and profiles) and digraphs agree, with and
+    # without the minimum-regret cutoff.  The run the descent hands over is
+    # deferred acceptance's state at its matching, whether the descent ended
+    # feasible or undid its last step.  Short sparse lists leave many men
+    # with no woman left to scan.
+    instances = [(None, inst) for inst in cutoff_families(i0_pre)]
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = 40 + 20 * seed
+        men, women = sparse_lists(n, [rng.randint(1, 8) for _ in range(n)], seed=7500 + seed)
+        instances.append((None, preprocess(Instance.from_lists(men, women))))
+    instances += [
+        (name, preprocess(Instance.from_lists(*lists))) for name, lists in DESCENT_ENDS.items()
+    ]
+    undone = {"worst_man": False, "exhausted_man": True,
+              "man_past_cutoff": True, "no_violating_woman": False}
+    exits = [0, 0]  # descents that ended feasible, and by an undone step
+    for name, inst in instances:
+        if inst.n_men == 0:
+            continue
+        got = find_rotations(inst)
+        expected = sweep_rotations_reference(inst, man_optimal(inst).wife_array(inst.n_men))
+        assert got == expected
+        assert build_digraph(inst, got) == build_digraph(inst, expected)
+        degree, run = _min_regret_run(inst)
+        _assert_resumable(inst, run)
+        # Only a step that is undone leaves every man within the degree.
+        was_undone = all(inst.men_rank[m][run.prop_match[m]] < degree
+                         for m in range(1, inst.n_men + 1))
+        assert undone.get(name, was_undone) == was_undone
+        exits[was_undone] += 1
+        wife = run.prop_match[:]
+        got = _rotations_from(inst, run, degree)
+        expected = sweep_rotations_reference(inst, wife, degree)
+        assert got == expected
+        assert build_digraph(inst, got) == build_digraph(inst, expected)
+    assert min(exits) >= 300
+
+
+def test_rotation_walk_searches_no_list_position(i0_pre, monkeypatch):
+    # The walk reads each man's list position from the run's pointer.  The
+    # digraph still looks up the first wife of each man who moves, which
+    # shows that the count sees the calls.  The instances with agents
+    # removed have sparse ranks, where a lookup would bisect.
+    instances = [i0_pre, preprocess(generate_uniform(40, 40, 1.0, seed=3))]
+    instances += [preprocess(generate_uniform(20, 24, 0.5, seed=7600 + s)) for s in range(4)]
+    calls = []
+    real_position = Instance.man_list_position
+
+    def position(self, man, woman):
+        calls.append((man, woman))
+        return real_position(self, man, woman)
+
+    walks = []
+    real_walk = solvers._rotations_from
+
+    def walk(*args):
+        before = len(calls)
+        rotations = real_walk(*args)
+        walks.append(len(calls) - before)
+        return rotations
+
+    monkeypatch.setattr(Instance, "man_list_position", position)
+    monkeypatch.setattr(solvers, "_rotations_from", walk)
+    criteria = [Criterion.RANK_MAXIMAL, Criterion.GENEROUS, Criterion.EGALITARIAN,
+                Criterion.SEX_EQUAL, Criterion.MEDIAN]
+    for inst in instances:
+        calls.clear()
+        find_rotations(inst)
+        assert calls == []
+        for criterion in criteria:
+            solve(inst, criterion)
+    assert walks == [0] * (len(instances) * len(criteria))
+    assert calls
 
 
 def test_eliminate_golden_subset(i0_pre):

@@ -22,6 +22,7 @@ from profmatch.model import DeferredAcceptance
 from profmatch.stability import min_regret
 
 from helpers import (
+    DESCENT_ENDS,
     I0_MAN_OPTIMAL,
     I0_WOMAN_OPTIMAL,
     binary_search_min_regret,
@@ -139,9 +140,7 @@ def test_min_regret_descent_stops_at_worst_man(monkeypatch):
     # Woman 3 ranks her man-optimal husband 3rd.  At cutoff 2 she drops
     # him, and the resumed run ends within 2, where man 1 ranks his wife
     # 2nd: no cutoff below can keep him, so the descent stops.
-    inst, degree, matching, runs = _descent(
-        [[3, 1], [1, 3], [2, 3]], [[1, 2], [3], [2, 3, 1]], monkeypatch
-    )
+    inst, degree, matching, runs = _descent(*DESCENT_ENDS["worst_man"], monkeypatch)
     assert [matching_degree(inst, m) for m in runs] == [3, 2]
     assert degree == 2 and matching == runs[-1]
     assert inst.men_rank[1][matching.wife_of(1)] == 2
@@ -150,7 +149,7 @@ def test_min_regret_descent_stops_at_worst_man(monkeypatch):
 def test_min_regret_descent_returns_state_before_exhausted_man(monkeypatch):
     # At cutoff 1 woman 1 drops man 1, who lists no other woman: the
     # cutoff is infeasible, and the man-optimal matching of degree 2 stands.
-    inst, degree, matching, runs = _descent([[1], [2, 1]], [[2, 1], [2]], monkeypatch)
+    inst, degree, matching, runs = _descent(*DESCENT_ENDS["exhausted_man"], monkeypatch)
     assert len(runs) == 2 and runs[1].wife_of(1) is None
     assert degree == 2 and matching == runs[0]
 
@@ -159,9 +158,7 @@ def test_min_regret_descent_returns_state_before_man_past_cutoff(monkeypatch):
     # At cutoff 2 woman 2 drops man 1, who takes woman 3 from man 2; man 2
     # goes on to woman 2, whom he ranks 3rd.  Everyone is matched, but
     # past the cutoff, so it is infeasible.
-    inst, degree, matching, runs = _descent(
-        [[2, 3], [1, 3, 2], [1, 2]], [[3, 2], [3, 2, 1], [1, 2]], monkeypatch
-    )
+    inst, degree, matching, runs = _descent(*DESCENT_ENDS["man_past_cutoff"], monkeypatch)
     assert len(runs) == 2 and runs[1].is_perfect(inst)
     assert inst.men_rank[2][runs[1].wife_of(2)] == 3
     assert degree == 3 and matching == runs[0]
@@ -170,11 +167,7 @@ def test_min_regret_descent_returns_state_before_man_past_cutoff(monkeypatch):
 def test_min_regret_descent_skips_cutoff_with_no_violating_woman(monkeypatch):
     # The man-optimal matching has degree 4.  The run resumed at cutoff 3
     # already reaches degree 2, so cutoff 2 drops nobody and runs nothing.
-    inst, degree, matching, runs = _descent(
-        [[4, 1, 3, 2], [2, 1, 3], [3, 4], [1, 3]],
-        [[1, 4, 2], [1, 2], [4, 1, 2, 3], [3, 1]],
-        monkeypatch,
-    )
+    inst, degree, matching, runs = _descent(*DESCENT_ENDS["no_violating_woman"], monkeypatch)
     assert [matching_degree(inst, m) for m in runs] == [4, 2]
     assert degree == 2 and matching == runs[-1]
 
