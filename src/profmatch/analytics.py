@@ -6,18 +6,18 @@ import csv
 import io
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from .model import Instance, Matching, _by_position, preprocess
 from .profiles import Profile
-from .rotations import find_rotations
 from .solvers import (
     Criterion,
     DEFAULT_ENUMERATION_CAP,
+    ENUMERATION_BACKED,
     EnumerationCapError,
-    _SELECTORS,
-    enumerate_stable_matchings,
-    solve,
+    _closed_subsets,
+    _full_poset,
+    _generous_poset,
+    _solve_on,
 )
 
 
@@ -205,11 +205,12 @@ def batch_stats(
 ) -> str:
     """CSV with one row per (instance, criterion).
 
-    Instances are preprocessed here and enumerated once each; the
-    enumeration-backed rows (sex-equal, median) select from that one list.
-    When the stable-matching count exceeds ``cap``, the count column and
-    those rows are marked TIMEOUT instead of failing the whole batch; the
-    other criteria, egalitarian included, are solved without enumeration.
+    Instances are preprocessed here, and each one's full rotation poset, a
+    walk over its closed subsets (the count column) and its generous poset
+    are built once and shared by every criterion.  When the stable-matching
+    count exceeds ``cap``, the count column and the sex-equal and median rows
+    are marked TIMEOUT instead of failing the whole batch; the other
+    criteria are still solved.
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -230,20 +231,19 @@ def batch_stats(
     writer.writerow(header)
     for instance_id, raw in instances:
         inst = preprocess(raw)
-        num_rotations = len(find_rotations(inst))
+        full, generous = _full_poset(inst), _generous_poset(inst)
         try:
-            matchings: Optional[list[Matching]] = enumerate_stable_matchings(inst, cap)
-            num_stable: object = len(matchings)
+            walk = _closed_subsets(full.digraph, cap)
+            num_stable: object = len(walk[0])
         except EnumerationCapError:
-            matchings, num_stable = None, "TIMEOUT"
+            walk, num_stable = None, "TIMEOUT"
         for criterion in criteria:
             row = [instance_id, criterion.value, inst.n_men, inst.total_list_length,
-                   num_rotations, num_stable]
-            select = _SELECTORS.get(criterion)
-            if select is not None and matchings is None:
+                   len(full.rotations), num_stable]
+            if walk is None and criterion in ENUMERATION_BACKED:
                 row += ["TIMEOUT"] * (6 + len(pct_list))
             else:
-                matching = select(matchings, inst) if select else solve(inst, criterion, cap)
+                matching = _solve_on(inst, criterion, full, walk, generous)
                 stats = matching_stats(inst, matching, pct_list)
                 row += [
                     stats.cost,

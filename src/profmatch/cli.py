@@ -22,12 +22,17 @@ from .analytics import (
 )
 from .model import Instance, ParseError, format_instance, parse_instance, preprocess, profile_of
 from .profiles import high_weight
-from .rotations import build_digraph, find_rotations
+from .rotations import find_rotations
 from .solvers import (
     Criterion,
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
     OracleMode,
+    _closed_subsets,
+    _enumeration,
+    _full_poset,
+    _generous_poset,
+    _solve_on,
     enumerate_stable_matchings,
     matching_degree,
     oracle_exponential_flow,
@@ -36,8 +41,6 @@ from .solvers import (
     select_min_regret,
     select_sex_equal,
     solve,
-    solve_generous,
-    solve_rank_maximal,
 )
 from .vbflow import build_vb_network, max_profile_closed_subset, max_vb_flow, min_cut
 
@@ -150,39 +153,53 @@ def cmd_space(args) -> int:
 def _agreement_failure(pre: Instance) -> Optional[str]:
     """Run the cross-validation battery; describe the first failure, if any."""
     n = pre.n_men
-    matchings = enumerate_stable_matchings(pre)
+    full, generous = _full_poset(pre), _generous_poset(pre)
+    walk = _closed_subsets(full.digraph, DEFAULT_ENUMERATION_CAP)
+    matchings = _enumeration(pre, full, walk)
     profiles = [profile_of(pre, M) for M in matchings]
-    if profile_of(pre, solve_rank_maximal(pre)) != max(profiles):
+
+    def solved(criterion: Criterion):
+        return _solve_on(pre, criterion, full, walk, generous)
+
+    if profile_of(pre, solved(Criterion.RANK_MAXIMAL)) != max(profiles):
         return "rank-maximal profile differs from enumeration maximum"
-    if solve(pre, Criterion.EGALITARIAN) != select_egalitarian(matchings, pre):
+    if solved(Criterion.EGALITARIAN) != select_egalitarian(matchings, pre):
         return "egalitarian matching differs from first enumerated minimum-cost matching"
     witness = select_min_regret(matchings, pre)
-    if solve(pre, Criterion.MIN_REGRET) != witness:
+    if solved(Criterion.MIN_REGRET) != witness:
         return "min-regret matching differs from first enumerated minimum-degree matching"
-    if solve(pre, Criterion.SEX_EQUAL) != select_sex_equal(matchings, pre):
+    if solved(Criterion.SEX_EQUAL) != select_sex_equal(matchings, pre):
         return "sex-equal matching differs from first enumerated most balanced matching"
-    if solve(pre, Criterion.MEDIAN) != select_median(matchings, pre):
+    if solved(Criterion.MEDIAN) != select_median(matchings, pre):
         return "median matching differs from median assembled over the enumeration"
 
-    rotations = find_rotations(pre)
-    if rotations:
-        digraph = build_digraph(pre, rotations)
-        net = build_vb_network([r.profile for r in rotations], digraph)
+    # The exponential-weight oracle judges the flow on both posets; generous
+    # weights are profiles reverse-negated over the minimum-regret degree.
+    for prefix, mode, poset in (
+        ("", OracleMode.RANK_MAX, full),
+        ("generous ", OracleMode.GENEROUS, generous),
+    ):
+        weights = [r.profile for r in poset.rotations]
+        if mode is OracleMode.GENEROUS:
+            weights = [p.reverse_negate(poset.cutoff) for p in weights]
+        net = build_vb_network(weights, poset.digraph)
         flow = max_vb_flow(net)
         cut = min_cut(net, flow)
         if cut.capacity != flow.value:
-            return "min-cut capacity differs from max-flow value"
-        subset = max_profile_closed_subset(net, digraph, cut)
-        value, oracle_subset = oracle_exponential_flow(rotations, digraph, n, OracleMode.RANK_MAX)
-        if high_weight(flow.value, n) != value:
+            return prefix + "min-cut capacity differs from max-flow value"
+        subset = max_profile_closed_subset(net, poset.digraph, cut)
+        value, expected = oracle_exponential_flow(
+            poset.rotations, poset.digraph, n, mode, poset.cutoff
+        )
+        if mode is OracleMode.RANK_MAX and high_weight(flow.value, n) != value:
             return "vector max-flow value disagrees with exponential-weight oracle"
-        if subset != oracle_subset:
-            return "vector closed subset disagrees with exponential-weight oracle"
+        if subset != expected:
+            return prefix + "vector closed subset disagrees with exponential-weight oracle"
 
-    generous = solve_generous(pre)
-    if profile_of(pre, generous).reverse_negate(n) != max(p.reverse_negate(n) for p in profiles):
+    answer = solved(Criterion.GENEROUS)
+    if profile_of(pre, answer).reverse_negate(n) != max(p.reverse_negate(n) for p in profiles):
         return "generous reverse profile differs from enumeration minimum"
-    if n and matching_degree(pre, generous) != matching_degree(pre, witness):
+    if n and matching_degree(pre, answer) != matching_degree(pre, witness):
         return "generous degree differs from minimum-regret degree"
     return None
 

@@ -1,28 +1,22 @@
 """Top-level solvers for profile-optimal and enumeration-backed criteria.
 
-The flow-backed solvers (rank-maximal, generous, egalitarian) share one
-pipeline: rotations -> precedence digraph -> vector-capacity network -> max
-flow -> min cut -> maximum-weight closed subset -> elimination from the
-man-optimal matching.  They differ only in the weight vector each rotation
-profile is mapped to.  Each solve runs deferred acceptance once, and the
-rotation walk continues that run.  The generous case extracts rotations
-under a cutoff at the minimum-regret degree, continuing the minimum-regret
-descent's run and building no truncated instance, and swaps each rotation
-profile for its reverse-negated image; the egalitarian weight is the
-two-entry vector (-cost change, -1).
+Most criteria read a rotation poset (``_Poset``): a man-optimal matching,
+its rotations and their precedence digraph, built only by :func:`_poset`
+from a finished deferred-acceptance run.  The full poset continues the run
+that reached the man-optimal matching; the generous one continues the
+minimum-regret descent's run under the cutoff at the minimum-regret degree
+d, and its man-optimal matching is the minimum-regret answer.
+:func:`_solve_on` maps each criterion to the posets it reads, and builds
+only those a caller does not share.
 
-Minimum regret comes straight from :func:`stability.min_regret`, one
-deferred-acceptance run resumed at each rank cutoff on the way down: the
-man-optimal stable matching of the minimum degree, which is also the first
-matching of that degree in enumeration order.  The generous solve starts
-from the same matching.
-
-Enumeration-backed criteria (sex-equal, median) walk every closed subset
-of the rotation poset, one per stable matching, and refuse instances whose
-count exceeds a cap; the walk holds two ints per node and no matching, and
-only the answer is built.  The ``select_*`` functions, egalitarian and
-minimum regret included, rank an explicit list of stable matchings and stay
-usable as oracles over any enumeration.
+Rank-maximal, generous and egalitarian share one pipeline: vector-capacity
+network -> max flow -> min cut -> maximum-weight closed subset ->
+elimination, with each rotation profile weighted as itself, reverse-negated
+over d ranks, or (-cost change, -1).  Sex-equal and median walk every
+closed subset of the full poset, one per stable matching, under a cap; the
+walk holds two ints per node and builds only the answer.  The ``select_*``
+functions rank an explicit list of stable matchings and stay usable as
+oracles over any enumeration.
 
 ``oracle_exponential_flow`` re-solves the same cut problem on a scalar
 network whose capacities are exact exponential-weight integers.  It shares
@@ -33,10 +27,11 @@ cross-validate it.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, zip_longest
 from math import ceil
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .model import DeferredAcceptance, Instance, Matching
 from .profiles import Profile, high_weight
@@ -75,6 +70,11 @@ class Criterion(Enum):
     WOMAN_OPTIMAL = "woman-optimal"
 
 
+# The criteria whose solve walks every closed rotation subset, so the cap
+# bounds them.
+ENUMERATION_BACKED = frozenset({Criterion.SEX_EQUAL, Criterion.MEDIAN})
+
+
 class EnumerationCapError(RuntimeError):
     """The instance has more stable matchings than the configured cap."""
 
@@ -83,23 +83,50 @@ class EnumerationCapError(RuntimeError):
         self.cap = cap
 
 
+# The (parent, added) arrays of :func:`_closed_subsets`.
+_Walk = tuple[list[int], list[int]]
+
+
+@dataclass(frozen=True)
+class _Poset:
+    """A man-optimal matching (of the truncation at ``cutoff``), its rotations, their digraph."""
+
+    man_optimal: Matching
+    rotations: tuple[Rotation, ...]
+    digraph: RotationDigraph
+    cutoff: Optional[int]
+
+    def eliminate(self, inst: Instance, subset) -> Matching:
+        return eliminate_closed_subset(inst, self.man_optimal, self.rotations, self.digraph, subset)
+
+
+def _poset(inst: Instance, run: DeferredAcceptance, cutoff: Optional[int] = None) -> _Poset:
+    """The poset of ``run``, a finished men-proposing run on ``inst`` at the
+    man-optimal matching of its truncation at ``cutoff`` (if given)."""
+    # The rotation walk continues the run in place: read the matching first.
+    man_opt = Matching.from_wife_array(run.prop_match)
+    rotations = tuple(_rotations_from(inst, run, cutoff))
+    return _Poset(man_opt, rotations, build_digraph(inst, rotations), cutoff)
+
+
+def _full_poset(inst: Instance) -> _Poset:
+    return _poset(inst, _man_optimal_run(inst))
+
+
+def _generous_poset(inst: Instance) -> _Poset:
+    degree, run = _min_regret_run(inst)
+    return _poset(inst, run, degree)
+
+
 def solve_rank_maximal(inst: Instance) -> Matching:
     """Stable matching with the lexicographically maximum profile."""
-    return _max_weight_matching(inst, _man_optimal_run(inst), lambda p: p)
+    return solve(inst, Criterion.RANK_MAXIMAL)
 
 
 def solve_generous(inst: Instance) -> Matching:
-    """Stable matching with the lexicographically minimum reverse profile.
-
-    No agent does worse than the minimum-regret degree d in any generous
-    matching, so only the instance truncated at rank d matters; maximising
-    reverse-negated profiles over its rotations reuses the rank-maximal
-    machinery unchanged, and the output degree always equals d.  The
-    minimum-regret descent ends at the truncation's man-optimal matching,
-    and the rotation walk continues that run under the cutoff d, unbuilt.
-    """
-    degree, run = _min_regret_run(inst)
-    return _max_weight_matching(inst, run, lambda p: p.reverse_negate(degree), degree)
+    """Stable matching with the lexicographically minimum reverse profile;
+    its degree is the minimum-regret degree."""
+    return solve(inst, Criterion.GENEROUS)
 
 
 def _egalitarian_weight(p: Profile) -> Profile:
@@ -120,24 +147,12 @@ def _egalitarian_weight(p: Profile) -> Profile:
 
 
 def _max_weight_matching(
-    inst: Instance,
-    run: DeferredAcceptance,
-    weight: Callable[[Profile], Profile],
-    cutoff: Optional[int] = None,
+    inst: Instance, poset: _Poset, weight: Callable[[Profile], Profile]
 ) -> Matching:
-    """Stable matching whose rotations have the maximum total ``weight(profile)``.
-
-    ``run`` is a finished men-proposing run at the man-optimal stable
-    matching of ``inst``, truncated at ``cutoff`` if given; the rotation
-    walk continues it.
-    """
-    m0 = Matching.from_wife_array(run.prop_match)
-    rotations = _rotations_from(inst, run, cutoff)
-    if not rotations:
-        return m0
-    digraph = build_digraph(inst, rotations)
-    subset = _optimal_closed_subset([weight(r.profile) for r in rotations], digraph)
-    return eliminate_closed_subset(inst, m0, rotations, digraph, subset)
+    """Stable matching whose rotations in ``poset`` have the maximum total
+    ``weight(profile)``."""
+    profiles = [weight(r.profile) for r in poset.rotations]
+    return poset.eliminate(inst, _optimal_closed_subset(profiles, poset.digraph))
 
 
 def _optimal_closed_subset(
@@ -149,7 +164,7 @@ def _optimal_closed_subset(
     return max_profile_closed_subset(net, digraph, cut)
 
 
-def _closed_subsets(digraph: RotationDigraph, cap: int) -> tuple[list[int], list[int]]:
+def _closed_subsets(digraph: RotationDigraph, cap: int) -> _Walk:
     """Every predecessor-closed subset of the rotations, breadth-first, as a tree.
 
     Returns parallel arrays ``parent`` and ``added``: node 0 is the empty
@@ -188,16 +203,6 @@ def _closed_subsets(digraph: RotationDigraph, cap: int) -> tuple[list[int], list
     return parent, added
 
 
-def _walked_poset(inst: Instance, cap: int):
-    """The man-optimal matching, rotations and digraph of ``inst``, and
-    ``(parent, added)`` from :func:`_closed_subsets` over them."""
-    run = _man_optimal_run(inst)
-    m0 = Matching.from_wife_array(run.prop_match)
-    rotations = _rotations_from(inst, run)
-    digraph = build_digraph(inst, rotations)
-    return (m0, rotations, digraph, *_closed_subsets(digraph, cap))
-
-
 def enumerate_stable_matchings(
     inst: Instance, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[Matching]:
@@ -208,28 +213,33 @@ def enumerate_stable_matchings(
     node's matching with the node's rotation applied.  Raises
     EnumerationCapError when the count would exceed ``cap``.
     """
-    m0, rotations, _digraph, parent, added = _walked_poset(inst, cap)
+    full = _full_poset(inst)
+    return _enumeration(inst, full, _closed_subsets(full.digraph, cap))
+
+
+def _enumeration(inst: Instance, poset: _Poset, walk: _Walk) -> list[Matching]:
+    parent, added = walk
     n = inst.n_men
-    out = [m0]
+    out = [poset.man_optimal]
     for x in range(1, len(parent)):
         wife = out[parent[x]].wife_array(n)
-        apply_rotation(wife, rotations[added[x]].cycle)
+        apply_rotation(wife, poset.rotations[added[x]].cycle)
         out.append(Matching.from_wife_array(wife))
     return out
 
 
-def _solve_sex_equal(inst: Instance, cap: int) -> Matching:
-    """:func:`select_sex_equal` over the enumeration, without building it.
+def _sex_equal(inst: Instance, poset: _Poset, walk: _Walk) -> Matching:
+    """:func:`select_sex_equal` over :func:`_enumeration`, without building it.
 
     Eliminating a rotation changes man cost minus woman cost by a fixed
     amount, read once from its cycle, so each node's balance is its parent's
     plus that of the node's rotation.  Only the first node of least
     absolute balance, in enumeration order, gets its matching built.
     """
-    m0, rotations, digraph, parent, added = _walked_poset(inst, cap)
+    parent, added = walk
     men_rank, women_rank = inst.men_rank, inst.women_rank
     step = []
-    for rot in rotations:
+    for rot in poset.rotations:
         cycle = rot.cycle
         change = 0
         # m leaves w for w_next, who leaves m_next for m.
@@ -237,7 +247,7 @@ def _solve_sex_equal(inst: Instance, cap: int) -> Matching:
             row = women_rank[w_next]
             change += men_rank[m][w_next] - men_rank[m][w] - row[m] + row[m_next]
         step.append(change)
-    man_cost, woman_cost = _cost_pair(inst, m0)
+    man_cost, woman_cost = _cost_pair(inst, poset.man_optimal)
     balance = [man_cost - woman_cost]
     for x in range(1, len(parent)):
         balance.append(balance[parent[x]] + step[added[x]])
@@ -247,11 +257,11 @@ def _solve_sex_equal(inst: Instance, cap: int) -> Matching:
     while x:
         subset.append(added[x])
         x = parent[x]
-    return eliminate_closed_subset(inst, m0, rotations, digraph, subset)
+    return poset.eliminate(inst, subset)
 
 
-def _solve_median(inst: Instance, cap: int) -> Matching:
-    """:func:`select_median` over the enumeration, without building it.
+def _median(inst: Instance, poset: _Poset, walk: _Walk) -> Matching:
+    """:func:`select_median` over :func:`_enumeration`, without building it.
 
     With N stable matchings, c(r) of them eliminate rotation r: the sum of
     the subtree sizes of the walk nodes that add r, since every closed
@@ -263,16 +273,15 @@ def _solve_median(inst: Instance, cap: int) -> Matching:
     man that partner at once, and they form a closed set, as c never rises
     along an edge of the digraph (Teo & Sethuraman, 1998).
     """
-    m0, rotations, digraph, parent, added = _walked_poset(inst, cap)
+    parent, added = walk
     total = len(parent)
     below = [1] * total  # the closed subsets in each node's subtree
-    count = [0] * len(rotations)
+    count = [0] * len(poset.rotations)
     for x in range(total - 1, 0, -1):
         below[parent[x]] += below[x]
         count[added[x]] += below[x]
     keep = total - ceil(total / 2)
-    chosen = [r for r, c in enumerate(count) if c > keep]
-    result = eliminate_closed_subset(inst, m0, rotations, digraph, chosen)
+    result = poset.eliminate(inst, [r for r, c in enumerate(count) if c > keep])
     if blocking_pair(inst, result) is not None:
         raise RuntimeError("assembled median matching is not stable")
     return result
@@ -354,7 +363,7 @@ class OracleMode(Enum):
 
 
 def oracle_exponential_flow(
-    rotations: list[Rotation],
+    rotations: Sequence[Rotation],
     digraph: RotationDigraph,
     n: int,
     mode: OracleMode = OracleMode.RANK_MAX,
@@ -450,34 +459,38 @@ def oracle_exponential_flow(
     return value, digraph.ancestors(kept)
 
 
-# The criteria whose solve walks every closed rotation subset, so the cap
-# bounds them, and their selectors over a full enumeration, which
-# batch_stats applies to the list it enumerates anyway.
-_SELECTORS: dict[Criterion, Callable[[list[Matching], Instance], Matching]] = {
-    Criterion.SEX_EQUAL: select_sex_equal,
-    Criterion.MEDIAN: select_median,
-}
-_WALKERS: dict[Criterion, Callable[[Instance, int], Matching]] = {
-    Criterion.SEX_EQUAL: _solve_sex_equal,
-    Criterion.MEDIAN: _solve_median,
-}
-_SOLVERS: dict[Criterion, Callable[[Instance], Matching]] = {
-    Criterion.RANK_MAXIMAL: solve_rank_maximal,
-    Criterion.GENEROUS: solve_generous,
-    Criterion.EGALITARIAN: lambda inst: _max_weight_matching(
-        inst, _man_optimal_run(inst), _egalitarian_weight
-    ),
-    Criterion.MAN_OPTIMAL: man_optimal,
-    Criterion.WOMAN_OPTIMAL: woman_optimal,
-    Criterion.MIN_REGRET: lambda inst: min_regret(inst)[1],
-}
-ENUMERATION_BACKED = frozenset(_WALKERS)
-
-
-def solve(
-    inst: Instance, criterion: Criterion, cap: int = DEFAULT_ENUMERATION_CAP
+def _solve_on(
+    inst: Instance, criterion: Criterion,
+    full: Optional[_Poset] = None, walk: Optional[_Walk] = None,
+    generous: Optional[_Poset] = None, cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Matching:
-    """Dispatch a preprocessed instance to the requested solver."""
-    if criterion in _WALKERS:
-        return _WALKERS[criterion](inst, cap)
-    return _SOLVERS[criterion](inst)
+    """``criterion``'s matching of ``inst``, reading its full poset, the walk
+    over that under ``cap``, or its generous poset, each built here unless
+    given.  Nothing given is changed, so one instance's can be shared."""
+    if criterion is Criterion.MAN_OPTIMAL:
+        return full.man_optimal if full else man_optimal(inst)
+    if criterion is Criterion.WOMAN_OPTIMAL:
+        return woman_optimal(inst)
+    if criterion is Criterion.MIN_REGRET:
+        return generous.man_optimal if generous else min_regret(inst)[1]
+    if criterion is Criterion.GENEROUS:
+        # No agent does worse than the minimum-regret degree d in a generous
+        # matching, so only the rotations under the cutoff d matter, and
+        # maximising their reverse-negated profiles reuses the rank-maximal
+        # machinery unchanged.
+        generous = generous or _generous_poset(inst)
+        return _max_weight_matching(inst, generous, lambda p: p.reverse_negate(generous.cutoff))
+    full = full or _full_poset(inst)
+    if criterion is Criterion.RANK_MAXIMAL:
+        return _max_weight_matching(inst, full, lambda p: p)
+    if criterion is Criterion.EGALITARIAN:
+        return _max_weight_matching(inst, full, _egalitarian_weight)
+    walk = walk or _closed_subsets(full.digraph, cap)
+    if criterion is Criterion.SEX_EQUAL:
+        return _sex_equal(inst, full, walk)
+    return _median(inst, full, walk)
+
+
+def solve(inst: Instance, criterion: Criterion, cap: int = DEFAULT_ENUMERATION_CAP) -> Matching:
+    """Dispatch a preprocessed instance to the requested solver (:func:`_solve_on`)."""
+    return _solve_on(inst, criterion, cap=cap)

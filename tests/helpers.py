@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from collections import deque
+from collections import Counter, deque
 from itertools import permutations
 from typing import Optional, Sequence
 
@@ -27,6 +27,7 @@ from profmatch import (
     preprocess,
     truncate,
 )
+from profmatch import analytics, cli, model, rotations, solvers, stability
 from profmatch.model import _truncated_instance, gs_propose
 from profmatch.rotations import Rotation, _cycle_profile, _rotations_from, apply_rotation
 from profmatch.stability import _min_regret_run
@@ -559,3 +560,33 @@ class DenseProfile:
             raise ValueError(f"profile degree {self.degree} exceeds window {n}")
         base = 2 * n + 1
         return sum(e * base ** (n - i) for i, e in enumerate(self.elements, start=1) if e)
+
+
+COUNTED_STAGES = ("_rotations_from", "build_digraph", "_min_regret_run", "_closed_subsets")
+
+
+def count_calls(monkeypatch) -> Counter:
+    """Count deferred-acceptance runs started from scratch (resuming one does
+    not count), under ``"DeferredAcceptance"``, and calls to each name in
+    ``COUNTED_STAGES``.  Each name is wrapped in every profmatch module that
+    imported it, so a call counts once whichever module makes it."""
+    counts: Counter = Counter()
+    real_init = model.DeferredAcceptance.__init__
+
+    def init(self, *args, **kwargs):
+        counts["DeferredAcceptance"] += 1
+        real_init(self, *args, **kwargs)
+
+    def counting(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(model.DeferredAcceptance, "__init__", init)
+    for module in (model, stability, rotations, solvers, analytics, cli):
+        for name in COUNTED_STAGES:
+            if name in vars(module):
+                monkeypatch.setattr(module, name, counting(name, vars(module)[name]))
+    return counts

@@ -20,9 +20,8 @@ from profmatch import (
     solve,
     space_report,
 )
-from profmatch import analytics, solvers
 
-from helpers import I0_RANK_MAXIMAL, tiny_unique_instance, uniform_lists
+from helpers import I0_RANK_MAXIMAL, count_calls, tiny_unique_instance, uniform_lists
 
 
 def test_last_choice_threshold():
@@ -274,24 +273,21 @@ def _rows_from_solve(instance_id, raw):
 
 
 def test_batch_stats_enumerates_once_and_matches_solve(i0, monkeypatch):
+    # Each instance's stable matchings are walked once, over a full poset
+    # built once, and the generous poset is built once beside it; every row
+    # equals what ``solve`` gives on its own.
     named = [("i0", i0)] + [
         (f"u{seed}", generate_uniform(8, 8, density, seed=seed))
         for seed, density in ((7100, 1.0), (7101, 0.7), (7102, 0.4))
     ]
     expected = {instance_id: _rows_from_solve(instance_id, raw) for instance_id, raw in named}
-    calls = []
-    real = solvers.enumerate_stable_matchings
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(solvers, "enumerate_stable_matchings", counting)
-    monkeypatch.setattr(analytics, "enumerate_stable_matchings", counting)
+    counts = count_calls(monkeypatch)
     for instance_id, raw in named:
-        calls.clear()
+        counts.clear()
         lines = batch_stats([(instance_id, raw)], list(Criterion)).strip().split("\n")
-        assert len(calls) == 1
+        assert counts["_closed_subsets"] == 1
+        assert counts["_rotations_from"] == counts["build_digraph"] == 2
+        assert counts["_min_regret_run"] == 1
         assert lines[1:] == expected[instance_id]
 
 

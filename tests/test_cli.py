@@ -1,13 +1,24 @@
 import contextlib
+import dataclasses
 import io
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from profmatch import Criterion, Matching, Profile, is_stable, parse_instance, preprocess
+from profmatch import (
+    Criterion,
+    Matching,
+    OracleMode,
+    Profile,
+    batch_stats,
+    generate_uniform,
+    is_stable,
+    parse_instance,
+    preprocess,
+)
 from profmatch.cli import main
 
-from helpers import I0_MAN_OPTIMAL, I0_RANK_MAXIMAL, I0_TEXT
+from helpers import I0_MAN_OPTIMAL, I0_RANK_MAXIMAL, I0_TEXT, count_calls
 
 
 @pytest.fixture()
@@ -252,9 +263,13 @@ def test_oracle_check_compares_egalitarian_matchings(monkeypatch, capsys):
 def test_oracle_check_compares_min_regret_matchings(monkeypatch, capsys):
     # The man-optimal matching is stable but not always of the minimum
     # degree; the first minimum-degree matching of the enumeration judges it.
-    from profmatch import man_optimal, solvers
+    from profmatch import cli, man_optimal
 
-    monkeypatch.setitem(solvers._SOLVERS, Criterion.MIN_REGRET, man_optimal)
+    real = cli._generous_poset
+    monkeypatch.setattr(
+        cli, "_generous_poset",
+        lambda inst: dataclasses.replace(real(inst), man_optimal=man_optimal(inst)),
+    )
     assert main(["oracle-check", "--n", "8", "--trials", "40", "--seed", "3"]) == 1
     err = capsys.readouterr().err
     assert "min-regret matching differs from first enumerated minimum-degree matching" in err
@@ -273,11 +288,50 @@ def test_oracle_check_compares_min_regret_matchings(monkeypatch, capsys):
 def test_oracle_check_compares_walked_matchings(monkeypatch, capsys, criterion, message):
     # The man-optimal matching is stable but not always the sex-equal or the
     # median one; the selectors over the enumeration judge the walks.
-    from profmatch import man_optimal, solvers
+    from profmatch import solvers
 
-    monkeypatch.setitem(solvers._WALKERS, criterion, lambda inst, cap: man_optimal(inst))
+    name = "_sex_equal" if criterion is Criterion.SEX_EQUAL else "_median"
+    monkeypatch.setattr(solvers, name, lambda inst, poset, walk: poset.man_optimal)
     assert main(["oracle-check", "--n", "8", "--trials", "40", "--seed", "3"]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_oracle_check_compares_generous_closed_subsets(monkeypatch, capsys):
+    # A fault in the generous network alone is reported under its own
+    # message: here the oracle returns the wrong closed subset in generous
+    # mode only.  Three of these six trials have generous rotations.
+    from profmatch import cli
+
+    real = cli.oracle_exponential_flow
+
+    def faulty(rotations, digraph, n, mode=OracleMode.RANK_MAX, window=None):
+        value, subset = real(rotations, digraph, n, mode, window)
+        if mode is OracleMode.GENEROUS:
+            subset = frozenset(range(len(rotations))) - subset
+        return value, subset
+
+    monkeypatch.setattr(cli, "oracle_exponential_flow", faulty)
+    assert main(["oracle-check", "--n", "8", "--trials", "6", "--seed", "7"]) == 1
+    err = capsys.readouterr().err
+    assert "trial 0: generous vector closed subset disagrees with exponential-weight oracle" in err
+
+
+@pytest.mark.parametrize("consumer", ["stats", "oracle-check"])
+def test_each_poset_is_built_once_per_instance(monkeypatch, consumer):
+    # One full poset, one walk over it and one generous poset per instance,
+    # shared by every criterion and, in oracle-check, by the enumeration
+    # and both flow cross-checks.
+    from profmatch.cli import _agreement_failure
+
+    raw = generate_uniform(40, 40, 1.0, seed=3)
+    pre = preprocess(raw)
+    counts = count_calls(monkeypatch)
+    if consumer == "stats":
+        batch_stats([("u", raw)], list(Criterion))
+    else:
+        assert _agreement_failure(pre) is None
+    assert counts["_rotations_from"] == counts["build_digraph"] == 2
+    assert counts["_min_regret_run"] == counts["_closed_subsets"] == 1
 
 
 def test_oracle_check_flag_validation(capsys):

@@ -36,8 +36,15 @@ from profmatch import (
     solve_rank_maximal,
     truncate,
 )
-from profmatch import model, stability
-from profmatch.solvers import ENUMERATION_BACKED
+from profmatch import stability
+from profmatch.solvers import (
+    DEFAULT_ENUMERATION_CAP,
+    ENUMERATION_BACKED,
+    _closed_subsets,
+    _full_poset,
+    _generous_poset,
+    _solve_on,
+)
 
 from helpers import (
     I0_ALL_MATCHINGS,
@@ -47,6 +54,7 @@ from helpers import (
     bfs_enumeration_oracle,
     brute_force_all_stable_matchings,
     brute_force_stable_matchings,
+    count_calls,
     cutoff_families,
     poset_families,
     rotation_name_map,
@@ -529,25 +537,11 @@ def test_solver_outputs_perfect_on_preprocessed():
             assert len(matching) == inst.n_men == inst.n_women
 
 
-def _count_deferred_acceptance(monkeypatch) -> list:
-    """Record every deferred-acceptance run started from scratch, whichever
-    module starts it; resuming a run does not count."""
-    calls = []
-    real = model.DeferredAcceptance.__init__
-
-    def counting(self, *args, **kwargs):
-        calls.append(args)
-        real(self, *args, **kwargs)
-
-    monkeypatch.setattr(model.DeferredAcceptance, "__init__", counting)
-    return calls
-
-
 def test_deferred_acceptance_runs_once_per_poset(monkeypatch):
     inst = preprocess(generate_uniform(40, 40, 1.0, seed=3))
-    calls = _count_deferred_acceptance(monkeypatch)
+    counts = count_calls(monkeypatch)
     stability.min_regret(inst)
-    min_regret_runs = len(calls)
+    min_regret_runs = counts["DeferredAcceptance"]
     # One run, resumed at each cutoff: no restart per cutoff and no
     # woman-proposing run for a lower bound.
     assert min_regret_runs == 1
@@ -559,9 +553,9 @@ def test_deferred_acceptance_runs_once_per_poset(monkeypatch):
         Criterion.MEDIAN: 1,
     }
     for criterion, runs in expected.items():
-        calls.clear()
+        counts.clear()
         solve(inst, criterion)
-        assert len(calls) == runs, criterion
+        assert counts["DeferredAcceptance"] == runs, criterion
 
 
 def test_generous_builds_no_instance(i0_pre, monkeypatch):
@@ -602,3 +596,26 @@ def test_solve_generous_equals_staged_path(i0_pre):
             assert solve_generous(inst) == Matching(())
         else:
             assert solve_generous(inst) == _staged_generous(inst)
+
+
+def _shared_posets(inst):
+    full = _full_poset(inst)
+    return full, _closed_subsets(full.digraph, DEFAULT_ENUMERATION_CAP), _generous_poset(inst)
+
+
+def test_shared_posets_give_every_criterion_what_solve_gives(i0_pre):
+    # One full poset, one walk over it and one generous poset per instance,
+    # shared by every criterion, in Criterion order and reversed: each
+    # answer equals solve's, which builds its own, and no consumer changes
+    # what it shares.
+    instances = cutoff_families(i0_pre)
+    for seed in range(40):
+        density = (1.0, 0.5)[seed % 2]
+        instances.append(preprocess(generate_uniform(30, 30, density, seed=8200 + seed)))
+    for inst in instances:
+        shared = _shared_posets(inst)
+        expected = {criterion: solve(inst, criterion) for criterion in Criterion}
+        for order in (list(Criterion), list(reversed(Criterion))):
+            for criterion in order:
+                assert _solve_on(inst, criterion, *shared) == expected[criterion], criterion
+        assert shared == _shared_posets(inst)
