@@ -206,11 +206,12 @@ def batch_stats(
     """CSV with one row per (instance, criterion).
 
     Instances are preprocessed here, and each one's full rotation poset, a
-    walk over its closed subsets (the count column) and its generous poset
-    are built once and shared by every criterion.  When the stable-matching
-    count exceeds ``cap``, the count column and the sex-equal and median rows
-    are marked TIMEOUT instead of failing the whole batch; the other
-    criteria are still solved.
+    walk over its closed subsets (the count column) and, when the generous
+    or min-regret row is asked for, its generous poset are built once and
+    shared by every criterion.  When the stable-matching count exceeds
+    ``cap``, the count column and the sex-equal and median rows are marked
+    TIMEOUT instead of failing the whole batch; the other criteria are
+    still solved.
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -229,9 +230,11 @@ def batch_stats(
         "first_choices",
     ] + [f"last{p}" for p in pct_list]
     writer.writerow(header)
+    reads_generous = not {Criterion.GENEROUS, Criterion.MIN_REGRET}.isdisjoint(criteria)
     for instance_id, raw in instances:
         inst = preprocess(raw)
-        full, generous = _full_poset(inst), _generous_poset(inst)
+        full = _full_poset(inst)
+        generous = _generous_poset(inst) if reads_generous else None
         try:
             walk = _closed_subsets(full.digraph, cap)
             num_stable: object = len(walk[0])

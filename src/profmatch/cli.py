@@ -30,6 +30,7 @@ from .solvers import (
     OracleMode,
     _closed_subsets,
     _enumeration,
+    _flow_solution,
     _full_poset,
     _generous_poset,
     _solve_on,
@@ -42,7 +43,6 @@ from .solvers import (
     select_sex_equal,
     solve,
 )
-from .vbflow import build_vb_network, max_profile_closed_subset, max_vb_flow, min_cut
 
 CRITERION_TOKENS = [c.value for c in Criterion]
 
@@ -161,7 +161,25 @@ def _agreement_failure(pre: Instance) -> Optional[str]:
     def solved(criterion: Criterion):
         return _solve_on(pre, criterion, full, walk, generous)
 
-    if profile_of(pre, solved(Criterion.RANK_MAXIMAL)) != max(profiles):
+    # The exponential-weight oracle judges the flows the two answers came
+    # from, handed back by the solve beside each matching.
+    rank_maximal, rank_witness = _flow_solution(pre, full, Criterion.RANK_MAXIMAL)
+    answer, generous_witness = _flow_solution(pre, generous, Criterion.GENEROUS)
+    for prefix, mode, poset, (flow, cut, subset) in (
+        ("", OracleMode.RANK_MAX, full, rank_witness),
+        ("generous ", OracleMode.GENEROUS, generous, generous_witness),
+    ):
+        if cut.capacity != flow.value:
+            return prefix + "min-cut capacity differs from max-flow value"
+        value, expected = oracle_exponential_flow(
+            poset.rotations, poset.digraph, n, mode, poset.cutoff
+        )
+        if mode is OracleMode.RANK_MAX and high_weight(flow.value, n) != value:
+            return "vector max-flow value disagrees with exponential-weight oracle"
+        if subset != expected:
+            return prefix + "vector closed subset disagrees with exponential-weight oracle"
+
+    if profile_of(pre, rank_maximal) != max(profiles):
         return "rank-maximal profile differs from enumeration maximum"
     if solved(Criterion.EGALITARIAN) != select_egalitarian(matchings, pre):
         return "egalitarian matching differs from first enumerated minimum-cost matching"
@@ -172,32 +190,7 @@ def _agreement_failure(pre: Instance) -> Optional[str]:
         return "sex-equal matching differs from first enumerated most balanced matching"
     if solved(Criterion.MEDIAN) != select_median(matchings, pre):
         return "median matching differs from median assembled over the enumeration"
-
-    # The exponential-weight oracle judges the flow on both posets; generous
-    # weights are profiles reverse-negated over the minimum-regret degree.
-    for prefix, mode, poset in (
-        ("", OracleMode.RANK_MAX, full),
-        ("generous ", OracleMode.GENEROUS, generous),
-    ):
-        weights = [r.profile for r in poset.rotations]
-        if mode is OracleMode.GENEROUS:
-            weights = [p.reverse_negate(poset.cutoff) for p in weights]
-        net = build_vb_network(weights, poset.digraph)
-        flow = max_vb_flow(net)
-        cut = min_cut(net, flow)
-        if cut.capacity != flow.value:
-            return prefix + "min-cut capacity differs from max-flow value"
-        subset = max_profile_closed_subset(net, poset.digraph, cut)
-        value, expected = oracle_exponential_flow(
-            poset.rotations, poset.digraph, n, mode, poset.cutoff
-        )
-        if mode is OracleMode.RANK_MAX and high_weight(flow.value, n) != value:
-            return "vector max-flow value disagrees with exponential-weight oracle"
-        if subset != expected:
-            return prefix + "vector closed subset disagrees with exponential-weight oracle"
-
-    answer = solved(Criterion.GENEROUS)
-    if profile_of(pre, answer).reverse_negate(n) != max(p.reverse_negate(n) for p in profiles):
+    if profile_of(pre, answer).padded(n)[::-1] != min(p.padded(n)[::-1] for p in profiles):
         return "generous reverse profile differs from enumeration minimum"
     if n and matching_degree(pre, answer) != matching_degree(pre, witness):
         return "generous degree differs from minimum-regret degree"

@@ -103,6 +103,8 @@ def find_rotations(inst: Instance) -> list[Rotation]:
     wife.  Pointers only ever advance (a woman who once rejected m keeps
     rejecting him as her partners improve), so deferred acceptance and the
     walk together advance each pointer at most once per acceptable pair.
+    The walk knows nothing of truncations: continuing the run of one, whose
+    list ends are already cut, finds that truncation's rotations.
 
     Rotation ids are a topological order of the precedence digraph: every
     edge u -> v has u < v.  A rotation is given its id when it is
@@ -115,22 +117,16 @@ def find_rotations(inst: Instance) -> list[Rotation]:
 _DEAD = -1  # the walk's mark for a man who can never move again
 
 
-def _rotations_from(
-    inst: Instance, run: DeferredAcceptance, cutoff: Optional[int] = None
-) -> list[Rotation]:
+def _rotations_from(inst: Instance, run: DeferredAcceptance) -> list[Rotation]:
     """:func:`find_rotations`, continuing ``run``, a finished men-proposing
-    run on ``inst`` at its man-optimal matching, whose state it advances.
+    run at the man-optimal matching of ``inst`` or of a truncation of it,
+    whose state it advances.
 
     The run's arrays are the walk's: ``prop_match`` the wives,
     ``recv_match`` the husbands, ``held`` the rank each woman gives her
     husband (kept up to date as rotations are eliminated, so the pointer
     test reads one rank), ``next_pos`` the scan pointers and ``end`` the
-    list ends.  No list position is searched for.
-
-    From the man-optimal matching of the instance truncated at rank
-    ``cutoff``, men scan only the women they rank within it, and no woman
-    prefers a man she ranks worse than it to her partner, so the rotations,
-    ids included, are those of the truncation.
+    list ends, which no man scans past.  No list position is searched for.
 
     Each sweep follows successor pointers from every man in index order,
     and extracts the cycles it closes.  A man whose pointer has run out, or
@@ -146,17 +142,6 @@ def _rotations_from(
     if inst.n_women != n or not all(wife[1:]):
         raise ValueError("rotation extraction requires a preprocessed instance")
     men_lists, women_rank = inst.men_lists, inst.women_rank
-    if cutoff is not None:
-        men_rank = inst.men_rank
-        for m in range(1, n + 1):
-            # Ranks rise by at least one per place, so no place from
-            # ``cutoff`` on is within it; step back over the rest.
-            lst, row, e = men_lists[m], men_rank[m], end[m]
-            if e > cutoff:
-                e = cutoff
-            while e > ptr[m] and row[lst[e - 1]] > cutoff:
-                e -= 1
-            end[m] = e
 
     rotations: list[Rotation] = []
 
@@ -260,9 +245,9 @@ def build_digraph(inst: Instance, rotations: list[Rotation]) -> RotationDigraph:
     strictly decrease, each move starting at the rank the one before it
     ended.  The move of a woman that takes her from a partner ranked at or
     below m to one ranked above m is therefore found by bisection over the
-    ranks her earlier moves end at; a woman who ranks m worse than a cutoff
-    d has none.  The scan for m starts after his current wife, whose such
-    move is the rotation being scanned.  Every other woman m passes over
+    ranks her earlier moves end at; a woman who ranks m below every partner
+    she holds has none.  The scan for m starts after his current wife, whose
+    such move is the rotation being scanned.  Every other woman m passes over
     ranks her partner above m, since the matching the rotation is exposed in
     is stable, so no move of that rotation passes the test and its moves can
     be recorded while it is scanned.

@@ -3,16 +3,18 @@
 Most criteria read a rotation poset (``_Poset``): a man-optimal matching,
 its rotations and their precedence digraph, built only by :func:`_poset`
 from a finished deferred-acceptance run.  The full poset continues the run
-that reached the man-optimal matching; the generous one continues the
-minimum-regret descent's run under the cutoff at the minimum-regret degree
-d, and its man-optimal matching is the minimum-regret answer.
+that reached the man-optimal matching; the generous one continues the run
+of the truncation at the minimum-regret degree d, as ``stability`` hands
+it over, and its man-optimal matching is the minimum-regret answer.
 :func:`_solve_on` maps each criterion to the posets it reads, and builds
 only those a caller does not share.
 
-Rank-maximal, generous and egalitarian share one pipeline: vector-capacity
-network -> max flow -> min cut -> maximum-weight closed subset ->
-elimination, with each rotation profile weighted as itself, reverse-negated
-over d ranks, or (-cost change, -1).  Sex-equal and median walk every
+Rank-maximal, generous and egalitarian share one pipeline, run only by
+:func:`_flow_solution`: vector-capacity network -> max flow -> min cut ->
+maximum-weight closed subset -> elimination, with each rotation profile
+weighted as itself, reverse-negated over d ranks, or (-cost change, -1).
+It hands its flow witness back with the matching, so ``oracle-check``
+judges the flows the answers came from.  Sex-equal and median walk every
 closed subset of the full poset, one per stable matching, under a cap; the
 walk holds two ints per node and builds only the answer.  The ``select_*``
 functions rank an explicit list of stable matchings and stay usable as
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, zip_longest
 from math import ceil
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .model import DeferredAcceptance, Instance, Matching
 from .profiles import Profile, high_weight
@@ -45,13 +47,13 @@ from .rotations import (
 )
 from .stability import (
     _man_optimal_run,
-    _min_regret_run,
+    _truncation_run,
     blocking_pair,
     man_optimal,
     min_regret,
     woman_optimal,
 )
-from .vbflow import build_vb_network, max_profile_closed_subset, max_vb_flow, min_cut
+from .vbflow import Cut, VbFlow, build_vb_network, max_profile_closed_subset, max_vb_flow, min_cut
 
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -101,11 +103,11 @@ class _Poset:
 
 
 def _poset(inst: Instance, run: DeferredAcceptance, cutoff: Optional[int] = None) -> _Poset:
-    """The poset of ``run``, a finished men-proposing run on ``inst`` at the
-    man-optimal matching of its truncation at ``cutoff`` (if given)."""
+    """The poset of ``run``, the finished men-proposing run of ``inst`` or of
+    its truncation at ``cutoff`` (if given)."""
     # The rotation walk continues the run in place: read the matching first.
     man_opt = Matching.from_wife_array(run.prop_match)
-    rotations = tuple(_rotations_from(inst, run, cutoff))
+    rotations = tuple(_rotations_from(inst, run))
     return _Poset(man_opt, rotations, build_digraph(inst, rotations), cutoff)
 
 
@@ -114,7 +116,7 @@ def _full_poset(inst: Instance) -> _Poset:
 
 
 def _generous_poset(inst: Instance) -> _Poset:
-    degree, run = _min_regret_run(inst)
+    degree, run = _truncation_run(inst)
     return _poset(inst, run, degree)
 
 
@@ -146,22 +148,26 @@ def _egalitarian_weight(p: Profile) -> Profile:
     return Profile([-sum(k * e for k, e in p.pairs), -1])
 
 
-def _max_weight_matching(
-    inst: Instance, poset: _Poset, weight: Callable[[Profile], Profile]
-) -> Matching:
-    """Stable matching whose rotations in ``poset`` have the maximum total
-    ``weight(profile)``."""
-    profiles = [weight(r.profile) for r in poset.rotations]
-    return poset.eliminate(inst, _optimal_closed_subset(profiles, poset.digraph))
-
-
-def _optimal_closed_subset(
-    profiles: list[Profile], digraph: RotationDigraph
-) -> frozenset[int]:
-    net = build_vb_network(profiles, digraph)
+def _flow_solution(
+    inst: Instance, poset: _Poset, criterion: Criterion
+) -> tuple[Matching, tuple[VbFlow, Cut, frozenset[int]]]:
+    """The rank-maximal, egalitarian or generous matching on ``poset``: the
+    closed subset of maximum total rotation weight, eliminated, with its
+    flow witness (max flow, min cut, closed subset)."""
+    profiles = [r.profile for r in poset.rotations]
+    if criterion is Criterion.EGALITARIAN:
+        profiles = [_egalitarian_weight(p) for p in profiles]
+    elif criterion is Criterion.GENEROUS:
+        # No agent does worse than the poset's cutoff d in a generous
+        # matching, so only the rotations of the truncation at d matter, and
+        # maximising their profiles reverse-negated over d ranks reuses the
+        # rank-maximal machinery unchanged.
+        profiles = [p.reverse_negate(poset.cutoff) for p in profiles]
+    net = build_vb_network(profiles, poset.digraph)
     flow = max_vb_flow(net)
     cut = min_cut(net, flow)
-    return max_profile_closed_subset(net, digraph, cut)
+    subset = max_profile_closed_subset(net, poset.digraph, cut)
+    return poset.eliminate(inst, subset), (flow, cut, subset)
 
 
 def _closed_subsets(digraph: RotationDigraph, cap: int) -> _Walk:
@@ -474,17 +480,10 @@ def _solve_on(
     if criterion is Criterion.MIN_REGRET:
         return generous.man_optimal if generous else min_regret(inst)[1]
     if criterion is Criterion.GENEROUS:
-        # No agent does worse than the minimum-regret degree d in a generous
-        # matching, so only the rotations under the cutoff d matter, and
-        # maximising their reverse-negated profiles reuses the rank-maximal
-        # machinery unchanged.
-        generous = generous or _generous_poset(inst)
-        return _max_weight_matching(inst, generous, lambda p: p.reverse_negate(generous.cutoff))
+        return _flow_solution(inst, generous or _generous_poset(inst), criterion)[0]
     full = full or _full_poset(inst)
-    if criterion is Criterion.RANK_MAXIMAL:
-        return _max_weight_matching(inst, full, lambda p: p)
-    if criterion is Criterion.EGALITARIAN:
-        return _max_weight_matching(inst, full, _egalitarian_weight)
+    if criterion in (Criterion.RANK_MAXIMAL, Criterion.EGALITARIAN):
+        return _flow_solution(inst, full, criterion)[0]
     walk = walk or _closed_subsets(full.digraph, cap)
     if criterion is Criterion.SEX_EQUAL:
         return _sex_equal(inst, full, walk)

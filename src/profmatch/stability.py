@@ -3,11 +3,10 @@
 Minimum regret is found by one men-proposing deferred-acceptance run on
 the instance itself, resumed as the rank cutoff steps down from the
 man-optimal matching's degree: O(m) proposals in all for m acceptable
-pairs.  That run, left at the man-optimal matching of the truncation at
-the minimum-regret degree, is what the generous solve's rotation walk
-continues under that cutoff, just as the other solves' walks continue the
-run that reached the man-optimal matching.  Only :func:`truncate`, the
-checked public view, builds a truncated instance.
+pairs.  With every list end cut at that degree, the run is the run of the
+truncation at it, which the generous solve's rotation walk continues: the
+rank cutoff is known here only.  Only :func:`truncate`, the checked public
+view, builds a truncated instance.
 """
 
 from __future__ import annotations
@@ -118,8 +117,8 @@ def _min_regret_run(inst: Instance) -> tuple[int, DeferredAcceptance]:
     in buckets by the rank they hold, so a step costs time in proportion to
     the men it moves, plus one copy of the wife array; an undone step looks
     up the list position of each wife it gives back.
-    The run leaves every man's list end past each woman he ranks within d:
-    the men an undone step moved get back the ends of their whole lists.
+    Only freed men have their list ends cut (:func:`_truncation_run` cuts
+    the rest), and no end is cut below d: an undone step restores them.
     """
     n = inst.n_men
     men_lists, men_rank, women_rank = inst.men_lists, inst.men_rank, inst.women_rank
@@ -146,21 +145,13 @@ def _min_regret_run(inst: Instance) -> tuple[int, DeferredAcceptance]:
             if m and held[w] == degree:
                 # Her held rank stays cutoff + 1: a free woman's imaginary man.
                 husband[w] = wife[m] = 0
-                # Ranks rise by at least one per place, so no place from
-                # ``cutoff`` on is within it; step back over the rest, down
-                # to the wife he just lost at the latest.
-                lst, row, e = men_lists[m], men_rank[m], end[m]
-                if e > cutoff:
-                    e = cutoff
-                while row[lst[e - 1]] > cutoff:
-                    e -= 1
-                end[m] = e
                 freed.append(m)
         if freed:
             # Only freed men have their list ends cut to the cutoff.  In a
             # feasible step no man proposes past his wife in the truncation's
             # man-optimal matching, so no end binds; in an infeasible one a
             # man runs out or is accepted past the cutoff, caught here.
+            _cut_list_ends(inst, end, freed, cutoff)
             moved = run.propose(freed)
             feasible = all(wife[1:])
             if feasible:
@@ -182,6 +173,29 @@ def _min_regret_run(inst: Instance) -> tuple[int, DeferredAcceptance]:
                     end[m] = len(men_lists[m])
                 return degree, run
         degree = cutoff
+    return degree, run
+
+
+def _cut_list_ends(inst: Instance, end: list[int], men, cutoff: int) -> None:
+    """Move each man's list end back over the women he ranks worse than
+    ``cutoff``; his wife, or the one he just lost, is ranked within it."""
+    men_lists, men_rank = inst.men_lists, inst.men_rank
+    for m in men:
+        # Ranks rise by at least one per place, so no place from ``cutoff``
+        # on is within it; step back over the rest.
+        lst, row, e = men_lists[m], men_rank[m], end[m]
+        if e > cutoff:
+            e = cutoff
+        while row[lst[e - 1]] > cutoff:
+            e -= 1
+        end[m] = e
+
+
+def _truncation_run(inst: Instance) -> tuple[int, DeferredAcceptance]:
+    """The minimum-regret degree d and the finished run of the truncation at
+    d: :func:`_min_regret_run`'s, with every man's list end cut at d."""
+    degree, run = _min_regret_run(inst)
+    _cut_list_ends(inst, run.end, range(1, inst.n_men + 1), degree)
     return degree, run
 
 

@@ -30,7 +30,7 @@ from profmatch import (
 from profmatch import analytics, cli, model, rotations, solvers, stability
 from profmatch.model import _truncated_instance, gs_propose
 from profmatch.rotations import Rotation, _cycle_profile, _rotations_from, apply_rotation
-from profmatch.stability import _min_regret_run
+from profmatch.stability import _truncation_run
 
 # 8x8 textbook instance used for the golden pipeline tests.
 I0_TEXT = """8 8
@@ -317,11 +317,10 @@ def uniform_lists(n_men: int, n_women: int, density: float, seed: int):
 
 
 def cutoff_rotations(inst: Instance) -> list[Rotation]:
-    """The generous solve's rotations: extracted on ``inst`` itself under the
-    minimum-regret cutoff d, continuing the run the minimum-regret descent
-    ends with, at the man-optimal matching of the truncation at d."""
-    degree, run = _min_regret_run(inst)
-    return _rotations_from(inst, run, degree)
+    """The generous solve's rotations: extracted on ``inst`` itself,
+    continuing the run the minimum-regret descent ends with, at the
+    man-optimal matching of the truncation at d, its list ends cut at d."""
+    return _rotations_from(inst, _truncation_run(inst)[1])
 
 
 def sweep_rotations_reference(
@@ -562,7 +561,10 @@ class DenseProfile:
         return sum(e * base ** (n - i) for i, e in enumerate(self.elements, start=1) if e)
 
 
-COUNTED_STAGES = ("_rotations_from", "build_digraph", "_min_regret_run", "_closed_subsets")
+COUNTED_STAGES = (
+    "_rotations_from", "build_digraph", "_min_regret_run", "_closed_subsets",
+    "max_vb_flow", "oracle_exponential_flow",
+)
 
 
 def count_calls(monkeypatch) -> Counter:

@@ -11,10 +11,12 @@ from profmatch import (
     OracleMode,
     Profile,
     batch_stats,
+    format_instance,
     generate_uniform,
     is_stable,
     parse_instance,
     preprocess,
+    woman_optimal,
 )
 from profmatch.cli import main
 
@@ -229,17 +231,17 @@ def test_oracle_check_passes(capsys):
 
 
 def test_oracle_check_compares_closed_subsets(monkeypatch, capsys):
-    # A vector closed subset missing one rotation must be reported, even
-    # though the flow values still agree.
-    from profmatch import cli
+    # A vector closed subset missing one rotation, in the solve's own
+    # flow, must be reported, even though the flow values still agree.
+    from profmatch import solvers
 
-    real = cli.max_profile_closed_subset
+    real = solvers.max_profile_closed_subset
 
     def drop_one(net, digraph, cut):
         subset = real(net, digraph, cut)
         return subset - {max(subset)} if subset else subset
 
-    monkeypatch.setattr(cli, "max_profile_closed_subset", drop_one)
+    monkeypatch.setattr(solvers, "max_profile_closed_subset", drop_one)
     assert main(["oracle-check", "--n", "8", "--trials", "6", "--seed", "7"]) == 1
     err = capsys.readouterr().err
     assert "vector closed subset disagrees with exponential-weight oracle" in err
@@ -316,11 +318,99 @@ def test_oracle_check_compares_generous_closed_subsets(monkeypatch, capsys):
     assert "trial 0: generous vector closed subset disagrees with exponential-weight oracle" in err
 
 
+def _one_unit_off(cut):
+    return dataclasses.replace(cut, capacity=cut.capacity + Profile([1]))
+
+
+def _oracle_check_failure(capsys, trials=6, seed=7):
+    assert main(["oracle-check", "--n", "8", "--trials", str(trials), "--seed", str(seed)]) == 1
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "criterion, fault, message",
+    [
+        # The rank-maximal flow chose rightly, but the woman-optimal
+        # matching is answered: the enumeration's best profile judges it.
+        (Criterion.RANK_MAXIMAL,
+         lambda inst, poset, matching, witness: (woman_optimal(inst), witness),
+         "rank-maximal profile differs from enumeration maximum"),
+        (Criterion.GENEROUS,
+         lambda inst, poset, matching, witness: (
+             matching, (witness[0], _one_unit_off(witness[1]), witness[2])),
+         "generous min-cut capacity differs from max-flow value"),
+        # The generous poset's man-optimal matching has the minimum-regret
+        # degree but not always the least reverse profile.
+        (Criterion.GENEROUS,
+         lambda inst, poset, matching, witness: (poset.man_optimal, witness),
+         "generous reverse profile differs from enumeration minimum"),
+    ],
+)
+def test_oracle_check_judges_flow_solutions(monkeypatch, capsys, criterion, fault, message):
+    # One fault in what oracle-check's flow solve of ``criterion`` hands
+    # back is reported in the first trial under its own message.
+    from profmatch import cli
+
+    real = cli._flow_solution
+
+    def solution(inst, poset, asked):
+        matching, witness = real(inst, poset, asked)
+        if asked is criterion:
+            return fault(inst, poset, matching, witness)
+        return matching, witness
+
+    monkeypatch.setattr(cli, "_flow_solution", solution)
+    assert f"trial 0: {message}" in _oracle_check_failure(capsys)
+
+
+def test_oracle_check_compares_cut_capacity_with_flow_value(monkeypatch, capsys):
+    # A min cut one unit off its flow is caught in the first flow judged.
+    from profmatch import solvers
+
+    real = solvers.min_cut
+    monkeypatch.setattr(solvers, "min_cut", lambda net, flow: _one_unit_off(real(net, flow)))
+    err = _oracle_check_failure(capsys)
+    assert "trial 0: min-cut capacity differs from max-flow value" in err
+
+
+def test_oracle_check_compares_flow_value_with_oracle(monkeypatch, capsys):
+    # An exponential-weight value one off the vector flow's is reported.
+    from profmatch import cli
+
+    real = cli.oracle_exponential_flow
+
+    def one_off(rotations, digraph, n, mode=OracleMode.RANK_MAX, window=None):
+        value, subset = real(rotations, digraph, n, mode, window)
+        return value + 1, subset
+
+    monkeypatch.setattr(cli, "oracle_exponential_flow", one_off)
+    err = _oracle_check_failure(capsys)
+    assert "trial 0: vector max-flow value disagrees with exponential-weight oracle" in err
+
+
+def test_oracle_check_compares_generous_degree(monkeypatch, capsys):
+    # No wrong answer reaches this check: a matching's degree follows from
+    # its profile, so the reverse-profile check before it catches a wrong
+    # generous answer, and the min-regret check a wrong minimum-degree
+    # witness.  A degree that reads the women's ranks only, in the check
+    # itself, does: with this seed trial 10 is the first it misjudges.
+    from profmatch import cli
+
+    def women_degree(inst, matching):
+        return max((inst.women_rank[w][m] for m, w in matching), default=0)
+
+    monkeypatch.setattr(cli, "matching_degree", women_degree)
+    err = _oracle_check_failure(capsys, trials=40, seed=3)
+    assert "trial 10: generous degree differs from minimum-regret degree" in err
+
+
 @pytest.mark.parametrize("consumer", ["stats", "oracle-check"])
 def test_each_poset_is_built_once_per_instance(monkeypatch, consumer):
     # One full poset, one walk over it and one generous poset per instance,
     # shared by every criterion and, in oracle-check, by the enumeration
-    # and both flow cross-checks.
+    # and both flow cross-checks.  One vector flow per flow-backed criterion
+    # (rank-maximal, egalitarian, generous): oracle-check judges the flows
+    # the solves ran, and the scalar oracle runs on each of two posets.
     from profmatch.cli import _agreement_failure
 
     raw = generate_uniform(40, 40, 1.0, seed=3)
@@ -332,6 +422,24 @@ def test_each_poset_is_built_once_per_instance(monkeypatch, consumer):
         assert _agreement_failure(pre) is None
     assert counts["_rotations_from"] == counts["build_digraph"] == 2
     assert counts["_min_regret_run"] == counts["_closed_subsets"] == 1
+    assert counts["max_vb_flow"] == 3
+    assert counts["oracle_exponential_flow"] == (2 if consumer == "oracle-check" else 0)
+
+
+def test_stats_builds_generous_poset_only_when_read(tmp_path, monkeypatch, capsys):
+    # Neither rank-maximal nor median reads the generous poset, so no
+    # minimum-regret descent runs, and the rows are those of a run that
+    # builds it.
+    path = tmp_path / "u.txt"
+    path.write_text(format_instance(generate_uniform(40, 40, 1.0, seed=3)))
+    assert main(["stats", "--in", str(path)]) == 0
+    every = capsys.readouterr().out.strip().split("\n")
+    counts = count_calls(monkeypatch)
+    assert main(["stats", "--in", str(path), "--criteria", "rank-maximal,median"]) == 0
+    assert counts["_min_regret_run"] == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines == [every[0]] + [row for row in every[1:]
+                                  if row.split(",")[1] in ("rank-maximal", "median")]
 
 
 def test_oracle_check_flag_validation(capsys):

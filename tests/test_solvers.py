@@ -477,17 +477,21 @@ def test_oracle_agrees_with_pipeline_in_both_modes(i0_pre):
     # set, closed upward, and that set is the same for every maximum flow:
     # the vector and scalar pipelines must choose the same closed subset.
     from profmatch import eliminate_closed_subset
-    from profmatch.solvers import _optimal_closed_subset
+    from profmatch.solvers import _flow_solution, _Poset
 
-    def agree(inst, profiles, mode, window):
+    def agree(inst, mode, window):
+        # The poset of ``inst``, its generous weights reverse-negated over
+        # ``window`` ranks.
         rotations = find_rotations(inst)
         digraph = build_digraph(inst, rotations)
-        n = inst.n_men
-        subset_vb = _optimal_closed_subset(profiles(rotations), digraph)
-        _value, subset_or = oracle_exponential_flow(rotations, digraph, n, mode, window=window)
-        assert subset_vb == subset_or
         m0 = man_optimal(inst)
-        vb_match = eliminate_closed_subset(inst, m0, rotations, digraph, subset_vb)
+        poset = _Poset(m0, tuple(rotations), digraph, window)
+        criterion = Criterion.RANK_MAXIMAL if mode is OracleMode.RANK_MAX else Criterion.GENEROUS
+        vb_match, (_flow, _cut, subset_vb) = _flow_solution(inst, poset, criterion)
+        _value, subset_or = oracle_exponential_flow(
+            rotations, digraph, inst.n_men, mode, window=window
+        )
+        assert subset_vb == subset_or
         or_match = eliminate_closed_subset(inst, m0, rotations, digraph, subset_or)
         assert profile_of(inst, vb_match) == profile_of(inst, or_match)
         return bool(subset_vb)
@@ -502,20 +506,13 @@ def test_oracle_agrees_with_pipeline_in_both_modes(i0_pre):
         n = inst.n_men
         if not find_rotations(inst):
             continue
-        nonempty += agree(inst, lambda rots: [r.profile for r in rots], OracleMode.RANK_MAX, None)
-        nonempty += agree(
-            inst, lambda rots: [r.profile.reverse_negate(n) for r in rots], OracleMode.GENEROUS, n
-        )
+        nonempty += agree(inst, OracleMode.RANK_MAX, None)
+        nonempty += agree(inst, OracleMode.GENEROUS, n)
         # The generous solve's own network: the truncation at the
         # minimum-regret degree d, with profiles reverse-negated over d ranks.
         trunc, d = truncated_at_min_regret(inst)
         if find_rotations(trunc):
-            nonempty += agree(
-                trunc,
-                lambda rots: [r.profile.reverse_negate(d) for r in rots],
-                OracleMode.GENEROUS,
-                d,
-            )
+            nonempty += agree(trunc, OracleMode.GENEROUS, d)
     assert nonempty >= 150
 
 
