@@ -23,7 +23,8 @@ the stable matchings of the instance.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .model import DeferredAcceptance, Instance, Matching
@@ -31,13 +32,32 @@ from .profiles import Profile
 from .stability import _man_optimal_run
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rotation:
-    """A rotation: cycle[i] = (man, his current wife); he moves to cycle[i+1]'s woman."""
+    """A rotation: cycle[i] = (man, his current wife); he moves to cycle[i+1]'s woman.
+
+    ``profile`` is the profile change of eliminating it.  Only the profile
+    criteria (rank-maximal, generous) and the exponential-weight oracle read
+    profiles, so each is built from the cycle and the instance's rank tables
+    on first read and then kept on the rotation.  Equality and hashing cover
+    ``rid``, ``cycle`` and ``profile``.
+    """
 
     rid: int
     cycle: tuple[tuple[int, int], ...]
-    profile: Profile
+    _inst: Instance = field(repr=False)
+
+    @cached_property
+    def profile(self) -> Profile:
+        return _cycle_profile(self._inst, self.cycle)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Rotation):
+            return NotImplemented
+        return (self.rid, self.cycle, self.profile) == (other.rid, other.cycle, other.profile)
+
+    def __hash__(self) -> int:
+        return hash((self.rid, self.cycle, self.profile))
 
 
 class RotationDigraph:
@@ -151,7 +171,7 @@ def _rotations_from(inst: Instance, run: DeferredAcceptance) -> list[Rotation]:
         cycle_men = cycle_men[lead:] + cycle_men[:lead]
         wives = [wife[m] for m in cycle_men]
         pairs = tuple(zip(cycle_men, wives))
-        rotations.append(Rotation(len(rotations), pairs, _cycle_profile(inst, pairs)))
+        rotations.append(Rotation(len(rotations), pairs, inst))
         for m, w in zip(cycle_men, wives[1:] + wives[:1]):
             wife[m] = w
             husband[w] = m
@@ -239,7 +259,9 @@ def build_digraph(inst: Instance, rotations: list[Rotation]) -> RotationDigraph:
     :func:`find_rotations`).  Along it each man only moves down his list, so
     the rotation that last moved m moved him to his current wife: it is the
     type-1 predecessor of the rotation that moves him next, and his list
-    position is carried from one rotation to the next.
+    position is carried from one rotation to the next.  The men of a cycle
+    mostly share that predecessor (on a Latin chain all of them do), so its
+    edge is added only where it differs from the previous man's.
 
     Each woman only moves up her list: the partner ranks of her moves
     strictly decrease, each move starting at the rank the one before it
@@ -264,13 +286,16 @@ def build_digraph(inst: Instance, rotations: list[Rotation]) -> RotationDigraph:
     type2: set[tuple[int, int]] = set()
     for rot in rotations:
         rid, cycle = rot.rid, rot.cycle
+        r_prev = -1  # the previous man's type-1 predecessor (-1: none)
         for (m, w), (m_next, w_next) in zip(cycle, cycle[1:] + cycle[:1]):
             r1 = last[m]
-            if r1 >= 0:
-                type1.add((r1, rid))
-                pos = position[m]
-            else:
+            if r1 < 0:
                 pos = inst.man_list_position(m, w)
+            else:
+                if r1 != r_prev:
+                    type1.add((r1, rid))
+                pos = position[m]
+            r_prev = r1
             last[m] = rid
             lst = men_lists[m]
             pos += 1

@@ -11,14 +11,17 @@ only those a caller does not share.
 
 Rank-maximal, generous and egalitarian share one pipeline, run only by
 :func:`_flow_solution`: vector-capacity network -> max flow -> min cut ->
-maximum-weight closed subset -> elimination, with each rotation profile
-weighted as itself, reverse-negated over d ranks, or (-cost change, -1).
-It hands its flow witness back with the matching, so ``oracle-check``
-judges the flows the answers came from.  Sex-equal and median walk every
-closed subset of the full poset, one per stable matching, under a cap; the
-walk holds two ints per node and builds only the answer.  The ``select_*``
-functions rank an explicit list of stable matchings and stay usable as
-oracles over any enumeration.
+maximum-weight closed subset -> elimination.  A rotation weighs its profile
+(rank-maximal), its profile reverse-negated over d ranks (generous), or
+(-cost change, -1) (egalitarian).  Only the first two read profiles, which
+each rotation builds on first read; egalitarian and sex-equal read one
+pass over each cycle instead, the men's and the women's rank change
+(:func:`_rank_change`).  The flow solve hands its flow witness back with
+the matching, so ``oracle-check`` judges the flows the answers came from.
+Sex-equal and median walk every closed subset of the full poset, one per
+stable matching, under a cap; the walk holds two ints per node and builds
+only the answer.  The ``select_*`` functions rank an explicit list of
+stable matchings and stay usable as oracles over any enumeration.
 
 ``oracle_exponential_flow`` re-solves the same cut problem on a scalar
 network whose capacities are exact exponential-weight integers.  It shares
@@ -131,11 +134,29 @@ def solve_generous(inst: Instance) -> Matching:
     return solve(inst, Criterion.GENEROUS)
 
 
-def _egalitarian_weight(p: Profile) -> Profile:
+def _rank_change(inst: Instance, cycle: tuple[tuple[int, int], ...]) -> tuple[int, int]:
+    """``(dm, dw)``: how much eliminating the rotation ``cycle`` raises the
+    men's and the women's total rank.  Egalitarian weighs ``dm + dw``, the
+    change in cost, and sex-equal steps by ``dm - dw``; neither reads a
+    profile."""
+    men_rank, women_rank = inst.men_rank, inst.women_rank
+    dm = dw = 0
+    # m leaves w for w_next, who leaves m_next for m.
+    for (m, w), (m_next, w_next) in zip(cycle, cycle[1:] + cycle[:1]):
+        row = men_rank[m]
+        dm += row[w_next] - row[w]
+        row = women_rank[w_next]
+        dw += row[m] - row[m_next]
+    return dm, dw
+
+
+def _egalitarian_weight(change: tuple[int, int]) -> Profile:
     """Weight ``(-c, -1)`` of a rotation whose elimination changes the cost by c.
 
-    The cost of a matching is the sum of k * p_k over its profile, so c is
-    that sum over the rotation's profile.  Summed over a closed set, the
+    The cost of a matching is its men's plus its women's total rank, so c is
+    the sum of the rotation's :func:`_rank_change` (Irving, Leather &
+    Gusfield, 1987); it equals the sum of k * p_k over the rotation's
+    profile, which is not built.  Summed over a closed set, the
     weight ranks the least total cost first and the fewest rotations second.
     Cost is modular on the lattice of closed sets, so its minimisers are
     closed under union and intersection, and the least-cost closed set with
@@ -145,7 +166,8 @@ def _egalitarian_weight(p: Profile) -> Profile:
     minimum cut returns it.  Without the -1 entry, ties among minimum-cost
     sets would be broken by whichever cut the flow happens to leave.
     """
-    return Profile([-sum(k * e for k, e in p.pairs), -1])
+    dm, dw = change
+    return Profile([-(dm + dw), -1])
 
 
 def _flow_solution(
@@ -154,16 +176,17 @@ def _flow_solution(
     """The rank-maximal, egalitarian or generous matching on ``poset``: the
     closed subset of maximum total rotation weight, eliminated, with its
     flow witness (max flow, min cut, closed subset)."""
-    profiles = [r.profile for r in poset.rotations]
     if criterion is Criterion.EGALITARIAN:
-        profiles = [_egalitarian_weight(p) for p in profiles]
+        weights = [_egalitarian_weight(_rank_change(inst, r.cycle)) for r in poset.rotations]
     elif criterion is Criterion.GENEROUS:
         # No agent does worse than the poset's cutoff d in a generous
         # matching, so only the rotations of the truncation at d matter, and
         # maximising their profiles reverse-negated over d ranks reuses the
         # rank-maximal machinery unchanged.
-        profiles = [p.reverse_negate(poset.cutoff) for p in profiles]
-    net = build_vb_network(profiles, poset.digraph)
+        weights = [r.profile.reverse_negate(poset.cutoff) for r in poset.rotations]
+    else:
+        weights = [r.profile for r in poset.rotations]
+    net = build_vb_network(weights, poset.digraph)
     flow = max_vb_flow(net)
     cut = min_cut(net, flow)
     subset = max_profile_closed_subset(net, poset.digraph, cut)
@@ -238,21 +261,12 @@ def _sex_equal(inst: Instance, poset: _Poset, walk: _Walk) -> Matching:
     """:func:`select_sex_equal` over :func:`_enumeration`, without building it.
 
     Eliminating a rotation changes man cost minus woman cost by a fixed
-    amount, read once from its cycle, so each node's balance is its parent's
-    plus that of the node's rotation.  Only the first node of least
-    absolute balance, in enumeration order, gets its matching built.
+    amount, ``dm - dw`` of its :func:`_rank_change`, so each node's balance
+    is its parent's plus that of the node's rotation.  Only the first node
+    of least absolute balance, in enumeration order, gets its matching built.
     """
     parent, added = walk
-    men_rank, women_rank = inst.men_rank, inst.women_rank
-    step = []
-    for rot in poset.rotations:
-        cycle = rot.cycle
-        change = 0
-        # m leaves w for w_next, who leaves m_next for m.
-        for (m, w), (m_next, w_next) in zip(cycle, cycle[1:] + cycle[:1]):
-            row = women_rank[w_next]
-            change += men_rank[m][w_next] - men_rank[m][w] - row[m] + row[m_next]
-        step.append(change)
+    step = [dm - dw for dm, dw in (_rank_change(inst, r.cycle) for r in poset.rotations)]
     man_cost, woman_cost = _cost_pair(inst, poset.man_optimal)
     balance = [man_cost - woman_cost]
     for x in range(1, len(parent)):

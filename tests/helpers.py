@@ -29,7 +29,7 @@ from profmatch import (
 )
 from profmatch import analytics, cli, model, rotations, solvers, stability
 from profmatch.model import _truncated_instance, gs_propose
-from profmatch.rotations import Rotation, _cycle_profile, _rotations_from, apply_rotation
+from profmatch.rotations import Rotation, _rotations_from, apply_rotation
 from profmatch.stability import _truncation_run
 
 # 8x8 textbook instance used for the golden pipeline tests.
@@ -324,7 +324,8 @@ def cutoff_rotations(inst: Instance) -> list[Rotation]:
 
 
 def sweep_rotations_reference(
-    inst: Instance, wife: list[int], cutoff: Optional[int] = None
+    inst: Instance, wife: list[int], cutoff: Optional[int] = None,
+    profiles: Optional[list[Profile]] = None,
 ) -> list[Rotation]:
     """Reference for ``rotations._rotations_from``: the rotation sweep from a
     man-optimal ``wife`` array (of the truncation at ``cutoff``, if given),
@@ -334,6 +335,11 @@ def sweep_rotations_reference(
     by bisection, reads each woman's rank of her husband on every pointer
     step, and walks every man again in each sweep: the walk as it stood
     before it continued the deferred-acceptance run.
+
+    If ``profiles`` is given, each rotation's profile is appended to it as
+    the rotation is extracted, counted from the walk's own matching: the
+    rank every agent of the cycle gives its partner before the elimination
+    and after it.
     """
     n = inst.n_men
     if n == 0:
@@ -358,11 +364,19 @@ def sweep_rotations_reference(
         cycle_men = cycle_men[lead:] + cycle_men[:lead]
         wives = [wife[m] for m in cycle_men]
         pairs = tuple(zip(cycle_men, wives))
-        rotations.append(Rotation(len(rotations), pairs, _cycle_profile(inst, pairs)))
+        rotations.append(Rotation(len(rotations), pairs, inst))
+        delta: Counter = Counter()
+        for m, w in pairs:
+            delta[inst.men_rank[m][w]] -= 1
+            delta[inst.women_rank[w][m]] -= 1
         for m, w in zip(cycle_men, wives[1:] + wives[:1]):
             wife[m] = w
             husband[w] = m
             ptr[m] += 1
+            delta[inst.men_rank[m][w]] += 1
+            delta[inst.women_rank[w][m]] += 1
+        if profiles is not None:
+            profiles.append(Profile([delta[k] for k in range(1, max(delta) + 1)]))
 
     while True:
         state = [0] * (n + 1)  # 0 fresh, 1 on current path, 2 settled this sweep
@@ -562,8 +576,8 @@ class DenseProfile:
 
 
 COUNTED_STAGES = (
-    "_rotations_from", "build_digraph", "_min_regret_run", "_closed_subsets",
-    "max_vb_flow", "oracle_exponential_flow",
+    "_rotations_from", "build_digraph", "_cycle_profile", "_min_regret_run",
+    "_closed_subsets", "max_vb_flow", "oracle_exponential_flow",
 )
 
 

@@ -253,8 +253,9 @@ def test_oracle_check_compares_egalitarian_matchings(monkeypatch, capsys):
     # this seed, trial 30 is the first where the two differ.
     from profmatch import solvers
 
-    def cost_only(p):
-        return Profile([-sum(k * e for k, e in p.pairs)])
+    def cost_only(change):
+        dm, dw = change
+        return Profile([-(dm + dw)])
 
     monkeypatch.setattr(solvers, "_egalitarian_weight", cost_only)
     assert main(["oracle-check", "--n", "8", "--trials", "40", "--seed", "3"]) == 1
@@ -411,10 +412,14 @@ def test_each_poset_is_built_once_per_instance(monkeypatch, consumer):
     # and both flow cross-checks.  One vector flow per flow-backed criterion
     # (rank-maximal, egalitarian, generous): oracle-check judges the flows
     # the solves ran, and the scalar oracle runs on each of two posets.
+    # Each rotation's profile is built once, though in oracle-check both the
+    # flow and the scalar oracle read it.
     from profmatch.cli import _agreement_failure
+    from profmatch.solvers import _full_poset, _generous_poset
 
     raw = generate_uniform(40, 40, 1.0, seed=3)
     pre = preprocess(raw)
+    rotations = len(_full_poset(pre).rotations) + len(_generous_poset(pre).rotations)
     counts = count_calls(monkeypatch)
     if consumer == "stats":
         batch_stats([("u", raw)], list(Criterion))
@@ -424,6 +429,7 @@ def test_each_poset_is_built_once_per_instance(monkeypatch, consumer):
     assert counts["_min_regret_run"] == counts["_closed_subsets"] == 1
     assert counts["max_vb_flow"] == 3
     assert counts["oracle_exponential_flow"] == (2 if consumer == "oracle-check" else 0)
+    assert counts["_cycle_profile"] == rotations
 
 
 def test_stats_builds_generous_poset_only_when_read(tmp_path, monkeypatch, capsys):

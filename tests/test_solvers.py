@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 from math import prod
 
 import pytest
@@ -37,12 +38,15 @@ from profmatch import (
     truncate,
 )
 from profmatch import stability
+from profmatch.rotations import apply_rotation
 from profmatch.solvers import (
     DEFAULT_ENUMERATION_CAP,
     ENUMERATION_BACKED,
     _closed_subsets,
+    _cost_pair,
     _full_poset,
     _generous_poset,
+    _rank_change,
     _solve_on,
 )
 
@@ -56,9 +60,11 @@ from helpers import (
     brute_force_stable_matchings,
     count_calls,
     cutoff_families,
+    latin_chain,
     poset_families,
     rotation_name_map,
     sparse_lists,
+    sweep_rotations_reference,
     tiny_unique_instance,
     truncated_at_min_regret,
 )
@@ -570,6 +576,59 @@ def test_generous_builds_no_instance(i0_pre, monkeypatch):
     for inst in (i0_pre, seeded):
         assert is_stable(inst, solve(inst, Criterion.GENEROUS))
         assert built == []
+
+
+def test_profiles_and_rank_changes_equal_eager_reference(i0_pre):
+    # Every rotation of either poset reads the profile the reference walk
+    # builds at extraction, and its rank change (dm, dw) is the change in
+    # the men's and the women's cost across its elimination, in id order
+    # from the man-optimal matching (so dm - dw is the change in man minus
+    # woman cost), and dm + dw is the sum of k * p_k over its profile.
+    checked = 0
+    for inst in poset_families(i0_pre):
+        n = inst.n_men
+        if n == 0:
+            continue
+        for poset in (_full_poset(inst), _generous_poset(inst)):
+            eager = []
+            reference = sweep_rotations_reference(
+                inst, poset.man_optimal.wife_array(n), poset.cutoff, eager
+            )
+            assert [r.cycle for r in poset.rotations] == [r.cycle for r in reference]
+            assert [r.profile for r in poset.rotations] == eager
+            wife = poset.man_optimal.wife_array(n)
+            before = _cost_pair(inst, poset.man_optimal)
+            for rot, profile in zip(poset.rotations, eager):
+                dm, dw = _rank_change(inst, rot.cycle)
+                assert dm + dw == sum(k * e for k, e in profile.pairs)
+                apply_rotation(wife, rot.cycle)
+                after = _cost_pair(inst, Matching.from_wife_array(wife))
+                assert (dm, dw) == (after[0] - before[0], after[1] - before[1])
+                before = after
+                checked += 1
+    assert checked >= 700
+
+
+def test_profiles_are_built_only_for_the_criteria_that_read_them(i0_pre, monkeypatch):
+    # Egalitarian and sex-equal read rank changes and median reads no
+    # weight, so they build no profile; rank-maximal and generous build
+    # each rotation's profile of their poset once.
+    instances = [i0_pre, preprocess(latin_chain(12)),
+                 preprocess(generate_uniform(40, 40, 1.0, seed=3))]
+    counts = count_calls(monkeypatch)
+    total = Counter()
+    for inst in instances:
+        built = {
+            Criterion.RANK_MAXIMAL: len(_full_poset(inst).rotations),
+            Criterion.GENEROUS: len(_generous_poset(inst).rotations),
+        }
+        for criterion in (Criterion.SEX_EQUAL, Criterion.MEDIAN, Criterion.EGALITARIAN,
+                          Criterion.RANK_MAXIMAL, Criterion.GENEROUS):
+            counts.clear()
+            solve(inst, criterion)
+            assert counts["_cycle_profile"] == built.get(criterion, 0), criterion
+            total[criterion] += counts["_cycle_profile"]
+    assert total[Criterion.RANK_MAXIMAL] == 23 and total[Criterion.GENEROUS] == 4
 
 
 def _staged_generous(inst):
