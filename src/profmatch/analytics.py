@@ -9,16 +9,7 @@ from dataclasses import dataclass
 
 from .model import Instance, Matching, _by_position, preprocess
 from .profiles import Profile
-from .solvers import (
-    Criterion,
-    DEFAULT_ENUMERATION_CAP,
-    ENUMERATION_BACKED,
-    EnumerationCapError,
-    _closed_subsets,
-    _full_poset,
-    _generous_poset,
-    _solve_on,
-)
+from .solvers import Criterion, DEFAULT_ENUMERATION_CAP, EnumerationCapError, _Lattice
 
 
 @dataclass(frozen=True)
@@ -205,13 +196,14 @@ def batch_stats(
 ) -> str:
     """CSV with one row per (instance, criterion).
 
-    Instances are preprocessed here, and each one's full rotation poset, a
-    walk over its closed subsets (the count column) and, when the generous
-    or min-regret row is asked for, its generous poset are built once and
-    shared by every criterion.  When the stable-matching count exceeds
-    ``cap``, the count column and the sex-equal and median rows are marked
-    TIMEOUT instead of failing the whole batch; the other criteria are
-    still solved.
+    Instances are preprocessed here, and each one's rows read one
+    :class:`solvers._Lattice`: its full rotation poset, its walk over
+    closed subsets (the count column) and, once a generous or min-regret
+    row reads it, its generous poset are built once and shared by every
+    criterion.  When the stable-matching count exceeds ``cap``, the count
+    column and the rows of the criteria that need the walk (sex-equal,
+    median) are marked TIMEOUT instead of failing the whole batch; the
+    other criteria are still solved.
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -230,23 +222,19 @@ def batch_stats(
         "first_choices",
     ] + [f"last{p}" for p in pct_list]
     writer.writerow(header)
-    reads_generous = not {Criterion.GENEROUS, Criterion.MIN_REGRET}.isdisjoint(criteria)
     for instance_id, raw in instances:
         inst = preprocess(raw)
-        full = _full_poset(inst)
-        generous = _generous_poset(inst) if reads_generous else None
-        try:
-            walk = _closed_subsets(full.digraph, cap)
-            num_stable: object = len(walk[0])
-        except EnumerationCapError:
-            walk, num_stable = None, "TIMEOUT"
+        lattice = _Lattice(inst, cap)
+        walk = lattice.walk
+        num_stable = "TIMEOUT" if walk is None else len(walk[0])
         for criterion in criteria:
             row = [instance_id, criterion.value, inst.n_men, inst.total_list_length,
-                   len(full.rotations), num_stable]
-            if walk is None and criterion in ENUMERATION_BACKED:
+                   len(lattice.full.rotations), num_stable]
+            try:
+                matching = lattice.solve(criterion)
+            except EnumerationCapError:
                 row += ["TIMEOUT"] * (6 + len(pct_list))
             else:
-                matching = _solve_on(inst, criterion, full, walk, generous)
                 stats = matching_stats(inst, matching, pct_list)
                 row += [
                     stats.cost,

@@ -27,13 +27,8 @@ from .solvers import (
     Criterion,
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
-    OracleMode,
-    _closed_subsets,
-    _enumeration,
+    _Lattice,
     _flow_solution,
-    _full_poset,
-    _generous_poset,
-    _solve_on,
     enumerate_stable_matchings,
     matching_degree,
     oracle_exponential_flow,
@@ -153,42 +148,41 @@ def cmd_space(args) -> int:
 def _agreement_failure(pre: Instance) -> Optional[str]:
     """Run the cross-validation battery; describe the first failure, if any."""
     n = pre.n_men
-    full, generous = _full_poset(pre), _generous_poset(pre)
-    walk = _closed_subsets(full.digraph, DEFAULT_ENUMERATION_CAP)
-    matchings = _enumeration(pre, full, walk)
+    lattice = _Lattice(pre)
+    full, generous = lattice.full, lattice.generous
+    matchings = lattice.matchings()
     profiles = [profile_of(pre, M) for M in matchings]
 
-    def solved(criterion: Criterion):
-        return _solve_on(pre, criterion, full, walk, generous)
-
     # The exponential-weight oracle judges the flows the two answers came
-    # from, handed back by the solve beside each matching.
-    rank_maximal, rank_witness = _flow_solution(pre, full, Criterion.RANK_MAXIMAL)
-    answer, generous_witness = _flow_solution(pre, generous, Criterion.GENEROUS)
-    for prefix, mode, poset, (flow, cut, subset) in (
-        ("", OracleMode.RANK_MAX, full, rank_witness),
-        ("generous ", OracleMode.GENEROUS, generous, generous_witness),
+    # from, handed back by the solve beside each matching.  Its weights on
+    # the full poset are the rank-maximal ones, which have no cutoff, and on
+    # the generous poset those reverse-negated over its cutoff.
+    rank_maximal, rank_witness = _flow_solution(full, Criterion.RANK_MAXIMAL)
+    answer, generous_witness = _flow_solution(generous, Criterion.GENEROUS)
+    for prefix, poset, (flow, cut, subset) in (
+        ("", full, rank_witness),
+        ("generous ", generous, generous_witness),
     ):
         if cut.capacity != flow.value:
             return prefix + "min-cut capacity differs from max-flow value"
         value, expected = oracle_exponential_flow(
-            poset.rotations, poset.digraph, n, mode, poset.cutoff
+            poset.rotations, poset.digraph, n, poset.cutoff
         )
-        if mode is OracleMode.RANK_MAX and high_weight(flow.value, n) != value:
+        if poset.cutoff is None and high_weight(flow.value, n) != value:
             return "vector max-flow value disagrees with exponential-weight oracle"
         if subset != expected:
             return prefix + "vector closed subset disagrees with exponential-weight oracle"
 
     if profile_of(pre, rank_maximal) != max(profiles):
         return "rank-maximal profile differs from enumeration maximum"
-    if solved(Criterion.EGALITARIAN) != select_egalitarian(matchings, pre):
+    if lattice.solve(Criterion.EGALITARIAN) != select_egalitarian(matchings, pre):
         return "egalitarian matching differs from first enumerated minimum-cost matching"
     witness = select_min_regret(matchings, pre)
-    if solved(Criterion.MIN_REGRET) != witness:
+    if lattice.solve(Criterion.MIN_REGRET) != witness:
         return "min-regret matching differs from first enumerated minimum-degree matching"
-    if solved(Criterion.SEX_EQUAL) != select_sex_equal(matchings, pre):
+    if lattice.solve(Criterion.SEX_EQUAL) != select_sex_equal(matchings, pre):
         return "sex-equal matching differs from first enumerated most balanced matching"
-    if solved(Criterion.MEDIAN) != select_median(matchings, pre):
+    if lattice.solve(Criterion.MEDIAN) != select_median(matchings, pre):
         return "median matching differs from median assembled over the enumeration"
     if profile_of(pre, answer).padded(n)[::-1] != min(p.padded(n)[::-1] for p in profiles):
         return "generous reverse profile differs from enumeration minimum"

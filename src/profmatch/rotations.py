@@ -36,11 +36,13 @@ from .stability import _man_optimal_run
 class Rotation:
     """A rotation: cycle[i] = (man, his current wife); he moves to cycle[i+1]'s woman.
 
-    ``profile`` is the profile change of eliminating it.  Only the profile
-    criteria (rank-maximal, generous) and the exponential-weight oracle read
-    profiles, so each is built from the cycle and the instance's rank tables
-    on first read and then kept on the rotation.  Equality and hashing cover
-    ``rid``, ``cycle`` and ``profile``.
+    ``profile`` is the profile change of eliminating it, and
+    ``rank_change`` the change ``(dm, dw)`` in the men's and the women's
+    total rank.  Only the profile criteria (rank-maximal, generous) and the
+    exponential-weight oracle read profiles, and only egalitarian and
+    sex-equal read rank changes, so each is built from the cycle and the
+    instance's rank tables on first read and then kept on the rotation.
+    Equality and hashing cover ``rid``, ``cycle`` and ``profile``.
     """
 
     rid: int
@@ -50,6 +52,10 @@ class Rotation:
     @cached_property
     def profile(self) -> Profile:
         return _cycle_profile(self._inst, self.cycle)
+
+    @cached_property
+    def rank_change(self) -> tuple[int, int]:
+        return _rank_change(self._inst, self.cycle)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Rotation):
@@ -246,6 +252,21 @@ def _cycle_profile(inst: Instance, cycle: tuple[tuple[int, int], ...]) -> Profil
         r = w_row[m_next]
         delta[r] = get(r, 0) - 1
     return Profile._from_pairs(tuple(sorted(p for p in delta.items() if p[1])))
+
+
+def _rank_change(inst: Instance, cycle: tuple[tuple[int, int], ...]) -> tuple[int, int]:
+    """``(dm, dw)``: how much eliminating ``cycle`` raises the men's and the
+    women's total rank.  Egalitarian weighs ``dm + dw``, the change in cost,
+    and sex-equal steps by ``dm - dw``; neither reads a profile."""
+    men_rank, women_rank = inst.men_rank, inst.women_rank
+    dm = dw = 0
+    # m leaves w for w_next, who leaves m_next for m.
+    for (m, w), (m_next, w_next) in zip(cycle, cycle[1:] + cycle[:1]):
+        row = men_rank[m]
+        dm += row[w_next] - row[w]
+        row = women_rank[w_next]
+        dw += row[m] - row[m_next]
+    return dm, dw
 
 
 _TYPE1, _TYPE2, _BOTH = frozenset({1}), frozenset({2}), frozenset({1, 2})

@@ -1,27 +1,25 @@
 """Top-level solvers for profile-optimal and enumeration-backed criteria.
 
-Most criteria read a rotation poset (``_Poset``): a man-optimal matching,
-its rotations and their precedence digraph, built only by :func:`_poset`
-from a finished deferred-acceptance run.  The full poset continues the run
-that reached the man-optimal matching; the generous one continues the run
-of the truncation at the minimum-regret degree d, as ``stability`` hands
-it over, and its man-optimal matching is the minimum-regret answer.
-:func:`_solve_on` maps each criterion to the posets it reads, and builds
-only those a caller does not share.
+Every solve of an instance reads one :class:`_Lattice`, which builds each
+structure on first read and shares it: the full rotation poset
+(``_Poset``: a man-optimal matching, its rotations and their precedence
+digraph) continues the run that reached the man-optimal matching; the
+generous one continues the minimum-regret run, cut at the minimum-regret
+degree d, and its man-optimal matching is the minimum-regret answer; the
+walk over the full poset's closed subsets stops at a cap.
 
 Rank-maximal, generous and egalitarian share one pipeline, run only by
 :func:`_flow_solution`: vector-capacity network -> max flow -> min cut ->
 maximum-weight closed subset -> elimination.  A rotation weighs its profile
 (rank-maximal), its profile reverse-negated over d ranks (generous), or
-(-cost change, -1) (egalitarian).  Only the first two read profiles, which
-each rotation builds on first read; egalitarian and sex-equal read one
-pass over each cycle instead, the men's and the women's rank change
-(:func:`_rank_change`).  The flow solve hands its flow witness back with
-the matching, so ``oracle-check`` judges the flows the answers came from.
-Sex-equal and median walk every closed subset of the full poset, one per
-stable matching, under a cap; the walk holds two ints per node and builds
-only the answer.  The ``select_*`` functions rank an explicit list of
-stable matchings and stay usable as oracles over any enumeration.
+(-cost change, -1) (egalitarian).  Only the first two read profiles;
+egalitarian and sex-equal read each rotation's rank change, the men's and
+the women's, instead.  Each rotation builds either on first read.  The flow
+solve hands its flow witness back with the matching, so ``oracle-check``
+judges the flows the answers came from.  Sex-equal and median read the
+walk, which holds two ints per node and builds only the answer.  The
+``select_*`` functions rank an explicit list of stable matchings and stay
+usable as oracles over any enumeration.
 
 ``oracle_exponential_flow`` re-solves the same cut problem on a scalar
 network whose capacities are exact exponential-weight integers.  It shares
@@ -32,8 +30,8 @@ cross-validate it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import islice, zip_longest
 from math import ceil
 from typing import Optional, Sequence
@@ -49,11 +47,10 @@ from .rotations import (
     eliminate_closed_subset,
 )
 from .stability import (
+    _cut_list_ends,
     _man_optimal_run,
-    _truncation_run,
+    _min_regret_run,
     blocking_pair,
-    man_optimal,
-    min_regret,
     woman_optimal,
 )
 from .vbflow import Cut, VbFlow, build_vb_network, max_profile_closed_subset, max_vb_flow, min_cut
@@ -75,11 +72,6 @@ class Criterion(Enum):
     WOMAN_OPTIMAL = "woman-optimal"
 
 
-# The criteria whose solve walks every closed rotation subset, so the cap
-# bounds them.
-ENUMERATION_BACKED = frozenset({Criterion.SEX_EQUAL, Criterion.MEDIAN})
-
-
 class EnumerationCapError(RuntimeError):
     """The instance has more stable matchings than the configured cap."""
 
@@ -92,35 +84,109 @@ class EnumerationCapError(RuntimeError):
 _Walk = tuple[list[int], list[int]]
 
 
-@dataclass(frozen=True)
 class _Poset:
-    """A man-optimal matching (of the truncation at ``cutoff``), its rotations, their digraph."""
+    """A man-optimal matching (of the truncation at ``cutoff``), its rotations, their digraph.
 
-    man_optimal: Matching
-    rotations: tuple[Rotation, ...]
-    digraph: RotationDigraph
-    cutoff: Optional[int]
+    Made from ``run``, the finished men-proposing run of ``inst`` that
+    reached that matching: the matching is read at once, and the rotations
+    are extracted on first read by continuing the run in place.  With a
+    cutoff, ``run`` is :func:`stability._min_regret_run`'s, whose list ends
+    are cut only for the men it freed; every man's end is cut at the cutoff
+    just before the walk, so criteria that read only the matching pay for
+    no cut.
+    """
 
-    def eliminate(self, inst: Instance, subset) -> Matching:
-        return eliminate_closed_subset(inst, self.man_optimal, self.rotations, self.digraph, subset)
+    def __init__(self, inst: Instance, run: DeferredAcceptance, cutoff: Optional[int] = None):
+        self.inst = inst
+        self.cutoff = cutoff
+        self.man_optimal = Matching.from_wife_array(run.prop_match)
+        self._run = run
+
+    @cached_property
+    def rotations(self) -> tuple[Rotation, ...]:
+        inst, run = self.inst, self._run
+        if self.cutoff is not None:
+            _cut_list_ends(inst, run.end, range(1, inst.n_men + 1), self.cutoff)
+        return tuple(_rotations_from(inst, run))
+
+    @cached_property
+    def digraph(self) -> RotationDigraph:
+        return build_digraph(self.inst, self.rotations)
+
+    def eliminate(self, subset) -> Matching:
+        return eliminate_closed_subset(
+            self.inst, self.man_optimal, self.rotations, self.digraph, subset
+        )
 
 
-def _poset(inst: Instance, run: DeferredAcceptance, cutoff: Optional[int] = None) -> _Poset:
-    """The poset of ``run``, the finished men-proposing run of ``inst`` or of
-    its truncation at ``cutoff`` (if given)."""
-    # The rotation walk continues the run in place: read the matching first.
-    man_opt = Matching.from_wife_array(run.prop_match)
-    rotations = tuple(_rotations_from(inst, run))
-    return _Poset(man_opt, rotations, build_digraph(inst, rotations), cutoff)
+class _Lattice:
+    """What solving a preprocessed instance reads, each part built on first
+    read and then shared by every criterion and by the enumeration.
 
+    ``full`` is the poset of the man-optimal run, ``generous`` that of the
+    minimum-regret run (the truncation at the minimum-regret degree), and
+    ``walk`` the breadth-first walk over the full poset's closed subsets,
+    or None once there are more than ``cap``.
+    """
 
-def _full_poset(inst: Instance) -> _Poset:
-    return _poset(inst, _man_optimal_run(inst))
+    def __init__(self, inst: Instance, cap: int = DEFAULT_ENUMERATION_CAP):
+        self.inst = inst
+        self.cap = cap
 
+    @cached_property
+    def full(self) -> _Poset:
+        return _Poset(self.inst, _man_optimal_run(self.inst))
 
-def _generous_poset(inst: Instance) -> _Poset:
-    degree, run = _truncation_run(inst)
-    return _poset(inst, run, degree)
+    @cached_property
+    def generous(self) -> _Poset:
+        degree, run = _min_regret_run(self.inst)
+        return _Poset(self.inst, run, degree)
+
+    @cached_property
+    def walk(self) -> Optional[_Walk]:
+        try:
+            return _closed_subsets(self.full.digraph, self.cap)
+        except EnumerationCapError:
+            return None
+
+    def _capped_walk(self) -> _Walk:
+        if self.walk is None:
+            raise EnumerationCapError(self.cap)
+        return self.walk
+
+    def matchings(self) -> list[Matching]:
+        """All stable matchings, man-optimal first, walking down the man-lattice.
+
+        One matching per node of :func:`_closed_subsets`, in its
+        breadth-first order, so the list is ordered by closed-subset size;
+        each is its parent node's matching with the node's rotation applied.
+        Raises EnumerationCapError when there are more than ``cap``.
+        """
+        parent, added = self._capped_walk()
+        full, n = self.full, self.inst.n_men
+        out = [full.man_optimal]
+        for x in range(1, len(parent)):
+            wife = out[parent[x]].wife_array(n)
+            apply_rotation(wife, full.rotations[added[x]].cycle)
+            out.append(Matching.from_wife_array(wife))
+        return out
+
+    def solve(self, criterion: Criterion) -> Matching:
+        """``criterion``'s matching; sex-equal and median raise
+        EnumerationCapError when there are more than ``cap`` stable matchings."""
+        if criterion is Criterion.MAN_OPTIMAL:
+            return self.full.man_optimal
+        if criterion is Criterion.WOMAN_OPTIMAL:
+            return woman_optimal(self.inst)
+        if criterion is Criterion.MIN_REGRET:
+            return self.generous.man_optimal
+        if criterion is Criterion.GENEROUS:
+            return _flow_solution(self.generous, criterion)[0]
+        if criterion in (Criterion.RANK_MAXIMAL, Criterion.EGALITARIAN):
+            return _flow_solution(self.full, criterion)[0]
+        if criterion is Criterion.SEX_EQUAL:
+            return _sex_equal(self.full, self._capped_walk())
+        return _median(self.full, self._capped_walk())
 
 
 def solve_rank_maximal(inst: Instance) -> Matching:
@@ -134,30 +200,14 @@ def solve_generous(inst: Instance) -> Matching:
     return solve(inst, Criterion.GENEROUS)
 
 
-def _rank_change(inst: Instance, cycle: tuple[tuple[int, int], ...]) -> tuple[int, int]:
-    """``(dm, dw)``: how much eliminating the rotation ``cycle`` raises the
-    men's and the women's total rank.  Egalitarian weighs ``dm + dw``, the
-    change in cost, and sex-equal steps by ``dm - dw``; neither reads a
-    profile."""
-    men_rank, women_rank = inst.men_rank, inst.women_rank
-    dm = dw = 0
-    # m leaves w for w_next, who leaves m_next for m.
-    for (m, w), (m_next, w_next) in zip(cycle, cycle[1:] + cycle[:1]):
-        row = men_rank[m]
-        dm += row[w_next] - row[w]
-        row = women_rank[w_next]
-        dw += row[m] - row[m_next]
-    return dm, dw
-
-
 def _egalitarian_weight(change: tuple[int, int]) -> Profile:
     """Weight ``(-c, -1)`` of a rotation whose elimination changes the cost by c.
 
     The cost of a matching is its men's plus its women's total rank, so c is
-    the sum of the rotation's :func:`_rank_change` (Irving, Leather &
-    Gusfield, 1987); it equals the sum of k * p_k over the rotation's
-    profile, which is not built.  Summed over a closed set, the
-    weight ranks the least total cost first and the fewest rotations second.
+    the sum of the rotation's ``rank_change`` (Irving, Leather & Gusfield,
+    1987); it equals the sum of k * p_k over the rotation's profile, which
+    is not built.  Summed over a closed set, the weight ranks the least
+    total cost first and the fewest rotations second.
     Cost is modular on the lattice of closed sets, so its minimisers are
     closed under union and intersection, and the least-cost closed set with
     the fewest rotations is unique: the intersection of all of them.
@@ -171,13 +221,13 @@ def _egalitarian_weight(change: tuple[int, int]) -> Profile:
 
 
 def _flow_solution(
-    inst: Instance, poset: _Poset, criterion: Criterion
+    poset: _Poset, criterion: Criterion
 ) -> tuple[Matching, tuple[VbFlow, Cut, frozenset[int]]]:
     """The rank-maximal, egalitarian or generous matching on ``poset``: the
     closed subset of maximum total rotation weight, eliminated, with its
     flow witness (max flow, min cut, closed subset)."""
     if criterion is Criterion.EGALITARIAN:
-        weights = [_egalitarian_weight(_rank_change(inst, r.cycle)) for r in poset.rotations]
+        weights = [_egalitarian_weight(r.rank_change) for r in poset.rotations]
     elif criterion is Criterion.GENEROUS:
         # No agent does worse than the poset's cutoff d in a generous
         # matching, so only the rotations of the truncation at d matter, and
@@ -190,7 +240,7 @@ def _flow_solution(
     flow = max_vb_flow(net)
     cut = min_cut(net, flow)
     subset = max_profile_closed_subset(net, poset.digraph, cut)
-    return poset.eliminate(inst, subset), (flow, cut, subset)
+    return poset.eliminate(subset), (flow, cut, subset)
 
 
 def _closed_subsets(digraph: RotationDigraph, cap: int) -> _Walk:
@@ -235,39 +285,23 @@ def _closed_subsets(digraph: RotationDigraph, cap: int) -> _Walk:
 def enumerate_stable_matchings(
     inst: Instance, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[Matching]:
-    """All stable matchings, man-optimal first, walking down the man-lattice.
-
-    One matching per node of :func:`_closed_subsets`, in its breadth-first
-    order, so the list is ordered by closed-subset size; each is its parent
-    node's matching with the node's rotation applied.  Raises
-    EnumerationCapError when the count would exceed ``cap``.
-    """
-    full = _full_poset(inst)
-    return _enumeration(inst, full, _closed_subsets(full.digraph, cap))
+    """All stable matchings, man-optimal first, walking down the man-lattice
+    (:meth:`_Lattice.matchings`).  Raises EnumerationCapError when the count
+    would exceed ``cap``."""
+    return _Lattice(inst, cap).matchings()
 
 
-def _enumeration(inst: Instance, poset: _Poset, walk: _Walk) -> list[Matching]:
-    parent, added = walk
-    n = inst.n_men
-    out = [poset.man_optimal]
-    for x in range(1, len(parent)):
-        wife = out[parent[x]].wife_array(n)
-        apply_rotation(wife, poset.rotations[added[x]].cycle)
-        out.append(Matching.from_wife_array(wife))
-    return out
-
-
-def _sex_equal(inst: Instance, poset: _Poset, walk: _Walk) -> Matching:
-    """:func:`select_sex_equal` over :func:`_enumeration`, without building it.
+def _sex_equal(poset: _Poset, walk: _Walk) -> Matching:
+    """:func:`select_sex_equal` over :meth:`_Lattice.matchings`, without building them.
 
     Eliminating a rotation changes man cost minus woman cost by a fixed
-    amount, ``dm - dw`` of its :func:`_rank_change`, so each node's balance
+    amount, ``dm - dw`` of its ``rank_change``, so each node's balance
     is its parent's plus that of the node's rotation.  Only the first node
     of least absolute balance, in enumeration order, gets its matching built.
     """
     parent, added = walk
-    step = [dm - dw for dm, dw in (_rank_change(inst, r.cycle) for r in poset.rotations)]
-    man_cost, woman_cost = _cost_pair(inst, poset.man_optimal)
+    step = [dm - dw for dm, dw in (r.rank_change for r in poset.rotations)]
+    man_cost, woman_cost = _cost_pair(poset.inst, poset.man_optimal)
     balance = [man_cost - woman_cost]
     for x in range(1, len(parent)):
         balance.append(balance[parent[x]] + step[added[x]])
@@ -277,11 +311,11 @@ def _sex_equal(inst: Instance, poset: _Poset, walk: _Walk) -> Matching:
     while x:
         subset.append(added[x])
         x = parent[x]
-    return poset.eliminate(inst, subset)
+    return poset.eliminate(subset)
 
 
-def _median(inst: Instance, poset: _Poset, walk: _Walk) -> Matching:
-    """:func:`select_median` over :func:`_enumeration`, without building it.
+def _median(poset: _Poset, walk: _Walk) -> Matching:
+    """:func:`select_median` over :meth:`_Lattice.matchings`, without building them.
 
     With N stable matchings, c(r) of them eliminate rotation r: the sum of
     the subtree sizes of the walk nodes that add r, since every closed
@@ -301,8 +335,8 @@ def _median(inst: Instance, poset: _Poset, walk: _Walk) -> Matching:
         below[parent[x]] += below[x]
         count[added[x]] += below[x]
     keep = total - ceil(total / 2)
-    result = poset.eliminate(inst, [r for r, c in enumerate(count) if c > keep])
-    if blocking_pair(inst, result) is not None:
+    result = poset.eliminate([r for r, c in enumerate(count) if c > keep])
+    if blocking_pair(poset.inst, result) is not None:
         raise RuntimeError("assembled median matching is not stable")
     return result
 
@@ -377,30 +411,24 @@ def select_median(matchings: list[Matching], inst: Instance) -> Matching:
     return result
 
 
-class OracleMode(Enum):
-    RANK_MAX = "rank-max"
-    GENEROUS = "generous"
-
-
 def oracle_exponential_flow(
     rotations: Sequence[Rotation],
     digraph: RotationDigraph,
     n: int,
-    mode: OracleMode = OracleMode.RANK_MAX,
     window: Optional[int] = None,
 ) -> tuple[int, frozenset[int]]:
     """Exact scalar re-solution of the maximum-profile closed subset problem.
 
     Maps every rotation profile through the exponential weight function
-    (after reverse-negation over ``window`` ranks in generous mode), builds
+    (after reverse-negation over ``window`` ranks, the generous weights of
+    a poset cut at that rank; None weighs rank-maximal profiles), builds
     the scalar flow network with arbitrary-precision capacities, and runs an
     independent breadth-first augmenting-path max flow.  Returns the max
     flow value and the closed subset derived from the residual cut.
     """
     profiles = [r.profile for r in rotations]
-    if mode is OracleMode.GENEROUS:
-        win = n if window is None else window
-        profiles = [p.reverse_negate(win) for p in profiles]
+    if window is not None:
+        profiles = [p.reverse_negate(window) for p in profiles]
     weights = [high_weight(p, n) for p in profiles]
 
     size = len(rotations)
@@ -479,31 +507,6 @@ def oracle_exponential_flow(
     return value, digraph.ancestors(kept)
 
 
-def _solve_on(
-    inst: Instance, criterion: Criterion,
-    full: Optional[_Poset] = None, walk: Optional[_Walk] = None,
-    generous: Optional[_Poset] = None, cap: int = DEFAULT_ENUMERATION_CAP,
-) -> Matching:
-    """``criterion``'s matching of ``inst``, reading its full poset, the walk
-    over that under ``cap``, or its generous poset, each built here unless
-    given.  Nothing given is changed, so one instance's can be shared."""
-    if criterion is Criterion.MAN_OPTIMAL:
-        return full.man_optimal if full else man_optimal(inst)
-    if criterion is Criterion.WOMAN_OPTIMAL:
-        return woman_optimal(inst)
-    if criterion is Criterion.MIN_REGRET:
-        return generous.man_optimal if generous else min_regret(inst)[1]
-    if criterion is Criterion.GENEROUS:
-        return _flow_solution(inst, generous or _generous_poset(inst), criterion)[0]
-    full = full or _full_poset(inst)
-    if criterion in (Criterion.RANK_MAXIMAL, Criterion.EGALITARIAN):
-        return _flow_solution(inst, full, criterion)[0]
-    walk = walk or _closed_subsets(full.digraph, cap)
-    if criterion is Criterion.SEX_EQUAL:
-        return _sex_equal(inst, full, walk)
-    return _median(inst, full, walk)
-
-
 def solve(inst: Instance, criterion: Criterion, cap: int = DEFAULT_ENUMERATION_CAP) -> Matching:
-    """Dispatch a preprocessed instance to the requested solver (:func:`_solve_on`)."""
-    return _solve_on(inst, criterion, cap=cap)
+    """Dispatch a preprocessed instance to the requested solver (:meth:`_Lattice.solve`)."""
+    return _Lattice(inst, cap).solve(criterion)

@@ -3,10 +3,10 @@
 Minimum regret is found by one men-proposing deferred-acceptance run on
 the instance itself, resumed as the rank cutoff steps down from the
 man-optimal matching's degree: O(m) proposals in all for m acceptable
-pairs.  With every list end cut at that degree, the run is the run of the
-truncation at it, which the generous solve's rotation walk continues: the
-rank cutoff is known here only.  Only :func:`truncate`, the checked public
-view, builds a truncated instance.
+pairs.  With every list end cut at that degree (:func:`_cut_list_ends`),
+the run is the run of the truncation at it, which the generous solve's
+rotation walk continues.  Only :func:`truncate`, the checked public view,
+builds a truncated instance.
 """
 
 from __future__ import annotations
@@ -117,8 +117,9 @@ def _min_regret_run(inst: Instance) -> tuple[int, DeferredAcceptance]:
     in buckets by the rank they hold, so a step costs time in proportion to
     the men it moves, plus one copy of the wife array; an undone step looks
     up the list position of each wife it gives back.
-    Only freed men have their list ends cut (:func:`_truncation_run` cuts
-    the rest), and no end is cut below d: an undone step restores them.
+    Only freed men have their list ends cut (the generous poset cuts the
+    rest before it walks), and no end is cut below d: an undone step
+    restores them.
     """
     n = inst.n_men
     men_lists, men_rank, women_rank = inst.men_lists, inst.men_rank, inst.women_rank
@@ -189,14 +190,6 @@ def _cut_list_ends(inst: Instance, end: list[int], men, cutoff: int) -> None:
         while row[lst[e - 1]] > cutoff:
             e -= 1
         end[m] = e
-
-
-def _truncation_run(inst: Instance) -> tuple[int, DeferredAcceptance]:
-    """The minimum-regret degree d and the finished run of the truncation at
-    d: :func:`_min_regret_run`'s, with every man's list end cut at d."""
-    degree, run = _min_regret_run(inst)
-    _cut_list_ends(inst, run.end, range(1, inst.n_men + 1), degree)
-    return degree, run
 
 
 def min_regret_degree(inst: Instance) -> int:

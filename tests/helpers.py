@@ -29,8 +29,7 @@ from profmatch import (
 )
 from profmatch import analytics, cli, model, rotations, solvers, stability
 from profmatch.model import _truncated_instance, gs_propose
-from profmatch.rotations import Rotation, _rotations_from, apply_rotation
-from profmatch.stability import _truncation_run
+from profmatch.rotations import Rotation, apply_rotation
 
 # 8x8 textbook instance used for the golden pipeline tests.
 I0_TEXT = """8 8
@@ -320,7 +319,7 @@ def cutoff_rotations(inst: Instance) -> list[Rotation]:
     """The generous solve's rotations: extracted on ``inst`` itself,
     continuing the run the minimum-regret descent ends with, at the
     man-optimal matching of the truncation at d, its list ends cut at d."""
-    return _rotations_from(inst, _truncation_run(inst)[1])
+    return list(solvers._Lattice(inst).generous.rotations)
 
 
 def sweep_rotations_reference(
@@ -576,7 +575,7 @@ class DenseProfile:
 
 
 COUNTED_STAGES = (
-    "_rotations_from", "build_digraph", "_cycle_profile", "_min_regret_run",
+    "_rotations_from", "build_digraph", "_cycle_profile", "_rank_change", "_min_regret_run",
     "_closed_subsets", "max_vb_flow", "oracle_exponential_flow",
 )
 

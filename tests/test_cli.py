@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from profmatch import (
     Criterion,
     Matching,
-    OracleMode,
     Profile,
     batch_stats,
     format_instance,
@@ -266,13 +265,16 @@ def test_oracle_check_compares_egalitarian_matchings(monkeypatch, capsys):
 def test_oracle_check_compares_min_regret_matchings(monkeypatch, capsys):
     # The man-optimal matching is stable but not always of the minimum
     # degree; the first minimum-degree matching of the enumeration judges it.
-    from profmatch import cli, man_optimal
+    from profmatch import solvers
 
-    real = cli._generous_poset
-    monkeypatch.setattr(
-        cli, "_generous_poset",
-        lambda inst: dataclasses.replace(real(inst), man_optimal=man_optimal(inst)),
-    )
+    real = solvers._Lattice.solve
+
+    def man_optimal_for_min_regret(lattice, criterion):
+        if criterion is Criterion.MIN_REGRET:
+            return lattice.full.man_optimal
+        return real(lattice, criterion)
+
+    monkeypatch.setattr(solvers._Lattice, "solve", man_optimal_for_min_regret)
     assert main(["oracle-check", "--n", "8", "--trials", "40", "--seed", "3"]) == 1
     err = capsys.readouterr().err
     assert "min-regret matching differs from first enumerated minimum-degree matching" in err
@@ -294,7 +296,7 @@ def test_oracle_check_compares_walked_matchings(monkeypatch, capsys, criterion, 
     from profmatch import solvers
 
     name = "_sex_equal" if criterion is Criterion.SEX_EQUAL else "_median"
-    monkeypatch.setattr(solvers, name, lambda inst, poset, walk: poset.man_optimal)
+    monkeypatch.setattr(solvers, name, lambda poset, walk: poset.man_optimal)
     assert main(["oracle-check", "--n", "8", "--trials", "40", "--seed", "3"]) == 1
     assert message in capsys.readouterr().err
 
@@ -307,9 +309,9 @@ def test_oracle_check_compares_generous_closed_subsets(monkeypatch, capsys):
 
     real = cli.oracle_exponential_flow
 
-    def faulty(rotations, digraph, n, mode=OracleMode.RANK_MAX, window=None):
-        value, subset = real(rotations, digraph, n, mode, window)
-        if mode is OracleMode.GENEROUS:
+    def faulty(rotations, digraph, n, window=None):
+        value, subset = real(rotations, digraph, n, window)
+        if window is not None:
             subset = frozenset(range(len(rotations))) - subset
         return value, subset
 
@@ -334,16 +336,16 @@ def _oracle_check_failure(capsys, trials=6, seed=7):
         # The rank-maximal flow chose rightly, but the woman-optimal
         # matching is answered: the enumeration's best profile judges it.
         (Criterion.RANK_MAXIMAL,
-         lambda inst, poset, matching, witness: (woman_optimal(inst), witness),
+         lambda poset, matching, witness: (woman_optimal(poset.inst), witness),
          "rank-maximal profile differs from enumeration maximum"),
         (Criterion.GENEROUS,
-         lambda inst, poset, matching, witness: (
+         lambda poset, matching, witness: (
              matching, (witness[0], _one_unit_off(witness[1]), witness[2])),
          "generous min-cut capacity differs from max-flow value"),
         # The generous poset's man-optimal matching has the minimum-regret
         # degree but not always the least reverse profile.
         (Criterion.GENEROUS,
-         lambda inst, poset, matching, witness: (poset.man_optimal, witness),
+         lambda poset, matching, witness: (poset.man_optimal, witness),
          "generous reverse profile differs from enumeration minimum"),
     ],
 )
@@ -354,10 +356,10 @@ def test_oracle_check_judges_flow_solutions(monkeypatch, capsys, criterion, faul
 
     real = cli._flow_solution
 
-    def solution(inst, poset, asked):
-        matching, witness = real(inst, poset, asked)
+    def solution(poset, asked):
+        matching, witness = real(poset, asked)
         if asked is criterion:
-            return fault(inst, poset, matching, witness)
+            return fault(poset, matching, witness)
         return matching, witness
 
     monkeypatch.setattr(cli, "_flow_solution", solution)
@@ -380,8 +382,8 @@ def test_oracle_check_compares_flow_value_with_oracle(monkeypatch, capsys):
 
     real = cli.oracle_exponential_flow
 
-    def one_off(rotations, digraph, n, mode=OracleMode.RANK_MAX, window=None):
-        value, subset = real(rotations, digraph, n, mode, window)
+    def one_off(rotations, digraph, n, window=None):
+        value, subset = real(rotations, digraph, n, window)
         return value + 1, subset
 
     monkeypatch.setattr(cli, "oracle_exponential_flow", one_off)
@@ -413,13 +415,16 @@ def test_each_poset_is_built_once_per_instance(monkeypatch, consumer):
     # (rank-maximal, egalitarian, generous): oracle-check judges the flows
     # the solves ran, and the scalar oracle runs on each of two posets.
     # Each rotation's profile is built once, though in oracle-check both the
-    # flow and the scalar oracle read it.
+    # flow and the scalar oracle read it, and each full-poset rotation's
+    # rank change once, though egalitarian and sex-equal both read it.
     from profmatch.cli import _agreement_failure
-    from profmatch.solvers import _full_poset, _generous_poset
+    from profmatch.solvers import _Lattice
 
     raw = generate_uniform(40, 40, 1.0, seed=3)
     pre = preprocess(raw)
-    rotations = len(_full_poset(pre).rotations) + len(_generous_poset(pre).rotations)
+    lattice = _Lattice(pre)
+    full = len(lattice.full.rotations)
+    rotations = full + len(lattice.generous.rotations)
     counts = count_calls(monkeypatch)
     if consumer == "stats":
         batch_stats([("u", raw)], list(Criterion))
@@ -430,6 +435,7 @@ def test_each_poset_is_built_once_per_instance(monkeypatch, consumer):
     assert counts["max_vb_flow"] == 3
     assert counts["oracle_exponential_flow"] == (2 if consumer == "oracle-check" else 0)
     assert counts["_cycle_profile"] == rotations
+    assert counts["_rank_change"] == full == 7
 
 
 def test_stats_builds_generous_poset_only_when_read(tmp_path, monkeypatch, capsys):
@@ -446,6 +452,28 @@ def test_stats_builds_generous_poset_only_when_read(tmp_path, monkeypatch, capsy
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines == [every[0]] + [row for row in every[1:]
                                   if row.split(",")[1] in ("rank-maximal", "median")]
+
+
+def test_stats_under_cap_walks_once_and_marks_timeout(tmp_path, monkeypatch, capsys):
+    # Below the stable-matching count, one walk stops at the cap: the count
+    # column and the sex-equal and median rows read TIMEOUT, and every other
+    # row is the one an uncapped run writes.
+    path = tmp_path / "u.txt"
+    path.write_text(format_instance(generate_uniform(40, 40, 1.0, seed=3)))
+    assert main(["stats", "--in", str(path)]) == 0
+    uncapped = [row.split(",") for row in capsys.readouterr().out.strip().split("\n")]
+    assert int(uncapped[1][5]) > 2
+    counts = count_calls(monkeypatch)
+    assert main(["stats", "--in", str(path), "--cap", "2"]) == 0
+    assert counts["_closed_subsets"] == 1
+    expected = [uncapped[0]]
+    for row in uncapped[1:]:
+        if row[1] in ("sex-equal", "median"):
+            row = row[:5] + ["TIMEOUT"] * (len(row) - 5)
+        else:
+            row = row[:5] + ["TIMEOUT"] + row[6:]
+        expected.append(row)
+    assert [row.split(",") for row in capsys.readouterr().out.strip().split("\n")] == expected
 
 
 def test_oracle_check_flag_validation(capsys):

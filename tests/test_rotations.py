@@ -24,7 +24,8 @@ from profmatch import (
 )
 from profmatch import solvers
 from profmatch.rotations import _rotations_from, apply_rotation
-from profmatch.stability import _truncation_run, min_regret
+from profmatch.solvers import _Poset
+from profmatch.stability import _min_regret_run, min_regret
 
 from helpers import (
     DESCENT_ENDS,
@@ -283,7 +284,7 @@ def test_walk_equals_sweep_reference(i0_pre):
         expected = sweep_rotations_reference(inst, man_optimal(inst).wife_array(inst.n_men))
         assert got == expected
         assert build_digraph(inst, got) == build_digraph(inst, expected)
-        degree, run = _truncation_run(inst)
+        degree, run = _min_regret_run(inst)
         _assert_resumable(inst, run)
         # Only a step that is undone leaves every man within the degree.
         was_undone = all(inst.men_rank[m][run.prop_match[m]] < degree
@@ -291,7 +292,7 @@ def test_walk_equals_sweep_reference(i0_pre):
         assert undone.get(name, was_undone) == was_undone
         exits[was_undone] += 1
         wife = run.prop_match[:]
-        got = _rotations_from(inst, run)
+        got = list(_Poset(inst, run, degree).rotations)
         expected = sweep_rotations_reference(inst, wife, degree)
         assert got == expected
         assert build_digraph(inst, got) == build_digraph(inst, expected)

@@ -10,7 +10,6 @@ from profmatch import (
     EnumerationCapError,
     Instance,
     Matching,
-    OracleMode,
     build_digraph,
     build_vb_network,
     eliminate_closed_subset,
@@ -39,16 +38,7 @@ from profmatch import (
 )
 from profmatch import stability
 from profmatch.rotations import apply_rotation
-from profmatch.solvers import (
-    DEFAULT_ENUMERATION_CAP,
-    ENUMERATION_BACKED,
-    _closed_subsets,
-    _cost_pair,
-    _full_poset,
-    _generous_poset,
-    _rank_change,
-    _solve_on,
-)
+from profmatch.solvers import _Lattice, _cost_pair
 
 from helpers import (
     I0_ALL_MATCHINGS,
@@ -396,14 +386,20 @@ def test_min_regret_equals_first_enumerated_of_least_degree():
 
 
 def test_criteria_outside_enumeration_backed_never_enumerate(i0_pre, monkeypatch):
-    assert ENUMERATION_BACKED == {Criterion.SEX_EQUAL, Criterion.MEDIAN}
+    # Only sex-equal and median walk the closed subsets, so only they feel
+    # the cap: every other criterion solves under a cap of 1.
+    enumeration_backed = {Criterion.SEX_EQUAL, Criterion.MEDIAN}
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("enumeration called")
 
     monkeypatch.setattr("profmatch.solvers.enumerate_stable_matchings", refuse)
-    for criterion in set(Criterion) - ENUMERATION_BACKED:
-        assert is_stable(i0_pre, solve(i0_pre, criterion))
+    for criterion in Criterion:
+        if criterion in enumeration_backed:
+            with pytest.raises(EnumerationCapError):
+                solve(i0_pre, criterion, cap=1)
+        else:
+            assert is_stable(i0_pre, solve(i0_pre, criterion, cap=1))
 
 
 def test_egalitarian_equals_first_enumerated_tie(i0_pre):
@@ -485,18 +481,18 @@ def test_oracle_agrees_with_pipeline_in_both_modes(i0_pre):
     from profmatch import eliminate_closed_subset
     from profmatch.solvers import _flow_solution, _Poset
 
-    def agree(inst, mode, window):
-        # The poset of ``inst``, its generous weights reverse-negated over
-        # ``window`` ranks.
+    def agree(inst, window):
+        # The poset of ``inst``, cut at ``window`` (no pair lies past it),
+        # with rank-maximal weights if it is None and else generous ones
+        # reverse-negated over ``window`` ranks.
         rotations = find_rotations(inst)
         digraph = build_digraph(inst, rotations)
         m0 = man_optimal(inst)
-        poset = _Poset(m0, tuple(rotations), digraph, window)
-        criterion = Criterion.RANK_MAXIMAL if mode is OracleMode.RANK_MAX else Criterion.GENEROUS
-        vb_match, (_flow, _cut, subset_vb) = _flow_solution(inst, poset, criterion)
-        _value, subset_or = oracle_exponential_flow(
-            rotations, digraph, inst.n_men, mode, window=window
-        )
+        poset = _Poset(inst, stability._man_optimal_run(inst), window)
+        assert poset.rotations == tuple(rotations) and poset.digraph == digraph
+        criterion = Criterion.RANK_MAXIMAL if window is None else Criterion.GENEROUS
+        vb_match, (_flow, _cut, subset_vb) = _flow_solution(poset, criterion)
+        _value, subset_or = oracle_exponential_flow(rotations, digraph, inst.n_men, window)
         assert subset_vb == subset_or
         or_match = eliminate_closed_subset(inst, m0, rotations, digraph, subset_or)
         assert profile_of(inst, vb_match) == profile_of(inst, or_match)
@@ -512,13 +508,13 @@ def test_oracle_agrees_with_pipeline_in_both_modes(i0_pre):
         n = inst.n_men
         if not find_rotations(inst):
             continue
-        nonempty += agree(inst, OracleMode.RANK_MAX, None)
-        nonempty += agree(inst, OracleMode.GENEROUS, n)
+        nonempty += agree(inst, None)
+        nonempty += agree(inst, n)
         # The generous solve's own network: the truncation at the
         # minimum-regret degree d, with profiles reverse-negated over d ranks.
         trunc, d = truncated_at_min_regret(inst)
         if find_rotations(trunc):
-            nonempty += agree(trunc, OracleMode.GENEROUS, d)
+            nonempty += agree(trunc, d)
     assert nonempty >= 150
 
 
@@ -589,7 +585,8 @@ def test_profiles_and_rank_changes_equal_eager_reference(i0_pre):
         n = inst.n_men
         if n == 0:
             continue
-        for poset in (_full_poset(inst), _generous_poset(inst)):
+        lattice = _Lattice(inst)
+        for poset in (lattice.full, lattice.generous):
             eager = []
             reference = sweep_rotations_reference(
                 inst, poset.man_optimal.wife_array(n), poset.cutoff, eager
@@ -599,7 +596,7 @@ def test_profiles_and_rank_changes_equal_eager_reference(i0_pre):
             wife = poset.man_optimal.wife_array(n)
             before = _cost_pair(inst, poset.man_optimal)
             for rot, profile in zip(poset.rotations, eager):
-                dm, dw = _rank_change(inst, rot.cycle)
+                dm, dw = rot.rank_change
                 assert dm + dw == sum(k * e for k, e in profile.pairs)
                 apply_rotation(wife, rot.cycle)
                 after = _cost_pair(inst, Matching.from_wife_array(wife))
@@ -612,21 +609,24 @@ def test_profiles_and_rank_changes_equal_eager_reference(i0_pre):
 def test_profiles_are_built_only_for_the_criteria_that_read_them(i0_pre, monkeypatch):
     # Egalitarian and sex-equal read rank changes and median reads no
     # weight, so they build no profile; rank-maximal and generous build
-    # each rotation's profile of their poset once.
+    # each rotation's profile of their poset once.  Likewise only
+    # egalitarian and sex-equal build rank changes, one per rotation of the
+    # full poset.
     instances = [i0_pre, preprocess(latin_chain(12)),
                  preprocess(generate_uniform(40, 40, 1.0, seed=3))]
     counts = count_calls(monkeypatch)
     total = Counter()
     for inst in instances:
-        built = {
-            Criterion.RANK_MAXIMAL: len(_full_poset(inst).rotations),
-            Criterion.GENEROUS: len(_generous_poset(inst).rotations),
-        }
+        lattice = _Lattice(inst)
+        full, generous = len(lattice.full.rotations), len(lattice.generous.rotations)
+        profiles = {Criterion.RANK_MAXIMAL: full, Criterion.GENEROUS: generous}
+        rank_changes = {Criterion.EGALITARIAN: full, Criterion.SEX_EQUAL: full}
         for criterion in (Criterion.SEX_EQUAL, Criterion.MEDIAN, Criterion.EGALITARIAN,
                           Criterion.RANK_MAXIMAL, Criterion.GENEROUS):
             counts.clear()
             solve(inst, criterion)
-            assert counts["_cycle_profile"] == built.get(criterion, 0), criterion
+            assert counts["_cycle_profile"] == profiles.get(criterion, 0), criterion
+            assert counts["_rank_change"] == rank_changes.get(criterion, 0), criterion
             total[criterion] += counts["_cycle_profile"]
     assert total[Criterion.RANK_MAXIMAL] == 23 and total[Criterion.GENEROUS] == 4
 
@@ -654,13 +654,13 @@ def test_solve_generous_equals_staged_path(i0_pre):
             assert solve_generous(inst) == _staged_generous(inst)
 
 
-def _shared_posets(inst):
-    full = _full_poset(inst)
-    return full, _closed_subsets(full.digraph, DEFAULT_ENUMERATION_CAP), _generous_poset(inst)
+def _poset_parts(lattice):
+    return [(poset.man_optimal, poset.rotations, poset.digraph, poset.cutoff)
+            for poset in (lattice.full, lattice.generous)] + [lattice.walk]
 
 
 def test_shared_posets_give_every_criterion_what_solve_gives(i0_pre):
-    # One full poset, one walk over it and one generous poset per instance,
+    # One lattice per instance, its full poset, walk and generous poset
     # shared by every criterion, in Criterion order and reversed: each
     # answer equals solve's, which builds its own, and no consumer changes
     # what it shares.
@@ -669,9 +669,42 @@ def test_shared_posets_give_every_criterion_what_solve_gives(i0_pre):
         density = (1.0, 0.5)[seed % 2]
         instances.append(preprocess(generate_uniform(30, 30, density, seed=8200 + seed)))
     for inst in instances:
-        shared = _shared_posets(inst)
         expected = {criterion: solve(inst, criterion) for criterion in Criterion}
+        lattice = _Lattice(inst)
         for order in (list(Criterion), list(reversed(Criterion))):
             for criterion in order:
-                assert _solve_on(inst, criterion, *shared) == expected[criterion], criterion
-        assert shared == _shared_posets(inst)
+                assert lattice.solve(criterion) == expected[criterion], criterion
+        assert _poset_parts(lattice) == _poset_parts(_Lattice(inst))
+
+
+def test_matching_only_criteria_walk_no_rotations(i0_pre, monkeypatch):
+    # Man-optimal and min-regret read only their poset's man-optimal
+    # matching, and woman-optimal no poset: none extracts rotations.  The
+    # minimum-regret descent cuts only the list ends of the men it frees;
+    # every man's end is cut, in one more call, only when the generous
+    # poset walks.
+    instances = [i0_pre, preprocess(latin_chain(12))]
+    instances += [preprocess(generate_uniform(40, 40, density, seed=3)) for density in (1.0, 0.5)]
+    counts = count_calls(monkeypatch)
+    cuts = []
+    real_cut = stability._cut_list_ends
+
+    def cut(inst, end, men, cutoff):
+        cuts.append(len(men))
+        real_cut(inst, end, men, cutoff)
+
+    monkeypatch.setattr(stability, "_cut_list_ends", cut)
+    monkeypatch.setattr("profmatch.solvers._cut_list_ends", cut)
+    for inst in instances:
+        cuts.clear()
+        stability.min_regret(inst)
+        descent = list(cuts)
+        for criterion in (Criterion.MIN_REGRET, Criterion.MAN_OPTIMAL, Criterion.WOMAN_OPTIMAL):
+            counts.clear()
+            cuts.clear()
+            solve(inst, criterion)
+            assert counts["_rotations_from"] == 0, criterion
+            assert cuts == (descent if criterion is Criterion.MIN_REGRET else []), criterion
+        cuts.clear()
+        solve(inst, Criterion.GENEROUS)
+        assert cuts == descent + [inst.n_men]
