@@ -20,10 +20,15 @@ the instance they were derived from.
 
 Instances built by :func:`parse_instance` or :meth:`Instance.from_lists`
 have rank == list position.  :func:`preprocess` returns its input when every
-agent is assigned in the stable matchings; otherwise it removes the agents
-that are not, re-indexes densely (keeping a map back to the original
-indices) and cuts the pairs no stable matching uses, so that the result has
-the input's stable matchings and no others.
+agent is assigned in the stable matchings; otherwise it makes one cut of
+the input, which removes the agents that are not, re-indexes the rest
+densely (keeping a map back to the original indices) and drops the pairs no
+stable matching uses, so that the result has the input's stable matchings
+and no others.  Kept pairs keep the input's ranks, and those are still the
+positions in the lists with the removed agents taken out: an agent that no
+stable matching assigns is ranked below every kept agent's worst stable
+partner on the lists that name it, since otherwise the two would block the
+stable matching in which that partner is assigned.
 
 Text format (ASCII, LF newlines, no comments)::
 
@@ -38,7 +43,8 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate, compress
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .profiles import Profile
@@ -70,16 +76,12 @@ class Instance:
     women_lists: tuple[tuple[int, ...], ...]
     men_rank: tuple[RankRow, ...]
     women_rank: tuple[RankRow, ...]
-    orig_men: tuple[int, ...] = field(default=())
-    orig_women: tuple[int, ...] = field(default=())
+    orig_men: tuple[int, ...]
+    orig_women: tuple[int, ...]
 
     @classmethod
     def from_lists(
-        cls,
-        men_lists: Sequence[Sequence[int]],
-        women_lists: Sequence[Sequence[int]],
-        orig_men: Optional[Sequence[int]] = None,
-        orig_women: Optional[Sequence[int]] = None,
+        cls, men_lists: Sequence[Sequence[int]], women_lists: Sequence[Sequence[int]]
     ) -> "Instance":
         """Build an instance with rank == list position; validates invariants."""
         # One int object per agent, shared by every list that names him or
@@ -98,12 +100,7 @@ class Instance:
             _checked_list(lst, j, men_index, "woman", "man")
             for j, lst in enumerate(women_lists, start=1)
         ]
-        inst = _by_position(
-            m_lists,
-            w_lists,
-            men_ids if orig_men is None else orig_men,
-            women_ids if orig_women is None else orig_women,
-        )
+        inst = _by_position(m_lists, w_lists, men_ids, women_ids)
         unreturned = _first_unreturned(inst)
         if unreturned:
             raise ValueError(f"acceptability is not mutual: {unreturned}")
@@ -481,21 +478,47 @@ def _truncated_instance(
     inst: Instance, men_limit: Sequence[int], women_limit: Sequence[int]
 ) -> Instance:
     """The pairs (m, w) that m ranks within ``men_limit[m]`` and w within
-    ``women_limit[w]``, each keeping its rank on both sides."""
-    men = _kept_side(inst.men_lists, inst.men_rank, men_limit, inst.women_rank, women_limit)
-    women = _kept_side(inst.women_lists, inst.women_rank, women_limit, inst.men_rank, men_limit)
-    return Instance(men[0], women[0], men[1], women[1], inst.orig_men, inst.orig_women)
+    ``women_limit[w]``, each keeping its rank on both sides.
+
+    This is the one builder that drops agents: an agent whose limit is 0
+    goes, and the rest are re-indexed densely in their order, with
+    ``orig_men`` / ``orig_women`` carried through.  Entries that name a
+    dropped agent fail its limit and go with it.  Ranks are never
+    renumbered, and :func:`preprocess`'s cut needs none: it drops only
+    agents that no stable matching assigns, and a kept agent ranks each of
+    those below its worst stable partner, its limit, or the two would block
+    the stable matching in which that partner is assigned.
+    """
+    men_lists, men_rank = _kept_side(
+        inst.men_lists, inst.men_rank, men_limit, inst.women_rank, women_limit
+    )
+    women_lists, women_rank = _kept_side(
+        inst.women_lists, inst.women_rank, women_limit, inst.men_rank, men_limit
+    )
+    return Instance(
+        men_lists,
+        women_lists,
+        men_rank,
+        women_rank,
+        (0, *compress(inst.orig_men[1:], men_limit[1:])),
+        (0, *compress(inst.orig_women[1:], women_limit[1:])),
+    )
 
 
 def _kept_side(lists, rank, limit, other_rank, other_limit):
     """One side's kept lists and rank rows, both with the index-0 stub."""
-    width = len(other_rank)
+    # The new index of each kept agent on the other side: the number of
+    # kept agents up to it.  One int object per agent, shared by every list.
+    new = list(accumulate((lim > 0 for lim in other_limit[1:]), initial=0))
+    width = new[-1] + 1
     kept_lists, rows = [()], [_rank_row((), (), width)]
     for i in range(1, len(lists)):
         own, lim = rank[i], limit[i]
-        kept = tuple(j for j in lists[i] if own[j] <= lim and other_rank[j][i] <= other_limit[j])
-        kept_lists.append(kept)
-        rows.append(_rank_row(kept, map(own.__getitem__, kept), width))
+        if lim:
+            kept = [j for j in lists[i] if own[j] <= lim and other_rank[j][i] <= other_limit[j]]
+            renamed = tuple(map(new.__getitem__, kept))
+            kept_lists.append(renamed)
+            rows.append(_rank_row(renamed, map(own.__getitem__, kept), width))
     return tuple(kept_lists), tuple(rows)
 
 
@@ -504,43 +527,35 @@ def preprocess(inst: Instance) -> Instance:
 
     The same agents are assigned in every stable matching, so one proposer
     round identifies who is never assigned.  When nobody is, the input is
-    returned unchanged.  Otherwise those agents are removed and the rest
-    re-indexed densely, with ranks equal to positions in the lists with
-    only the removed agents taken out.  Removing agents alone can create
-    stable matchings the input does not have, so every pair that no stable
-    matching of the input uses goes too: (m, w) where w ranks m below her
-    man-optimal partner or m ranks w below his woman-optimal partner.  The
-    stable matchings of the result, mapped back through ``orig_men`` and
-    ``orig_women``, are exactly those of the input, and all are perfect.
+    returned unchanged.  Otherwise one :func:`_truncated_instance` call cuts
+    the input at each agent's worst stable partner: the woman-optimal wife
+    of a man, the man-optimal husband of a woman.  The agents that no stable
+    matching assigns have no such partner and go, and the rest are
+    re-indexed densely.  Removing agents alone can create stable matchings
+    the input does not have, so the pairs below the limits, which no stable
+    matching of the input uses, go too.  The stable matchings of the
+    result, mapped back through ``orig_men`` and ``orig_women``, are
+    exactly those of the input, and all are perfect.
+
+    Kept pairs keep the input's ranks; where those are list positions, they
+    stay positions in the lists with only the removed agents taken out.  A
+    kept man who ranked a
+    removed woman at or above his woman-optimal wife would block the
+    woman-optimal matching with her, since she is unassigned there, and
+    symmetrically for a kept woman and the man-optimal matching.  So every
+    entry that names a removed agent lies below the limit, and the cut
+    removes it with the rest.
     """
     n_men, n_women = inst.n_men, inst.n_women
-    wife = gs_propose(inst.men_lists, inst.women_rank, n_men, n_women).prop_match
-    kept_men = [m for m in range(1, n_men + 1) if wife[m]]
-    if len(kept_men) == n_men == n_women:
+    by_men = gs_propose(inst.men_lists, inst.women_rank, n_men, n_women)
+    if n_men == n_women and all(by_men.prop_match[1:]):
         return inst
-    husband = gs_propose(inst.women_lists, inst.men_rank, n_women, n_men).prop_match
-    kept_women = sorted(wife[m] for m in kept_men)
-    new_m = {old: new for new, old in enumerate(kept_men, start=1)}
-    new_w = {old: new for new, old in enumerate(kept_women, start=1)}
-    men_lists = [
-        [new_w[w] for w in inst.men_lists[old] if w in new_w] for old in kept_men
-    ]
-    women_lists = [
-        [new_m[m] for m in inst.women_lists[old] if m in new_m] for old in kept_women
-    ]
-    orig_men = (0,) + tuple(inst.orig_men[old] for old in kept_men)
-    orig_women = (0,) + tuple(inst.orig_women[old] for old in kept_women)
-    reduced = Instance.from_lists(men_lists, women_lists, orig_men, orig_women)
-    # Each agent's worst stable partner bounds the ranks worth keeping: the
-    # woman-optimal wife of a man, the man-optimal husband of a woman.
-    men_limit = [0] * (reduced.n_men + 1)
-    for w, m in enumerate(husband):
-        if m:
-            men_limit[new_m[m]] = reduced.men_rank[new_m[m]][new_w[w]]
-    women_limit = [0] * (reduced.n_women + 1)
-    for m in kept_men:
-        women_limit[new_w[wife[m]]] = reduced.women_rank[new_w[wife[m]]][new_m[m]]
-    return _truncated_instance(reduced, men_limit, women_limit)
+    by_women = gs_propose(inst.women_lists, inst.men_rank, n_women, n_men)
+    # A receiver's held rank is its rank of the partner it ends with, the
+    # worst it has in any stable matching; a free receiver's is sys.maxsize.
+    men_limit = [0 if r == sys.maxsize else r for r in by_women.held]
+    women_limit = [0 if r == sys.maxsize else r for r in by_men.held]
+    return _truncated_instance(inst, men_limit, women_limit)
 
 
 def profile_of(inst: Instance, matching: Matching) -> Profile:

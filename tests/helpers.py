@@ -454,6 +454,51 @@ def binary_search_min_regret(inst: Instance) -> tuple[int, Matching]:
     return lo, Matching.from_wife_array(best)
 
 
+def two_step_preprocess(inst: Instance) -> Instance:
+    """Reference for ``model.preprocess``: the two-step reduction it replaced.
+
+    It re-indexes the kept agents' lists through two dicts into a validated
+    instance with rank == position, then cuts each pair below either
+    agent's worst stable partner, keeping that instance's ranks.
+    """
+    n_men, n_women = inst.n_men, inst.n_women
+    wife = gs_propose(inst.men_lists, inst.women_rank, n_men, n_women).prop_match
+    kept_men = [m for m in range(1, n_men + 1) if wife[m]]
+    if len(kept_men) == n_men == n_women:
+        return inst
+    husband = gs_propose(inst.women_lists, inst.men_rank, n_women, n_men).prop_match
+    kept_women = sorted(wife[m] for m in kept_men)
+    new_m = {old: new for new, old in enumerate(kept_men, start=1)}
+    new_w = {old: new for new, old in enumerate(kept_women, start=1)}
+    reduced = Instance.from_lists(
+        [[new_w[w] for w in inst.men_lists[old] if w in new_w] for old in kept_men],
+        [[new_m[m] for m in inst.women_lists[old] if m in new_m] for old in kept_women],
+    )
+    men_limit = [0] * (reduced.n_men + 1)
+    for w, m in enumerate(husband):
+        if m:
+            men_limit[new_m[m]] = reduced.men_rank[new_m[m]][new_w[w]]
+    women_limit = [0] * (reduced.n_women + 1)
+    for m in kept_men:
+        women_limit[new_w[wife[m]]] = reduced.women_rank[new_w[wife[m]]][new_m[m]]
+
+    def cut(lists, rank, limit, other_rank, other_limit):
+        kept = [()] + [
+            tuple(j for j in lists[i] if rank[i][j] <= limit[i] and other_rank[j][i] <= other_limit[j])
+            for i in range(1, len(lists))
+        ]
+        rows = [model._rank_row(lst, [rank[i][j] for j in lst], len(other_rank)) for i, lst in enumerate(kept)]
+        return tuple(kept), tuple(rows)
+
+    men = cut(reduced.men_lists, reduced.men_rank, men_limit, reduced.women_rank, women_limit)
+    women = cut(reduced.women_lists, reduced.women_rank, women_limit, reduced.men_rank, men_limit)
+    return Instance(
+        men[0], women[0], men[1], women[1],
+        (0,) + tuple(inst.orig_men[old] for old in kept_men),
+        (0,) + tuple(inst.orig_women[old] for old in kept_women),
+    )
+
+
 def truncated_at_min_regret(inst: Instance) -> tuple[Instance, int]:
     """The instance the generous solve eliminates rotations of, and its degree."""
     degree = min_regret_degree(inst)

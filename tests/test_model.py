@@ -22,7 +22,17 @@ from profmatch import (
     truncate,
 )
 
-from helpers import I0_ALL_MATCHINGS, brute_force_all_stable_matchings, lists_text, sparse_lists
+from profmatch import model
+from profmatch.model import gs_propose
+
+from helpers import (
+    DESCENT_ENDS,
+    I0_ALL_MATCHINGS,
+    brute_force_all_stable_matchings,
+    lists_text,
+    sparse_lists,
+    two_step_preprocess,
+)
 
 
 def test_parse_i0(i0):
@@ -145,6 +155,53 @@ def test_preprocess_reindexes_densely():
     assert pre.orig_men == (0, 1, 3)
     # Ranks are positions in the filtered lists.
     assert pre.men_rank[1][1] == 1
+
+
+def _preprocess_inputs():
+    for seed in range(600):
+        rng = random.Random(seed)
+        n_men, n_women = rng.sample(range(1, 13), 2)
+        density = rng.choice((0.2, 0.4, 0.6, 0.8, 1.0))
+        yield generate_uniform(n_men, n_women, density, seed=8800 + seed)
+    for seed in (1, 2):
+        yield Instance.from_lists(*sparse_lists(2_000, [15] * 2_000, seed))
+    for lists in DESCENT_ENDS.values():
+        yield Instance.from_lists(*lists)
+
+
+def test_preprocess_equals_two_step_reference():
+    reduced = 0
+    for inst in _preprocess_inputs():
+        pre = preprocess(inst)
+        expected = two_step_preprocess(inst)
+        assert (pre.men_lists, pre.women_lists) == (expected.men_lists, expected.women_lists)
+        for rows, expected_rows in ((pre.men_rank, expected.men_rank), (pre.women_rank, expected.women_rank)):
+            assert rows == expected_rows
+            assert list(map(type, rows)) == list(map(type, expected_rows))
+        assert (pre.orig_men, pre.orig_women) == (expected.orig_men, expected.orig_women)
+        reduced += pre is not inst
+
+        # What the cut rests on: no kept agent ranks a removed agent at or
+        # above its worst stable partner (woman-optimal wife, man-optimal
+        # husband), so ranks need no renumbering.
+        kept_men, kept_women = set(pre.orig_men[1:]), set(pre.orig_women[1:])
+        wife_z = gs_propose(inst.women_lists, inst.men_rank, inst.n_women, inst.n_men).recv_match
+        husband_m = gs_propose(inst.men_lists, inst.women_rank, inst.n_men, inst.n_women).recv_match
+        for lists, rank, worst, kept, kept_other in (
+            (inst.men_lists, inst.men_rank, wife_z, kept_men, kept_women),
+            (inst.women_lists, inst.women_rank, husband_m, kept_women, kept_men),
+        ):
+            for i in kept:
+                limit = rank[i][worst[i]]
+                assert all(rank[i][j] > limit for j in lists[i] if j not in kept_other)
+
+        # The checks Instance.from_lists ran on the old reduction path.
+        for lists, n_other in ((pre.men_lists, pre.n_women), (pre.women_lists, pre.n_men)):
+            assert lists[0] == ()
+            for lst in lists:
+                assert len(set(lst)) == len(lst) and all(1 <= j <= n_other for j in lst)
+        assert model._first_unreturned(pre) is None
+    assert reduced == 602  # all but the DESCENT_ENDS instances
 
 
 def test_profile_of_examples(i0_pre):
