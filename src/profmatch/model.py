@@ -428,6 +428,17 @@ class DeferredAcceptance:
         self.recv_match = [0] * (n_recv + 1)
         self.held = [sys.maxsize] * (n_recv + 1)
 
+    def copy(self) -> "DeferredAcceptance":
+        """A run in the same state that resumes on its own: the five arrays
+        are copied, the lists and rank rows shared."""
+        other = DeferredAcceptance.__new__(DeferredAcceptance)
+        other.prop_lists, other.recv_rank = self.prop_lists, self.recv_rank
+        other.end, other.next_pos = self.end[:], self.next_pos[:]
+        other.prop_match, other.recv_match, other.held = (
+            self.prop_match[:], self.recv_match[:], self.held[:]
+        )
+        return other
+
     def propose(self, free: list[int]) -> list[int]:
         """Let the free proposers propose until every one is held or exhausted.
 

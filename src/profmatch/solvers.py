@@ -126,7 +126,8 @@ class _Lattice:
     ``full`` is the poset of the man-optimal run, ``generous`` that of the
     minimum-regret run (the truncation at the minimum-regret degree), and
     ``walk`` the breadth-first walk over the full poset's closed subsets,
-    or None once there are more than ``cap``.
+    or None once there are more than ``cap``.  Both posets continue one
+    man-optimal run, ``_start``; each consumes a copy of it.
     """
 
     def __init__(self, inst: Instance, cap: int = DEFAULT_ENUMERATION_CAP):
@@ -134,12 +135,16 @@ class _Lattice:
         self.cap = cap
 
     @cached_property
+    def _start(self) -> DeferredAcceptance:
+        return _man_optimal_run(self.inst)
+
+    @cached_property
     def full(self) -> _Poset:
-        return _Poset(self.inst, _man_optimal_run(self.inst))
+        return _Poset(self.inst, self._start.copy())
 
     @cached_property
     def generous(self) -> _Poset:
-        degree, run = _min_regret_run(self.inst)
+        degree, run = _min_regret_run(self.inst, self._start.copy())
         return _Poset(self.inst, run, degree)
 
     @cached_property

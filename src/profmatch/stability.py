@@ -86,19 +86,20 @@ def min_regret(inst: Instance) -> tuple[int, Matching]:
     stable matchings of degree <= d form a sublattice, so the answer has the
     smallest rotation subset among them.  Requires a preprocessed instance.
     """
-    degree, run = _min_regret_run(inst)
+    degree, run = _min_regret_run(inst, _man_optimal_run(inst))
     return degree, Matching.from_wife_array(run.prop_match)
 
 
-def _min_regret_run(inst: Instance) -> tuple[int, DeferredAcceptance]:
+def _min_regret_run(inst: Instance, run: DeferredAcceptance) -> tuple[int, DeferredAcceptance]:
     """The minimum-regret degree d and the men-proposing run left at the
     man-optimal matching of the truncation at d, which the caller may resume.
 
     One men-proposing run finds d, resumed at each cutoff and never
-    restarted (Gusfield, SIAM J. Comput. 1987).  The run first reaches the
-    man-optimal matching, whose degree bounds d from above.  From then on
-    the state holds the man-optimal matching of the truncation at the last
-    feasible cutoff c, and the cutoff steps down to c - 1:
+    restarted (Gusfield, SIAM J. Comput. 1987).  ``run`` is that run,
+    finished at the man-optimal matching, whose degree bounds d from above;
+    it is resumed in place.  From then on the state holds the man-optimal
+    matching of the truncation at the last feasible cutoff c, and the
+    cutoff steps down to c - 1:
 
     * If the worst-off man ranks his wife c, c - 1 is infeasible: a perfect
       stable matching of a truncation is stable in every looser one, so it
@@ -123,7 +124,6 @@ def _min_regret_run(inst: Instance) -> tuple[int, DeferredAcceptance]:
     """
     n = inst.n_men
     men_lists, men_rank, women_rank = inst.men_lists, inst.men_rank, inst.women_rank
-    run = _man_optimal_run(inst)
     if n == 0:
         return 0, run
     wife, husband, held, next_pos, end = (

@@ -30,6 +30,7 @@ from profmatch import (
 from profmatch import analytics, cli, model, rotations, solvers, stability
 from profmatch.model import _truncated_instance, gs_propose
 from profmatch.rotations import Rotation, apply_rotation
+from profmatch.vbflow import SINK, SOURCE, VbFlow
 
 # 8x8 textbook instance used for the golden pipeline tests.
 I0_TEXT = """8 8
@@ -551,6 +552,50 @@ def linear_scan_digraph_oracle(inst: Instance, rotations: list[Rotation]) -> Rot
     return RotationDigraph(
         len(rotations), {e: frozenset(s) for e, s in labels.items()}
     )
+
+
+def reference_max_vb_flow(net) -> VbFlow:
+    """Maximum vector flow by one breadth-first search per augmenting path
+    (Edmonds-Karp), adding each bottleneck to every edge of the path: the
+    engine ``vbflow.max_vb_flow`` replaced, read through the network's
+    edge views only."""
+    edges, out_edges, in_edges = net.edges, net.out_edges, net.in_edges
+    zero = Profile.zero()
+    flows = [zero] * len(edges)
+    while True:
+        prev = {SOURCE: None}
+        queue = deque([SOURCE])
+        while queue and SINK not in prev:
+            u = queue.popleft()
+            for ei in out_edges[u]:
+                e = edges[ei]
+                if e.v not in prev and (e.cap is None or flows[ei] < e.cap):
+                    prev[e.v] = (ei, True)
+                    queue.append(e.v)
+            for ei in in_edges[u]:
+                e = edges[ei]
+                if e.u not in prev and not flows[ei].is_zero:
+                    prev[e.u] = (ei, False)
+                    queue.append(e.u)
+        if SINK not in prev:
+            break
+        path = []
+        node = SINK
+        while node != SOURCE:
+            ei, forward = prev[node]
+            path.append((ei, forward))
+            node = edges[ei].u if forward else edges[ei].v
+        rooms = [
+            (edges[ei].cap - flows[ei]) if forward else flows[ei]
+            for ei, forward in path
+            if not (forward and edges[ei].cap is None)
+        ]
+        bottleneck = min(rooms)
+        assert bottleneck > zero
+        for ei, forward in path:
+            flows[ei] = flows[ei] + bottleneck if forward else flows[ei] - bottleneck
+    value = sum((flows[ei] for ei in out_edges[SOURCE]), zero)
+    return VbFlow(tuple(flows), value)
 
 
 class DenseProfile:

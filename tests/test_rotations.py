@@ -25,7 +25,7 @@ from profmatch import (
 from profmatch import solvers
 from profmatch.rotations import _rotations_from, apply_rotation
 from profmatch.solvers import _Poset
-from profmatch.stability import _min_regret_run, min_regret
+from profmatch.stability import _man_optimal_run, _min_regret_run, min_regret
 
 from helpers import (
     DESCENT_ENDS,
@@ -284,7 +284,7 @@ def test_walk_equals_sweep_reference(i0_pre):
         expected = sweep_rotations_reference(inst, man_optimal(inst).wife_array(inst.n_men))
         assert got == expected
         assert build_digraph(inst, got) == build_digraph(inst, expected)
-        degree, run = _min_regret_run(inst)
+        degree, run = _min_regret_run(inst, _man_optimal_run(inst))
         _assert_resumable(inst, run)
         # Only a step that is undone leaves every man within the degree.
         was_undone = all(inst.men_rank[m][run.prop_match[m]] < degree

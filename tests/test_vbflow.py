@@ -21,6 +21,7 @@ from helpers import (
     I0_MIN_CUT_CAPACITY,
     I0_OPTIMAL_SUBSET,
     all_closed_subsets,
+    reference_max_vb_flow,
     rotation_name_map,
 )
 
@@ -212,3 +213,125 @@ def test_flow_optimises_arbitrary_dags(params):
         for s in all_closed_subsets(digraph)
     )
     assert total == best
+
+
+def _assert_max_flow_like_reference(net):
+    # A valid flow with the reference engine's value and minimum cut; the
+    # cut read from the engine's residual flags equals the one recomputed
+    # from its edge flows.
+    zero = Profile.zero()
+    flow = max_vb_flow(net)
+    reference = reference_max_vb_flow(net)
+    assert flow.value == reference.value
+    cut = min_cut(net, flow)
+    assert cut == min_cut(net, reference)
+    assert cut == min_cut(net, VbFlow(flow.edge_flows, flow.value))
+    assert len(flow.edge_flows) == len(net.edges)
+    for ei, e in enumerate(net.edges):
+        f = flow.edge_flows[ei]
+        assert f >= zero
+        if e.cap is not None:
+            assert f <= e.cap
+    for node in range(net.n_rotations):
+        inflow = sum((flow.edge_flows[ei] for ei in net.in_edges[node]), zero)
+        outflow = sum((flow.edge_flows[ei] for ei in net.out_edges[node]), zero)
+        assert inflow == outflow
+    for terminal, ends in ((SOURCE, net.out_edges), (SINK, net.in_edges)):
+        assert sum((flow.edge_flows[ei] for ei in ends[terminal]), zero) == flow.value
+
+
+def test_flow_matches_reference_on_random_networks():
+    seeds = [*range(1000, 1015), *range(1100, 1115), *range(1300, 1325)]
+    for _inst, _rotations, _digraph, net in _random_networks(seeds):
+        _assert_max_flow_like_reference(net)
+    for _inst, _rotations, _digraph, net in _random_networks(range(1200, 1220), n=6):
+        _assert_max_flow_like_reference(net)
+
+
+def test_flow_matches_reference_on_seeded_rotation_networks():
+    # Few of these augment along a backward arc; the hand-built network
+    # below always does.
+    checked = 0
+    for seed in range(2_000):
+        n = 2 + seed % 39
+        inst = preprocess(generate_uniform(n, n, (1.0, 0.6, 0.3)[seed % 3], seed=40_000 + seed))
+        rotations = find_rotations(inst)
+        if not rotations:
+            continue
+        net = build_vb_network([rot.profile for rot in rotations], build_digraph(inst, rotations))
+        _assert_max_flow_like_reference(net)
+        checked += 1
+    assert checked >= 1_000
+
+
+@given(
+    st.integers(2, 7).flatmap(
+        lambda r: st.tuples(
+            st.lists(
+                st.lists(st.integers(-5, 5), min_size=1, max_size=5),
+                min_size=r,
+                max_size=r,
+            ),
+            st.sets(
+                st.tuples(st.integers(0, r - 1), st.integers(0, r - 1)).filter(
+                    lambda e: e[0] < e[1]
+                ),
+                max_size=r * 2,
+            ),
+        )
+    )
+)
+def test_flow_matches_reference_on_arbitrary_dags(params):
+    from profmatch import RotationDigraph
+
+    entries, edge_set = params
+    digraph = RotationDigraph(len(entries), {e: frozenset({1}) for e in edge_set})
+    _assert_max_flow_like_reference(build_vb_network([Profile(e) for e in entries], digraph))
+
+
+def test_second_augmenting_path_cancels_flow_on_an_uncapacitated_edge():
+    # Rotations A=0, B=1, F=2, C=3, D=4, E=5; edges A->C, A->D, D->E, B->F,
+    # F->C.  The one shortest path s-A-C-t saturates s->A and C->t, so
+    # B's flow reaches t only by cancelling part of A->C and sending it on
+    # through D and E.  cap(C) = cap(A) and cap(E) = cap(B) < cap(A) make
+    # that maximum flow the only one.
+    from profmatch import RotationDigraph
+
+    cap_a, cap_b = Profile([1, 3]), Profile([0, 2, -5])
+    edges = {(0, 3): frozenset({1}), (0, 4): frozenset({1}), (4, 5): frozenset({1}),
+             (1, 2): frozenset({1}), (2, 3): frozenset({1})}
+    digraph = RotationDigraph(6, edges)
+    zero = Profile.zero()
+    net = build_vb_network([-cap_a, -cap_b, zero, cap_a, zero, cap_b], digraph)
+    flow = max_vb_flow(net)
+    assert flow.value == cap_a + cap_b
+    expected = {
+        (0, 3): cap_a - cap_b, (0, 4): cap_b, (4, 5): cap_b, (1, 2): cap_b, (2, 3): cap_b,
+        (SOURCE, 0): cap_a, (SOURCE, 1): cap_b, (3, SINK): cap_a, (5, SINK): cap_b,
+    }
+    assert {(e.u, e.v): f for e, f in zip(net.edges, flow.edge_flows)} == expected
+    cut = min_cut(net, flow)
+    assert cut.edges == frozenset({(SOURCE, 0), (SOURCE, 1)})
+    assert cut.capacity == cap_a + cap_b
+    _assert_max_flow_like_reference(net)
+
+
+def test_one_phase_finds_every_shortest_path(monkeypatch):
+    # Every augmenting path of this network has length 3, so blocking flows
+    # need one level search to find them and one to see that none is left;
+    # one search per augmenting path would make 41.
+    from profmatch import vbflow
+
+    inst = preprocess(generate_uniform(300, 300, 1.0, seed=1))
+    rotations = find_rotations(inst)
+    net = build_vb_network([rot.profile for rot in rotations], build_digraph(inst, rotations))
+    searches = []
+    real = vbflow._levels
+
+    def levels(*args):
+        searches.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(vbflow, "_levels", levels)
+    max_vb_flow(net)
+    assert len(searches) <= 3
