@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import random
 from dataclasses import dataclass
@@ -95,9 +96,11 @@ def space_report(rotation_profiles: list[Profile], n: int) -> SpaceReport:
     d_t = max((p.degree for p in rotation_profiles), default=0)
     exp_bits: list[int] = []
     vec_bits: list[int] = []
-    # Analytic profile families repeat one shared vector; memoise per object
-    # so the huge exponential weight is evaluated once.
-    cache: dict[int, tuple[int, int]] = {}
+    # Profiles repeat (analytic families share one vector), and so do the
+    # ranks they touch: each weight and each power of d_t, which can run to
+    # megabits, is computed once.
+    cache: dict[Profile, tuple[int, int]] = {}
+    power = functools.cache(lambda i: d_t ** (d_t - i))
     idx_bits = _ceil_log2(n)
     val_bits = _ceil_log2(2 * n) + 1
     for p in rotation_profiles:
@@ -105,13 +108,13 @@ def space_report(rotation_profiles: list[Profile], n: int) -> SpaceReport:
             exp_bits.append(32)
             vec_bits.append(32)
             continue
-        cached = cache.get(id(p))
+        cached = cache.get(p)
         if cached is None:
-            w_e = abs(sum(e * d_t ** (d_t - i) for i, e in p.pairs))
+            w_e = abs(sum(e * power(i) for i, e in p.pairs))
             eb = (1 if w_e == 0 else _ceil_log2(w_e)) + 32
             z = len(p.pairs)
             cached = (eb, 32 + z * idx_bits + z * val_bits)
-            cache[id(p)] = cached
+            cache[p] = cached
         exp_bits.append(cached[0])
         vec_bits.append(cached[1])
     return SpaceReport(

@@ -19,7 +19,10 @@ that derived instances (truncated preference lists) can keep the ranks of
 the instance they were derived from.
 
 Instances built by :func:`parse_instance` or :meth:`Instance.from_lists`
-have rank == list position.  :func:`preprocess` returns its input when every
+have rank == list position.  Both read each side's lists through one
+reader, so text and lists pass the same checks: an entry that is not an
+integer, is out of range or repeats in its list raises :class:`ParseError`
+naming the line or the agent.  :func:`preprocess` returns its input when every
 agent is assigned in the stable matchings; otherwise it makes one cut of
 the input, which removes the agents that are not, re-indexes the rest
 densely (keeping a map back to the original indices) and drops the pairs no
@@ -41,17 +44,19 @@ An empty line is an empty preference list.
 
 from __future__ import annotations
 
+import operator
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, compress
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .profiles import Profile
 
 
 class ParseError(ValueError):
-    """Raised on malformed instance text; the message names the line."""
+    """Raised on malformed instance input, from text or from lists; the
+    message names the line or the agent."""
 
 
 RankRow = Union[dict[int, int], tuple[int, ...]]
@@ -83,23 +88,17 @@ class Instance:
     def from_lists(
         cls, men_lists: Sequence[Sequence[int]], women_lists: Sequence[Sequence[int]]
     ) -> "Instance":
-        """Build an instance with rank == list position; validates invariants."""
-        # One int object per agent, shared by every list that names him or
-        # her.  Ints above 256 are not cached by the interpreter, so lists of
-        # freshly parsed ints point all over the heap, and every rank lookup
-        # through them costs a cache miss whose price depends on the heap.
+        """Build an instance with rank == list position; validates invariants.
+
+        An entry that is not an integer, is out of range or repeats in its
+        list raises :class:`ParseError` naming the agent; the first entry
+        not listed back raises ValueError.
+        """
         men_ids = tuple(range(len(men_lists) + 1))
         women_ids = tuple(range(len(women_lists) + 1))
-        men_index = {j: j for j in men_ids[1:]}
-        women_index = {j: j for j in women_ids[1:]}
-        m_lists = [()] + [
-            _checked_list(lst, i, women_index, "man", "woman")
-            for i, lst in enumerate(men_lists, start=1)
-        ]
-        w_lists = [()] + [
-            _checked_list(lst, j, men_index, "woman", "man")
-            for j, lst in enumerate(women_lists, start=1)
-        ]
+        men_table, women_table = {j: j for j in men_ids[1:]}, {j: j for j in women_ids[1:]}
+        m_lists = _read_side(men_lists, women_ids, women_table, "man", "man {}".format)
+        w_lists = _read_side(women_lists, men_ids, men_table, "woman", "woman {}".format)
         inst = _by_position(m_lists, w_lists, men_ids, women_ids)
         unreturned = _first_unreturned(inst)
         if unreturned:
@@ -187,25 +186,44 @@ def _by_position(
     )
 
 
-def _checked_list(
-    lst: Sequence[int], i: int, index: dict[int, int], side: str, other: str
-) -> tuple[int, ...]:
-    """``lst`` as the shared index objects that ``index`` maps 1..n to;
-    raises ValueError on an entry out of range or listed twice."""
-    # One lookup per entry checks the range; anything else (an error, or
-    # an entry that is not an int, such as '3') goes through int().
-    shared = tuple(map(index.get, lst))
-    distinct = set(shared)
-    if None in distinct or len(distinct) < len(shared):
-        seen = set()
-        for j in map(int, lst):
-            if j not in index:
-                raise ValueError(f"{side} {i} lists {other} {j}, out of range 1..{len(index)}")
-            if j in seen:
-                raise ValueError(f"{side} {i} lists {other} {j} more than once")
-            seen.add(j)
-        shared = tuple(index[j] for j in map(int, lst))
-    return shared
+def _read_side(
+    rows: Iterable, ids: Sequence[int], table: dict, side: str, where: Callable[[int], str]
+) -> list[tuple[int, ...]]:
+    """One side's lists, with the index-0 stub, from its rows of entries.
+
+    ``table`` maps each well-formed entry to its index object in ``ids``.
+    A row whose entries all hit the table and are distinct costs one lookup
+    per entry; any other row is checked entry by entry, and the first
+    entry that is not an integer, is out of range or repeats raises
+    :class:`ParseError`, prefixed with ``where(k)`` for the k-th row.
+    """
+    # One int object per agent, shared by every list that names him or
+    # her.  Ints above 256 are not cached by the interpreter, so lists of
+    # freshly parsed ints point all over the heap, and every rank lookup
+    # through them costs a cache miss whose price depends on the heap.
+    other = "woman" if side == "man" else "man"
+    out = [()]
+    for k, row in enumerate(rows, start=1):
+        lst = tuple(map(table.get, row))
+        distinct = set(lst)
+        if None in distinct or len(distinct) < len(lst):
+            # A miss is an error or a non-canonical entry such as '+3'.
+            # operator.index, unlike int, refuses 1.5 rather than truncate it.
+            kept: dict[int, None] = {}
+            for entry in row:
+                try:
+                    j = int(entry) if isinstance(entry, str) else operator.index(entry)
+                except (TypeError, ValueError):
+                    raise ParseError(f"{where(k)}: malformed integer {entry!r}") from None
+                if not 0 < j < len(ids):
+                    n_other = len(ids) - 1
+                    raise ParseError(f"{where(k)}: {other} index {j} out of range 1..{n_other}")
+                if j in kept:
+                    raise ParseError(f"{where(k)}: duplicate entry {j} in {side}'s list")
+                kept[ids[j]] = None
+            lst = tuple(kept)
+        out.append(lst)
+    return out
 
 
 def _unreturned(
@@ -242,7 +260,10 @@ class Matching:
     def __init__(self, pairs=()):
         wife, taken = [0], set()
         for a, b in pairs:
-            m, w = int(a), int(b)
+            try:
+                m, w = operator.index(a), operator.index(b)
+            except TypeError:
+                raise ValueError(f"pair ({a!r},{b!r}) has a non-integer index") from None
             if m < 1 or w < 1:
                 raise ValueError(f"pair ({m},{w}) has an index below 1")
             wife += [0] * (m + 1 - len(wife))
@@ -332,25 +353,13 @@ def parse_instance(text: str, warnings: Optional[list[str]] = None) -> Instance:
 
     men_ids, women_ids = tuple(range(n_men + 1)), tuple(range(n_women + 1))
 
-    def read_lists(start: int, count: int, ids: tuple[int, ...], side: str, other: str):
-        # A canonical token maps to its shared index object, so one lookup
-        # per token checks the range; a line with anything else (a bad,
-        # duplicate or non-canonical token such as '+3') goes through
-        # _read_tokens, which reports the first error as it finds it.
+    def read(first: int, count: int, ids: tuple[int, ...], side: str) -> list[tuple[int, ...]]:
+        rows = (line.split() for line in lines[first : first + count])
         table = {str(j): j for j in ids[1:]}
-        out = [()]
-        for lineno in range(start + 1, start + count + 1):
-            tokens = lines[lineno - 1].split()
-            lst = tuple(map(table.get, tokens))
-            distinct = set(lst)
-            if None in distinct or len(distinct) < len(lst):
-                n_other = len(ids) - 1
-                lst = tuple(ids[j] for j in _read_tokens(tokens, lineno, n_other, side, other))
-            out.append(lst)
-        return out
+        return _read_side(rows, ids, table, side, lambda k: f"line {first + k}")
 
-    men_lists = read_lists(1, n_men, women_ids, "man", "woman")
-    women_lists = read_lists(1 + n_men, n_women, men_ids, "woman", "man")
+    men_lists = read(1, n_men, women_ids, "man")
+    women_lists = read(1 + n_men, n_women, men_ids, "woman")
     inst = _by_position(men_lists, women_lists, men_ids, women_ids)
     if _first_unreturned(inst) is None:
         return inst
@@ -365,24 +374,6 @@ def parse_instance(text: str, warnings: Optional[list[str]] = None) -> Instance:
             )
         lists[:] = [tuple(j for j in lst if _listed(rank[j], i)) for i, lst in enumerate(lists)]
     return _by_position(men_lists, women_lists, men_ids, women_ids)
-
-
-def _read_tokens(tokens: list[str], lineno: int, n_other: int, side: str, other: str) -> list[int]:
-    """One list's indices, token by token; raises ParseError at the first bad one."""
-    seen = set()
-    lst = []
-    for tok in tokens:
-        try:
-            j = int(tok)
-        except ValueError:
-            raise ParseError(f"line {lineno}: malformed integer {tok!r}") from None
-        if not 1 <= j <= n_other:
-            raise ParseError(f"line {lineno}: {other} index {j} out of range 1..{n_other}")
-        if j in seen:
-            raise ParseError(f"line {lineno}: duplicate entry {j} in {side}'s list")
-        seen.add(j)
-        lst.append(j)
-    return lst
 
 
 def format_instance(inst: Instance) -> str:

@@ -2,7 +2,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from profmatch import (
     Criterion,
@@ -341,6 +341,67 @@ def test_from_lists_shares_one_int_per_agent():
         Instance.from_lists([[-1]], [[1]])
     with pytest.raises(ValueError, match="out of range"):
         Instance.from_lists([[2]], [[1]])
+
+
+def test_non_canonical_tokens_share_one_int_per_agent():
+    # '+300' misses the entry table, so its line takes the checked path,
+    # which must hand back the same index objects as the table.
+    n = 300
+    lists = [list(range(n, 0, -1)) for _ in range(n)]
+    inst = parse_instance(lists_text(lists, lists).replace("\n300 ", "\n+300 "))
+    assert inst == Instance.from_lists(lists, lists)
+    for lists_of_side, ids in ((inst.men_lists, inst.orig_women), (inst.women_lists, inst.orig_men)):
+        assert all(j is ids[j] for lst in lists_of_side[1:] for j in lst)
+
+
+@pytest.mark.parametrize("entry", [1.5, None])
+def test_from_lists_rejects_non_integer_entry(entry):
+    with pytest.raises(ParseError, match=f"^man 1: malformed integer {entry!r}$"):
+        Instance.from_lists([[entry]], [[1]])
+
+
+def test_matching_rejects_non_integer_index():
+    with pytest.raises(ValueError, match="non-integer"):
+        Matching([(1.9, 2.7)])
+
+
+@st.composite
+def near_valid_lists(draw):
+    """Lists for n <= 6 whose entries may be out of range, repeated or one-sided."""
+    n_men, n_women = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+
+    def lists(count, n_other):
+        if draw(st.booleans()):
+            entry = st.integers(-1, n_other + 2)
+            return [draw(st.lists(entry, max_size=n_other + 1)) for _ in range(count)]
+        perms = st.permutations(range(1, n_other + 1))
+        return [draw(perms)[: draw(st.integers(0, n_other))] for _ in range(count)]
+
+    return lists(n_men, n_women), lists(n_women, n_men)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lists=near_valid_lists())
+def test_from_lists_and_parse_instance_agree(lists):
+    men, women = lists
+    warnings = []
+    try:
+        parsed = parse_instance(lists_text(men, women), warnings)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as built:
+            Instance.from_lists(men, women)
+        line, message = str(exc).split(": ", 1)
+        k = int(line.removeprefix("line ")) - 1
+        agent = f"man {k}" if k <= len(men) else f"woman {k - len(men)}"
+        assert str(built.value) == f"{agent}: {message}"
+        return
+    if not warnings:
+        assert Instance.from_lists(men, women) == parsed
+        return
+    # Text drops one-sided entries; lists refuse the first of them.
+    with pytest.raises(ValueError, match="not mutual") as built:
+        Instance.from_lists(men, women)
+    assert str(built.value).split(": ", 1)[1] == warnings[0].removesuffix("; entry dropped")
 
 
 def test_preprocess_idempotent():
