@@ -387,37 +387,37 @@ def format_instance(inst: Instance) -> str:
 
 
 class DeferredAcceptance:
-    """The state of a deferred-acceptance run, which a caller may resume.
+    """A deferred-acceptance run, which a caller may resume.
 
-    ``prop_match`` is the 1-based proposer -> receiver assignment and
-    ``recv_match`` its inverse (0 = unmatched).  ``held[r]`` is the rank r
-    gives her partner; a free receiver holds an imaginary proposer ranked
-    past everyone.  Proposer p has proposed to ``prop_lists[p][:next_pos[p]]``
-    and may go on to ``end[p]``; a matched proposer's partner is the last of
-    those, at ``next_pos[p] - 1``.  Between runs a caller may free matched
-    pairs, clearing both matches, and lower ``end``; a receiver left free
-    keeps her ``held`` rank, so she takes only proposers she ranks above the
-    one she lost.  The next :meth:`propose` continues from there.  The
-    rotation walk (:func:`rotations.find_rotations`) continues a finished
-    men-proposing run the same way, in place.
+    ``prop_lists`` and ``recv_rank`` are one side's lists and the other
+    side's rank rows, both with the index-0 stub; their lengths size every
+    array.  Constructing the run runs it: every proposer proposes, in
+    ascending index order so runs are reproducible, although the outcome is
+    order-independent.  ``prop_match`` is the 1-based proposer -> receiver
+    assignment and ``recv_match`` its inverse (0 = unmatched).  ``held[r]``
+    is the rank r gives her partner; a free receiver holds an imaginary
+    proposer ranked past everyone.  Proposer p has proposed to
+    ``prop_lists[p][:next_pos[p]]`` and may go on to ``end[p]``; a matched
+    proposer's partner is the last of those, at ``next_pos[p] - 1``.
+    Between runs a caller may free matched pairs, clearing both matches,
+    and lower ``end``; a receiver left free keeps her ``held`` rank, so she
+    takes only proposers she ranks above the one she lost.  The next
+    :meth:`propose` continues from there.  The rotation walk
+    (:func:`rotations.find_rotations`) continues a finished men-proposing
+    run the same way, in place.
     """
 
     __slots__ = ("prop_lists", "recv_rank", "end", "next_pos", "prop_match", "recv_match", "held")
 
-    def __init__(
-        self,
-        prop_lists: Sequence[Sequence[int]],
-        recv_rank: Sequence[Sequence[int]],
-        n_prop: int,
-        n_recv: int,
-    ):
+    def __init__(self, prop_lists: Sequence[Sequence[int]], recv_rank: Sequence[Sequence[int]]):
         self.prop_lists = prop_lists
         self.recv_rank = recv_rank
         self.end = [len(lst) for lst in prop_lists]
-        self.next_pos = [0] * (n_prop + 1)
-        self.prop_match = [0] * (n_prop + 1)
-        self.recv_match = [0] * (n_recv + 1)
-        self.held = [sys.maxsize] * (n_recv + 1)
+        self.next_pos = [0] * len(prop_lists)
+        self.prop_match = [0] * len(prop_lists)
+        self.recv_match = [0] * len(recv_rank)
+        self.held = [sys.maxsize] * len(recv_rank)
+        self.propose(list(range(1, len(prop_lists))))
 
     def copy(self) -> "DeferredAcceptance":
         """A run in the same state that resumes on its own: the five arrays
@@ -456,24 +456,6 @@ class DeferredAcceptance:
                     break
             next_pos[p] = i
         return free
-
-
-def gs_propose(
-    prop_lists: Sequence[Sequence[int]],
-    recv_rank: Sequence[Sequence[int]],
-    n_prop: int,
-    n_recv: int,
-) -> DeferredAcceptance:
-    """Deferred acceptance with the given side proposing.
-
-    Returns the finished run, whose ``prop_match`` is the 1-based proposer
-    -> receiver assignment (0 = unmatched).  Proposers start in ascending
-    index order so runs are reproducible, although the outcome is
-    order-independent.
-    """
-    run = DeferredAcceptance(prop_lists, recv_rank, n_prop, n_recv)
-    run.propose(list(range(1, n_prop + 1)))
-    return run
 
 
 def _truncated_instance(
@@ -548,11 +530,10 @@ def preprocess(inst: Instance) -> Instance:
     entry that names a removed agent lies below the limit, and the cut
     removes it with the rest.
     """
-    n_men, n_women = inst.n_men, inst.n_women
-    by_men = gs_propose(inst.men_lists, inst.women_rank, n_men, n_women)
-    if n_men == n_women and all(by_men.prop_match[1:]):
+    by_men = DeferredAcceptance(inst.men_lists, inst.women_rank)
+    if inst.n_men == inst.n_women and all(by_men.prop_match[1:]):
         return inst
-    by_women = gs_propose(inst.women_lists, inst.men_rank, n_women, n_men)
+    by_women = DeferredAcceptance(inst.women_lists, inst.men_rank)
     # A receiver's held rank is its rank of the partner it ends with, the
     # worst it has in any stable matching; a free receiver's is sys.maxsize.
     men_limit = [0 if r == sys.maxsize else r for r in by_women.held]

@@ -21,16 +21,21 @@ Trailing zeros never matter: ``Profile([2, 0]) == Profile([2])``.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator
 
 
 class Profile:
-    """Immutable integer vector with 1-based logical indices."""
+    """Immutable integer vector with 1-based logical indices.
+
+    Entries are read as indices are: a bool is the int it stands for, and
+    an entry that is not an integer, such as 1.5 or "3", raises TypeError.
+    """
 
     __slots__ = ("_pairs",)
 
     def __init__(self, elems: Iterable[int] = ()):
-        self._pairs = tuple((i, e) for i, e in enumerate(map(int, elems), start=1) if e)
+        self._pairs = tuple((i, e) for i, e in enumerate(map(operator.index, elems), start=1) if e)
 
     @classmethod
     def _from_pairs(cls, pairs: tuple[tuple[int, int], ...]) -> "Profile":

@@ -278,7 +278,7 @@ def _closed_subsets(digraph: RotationDigraph, cap: int) -> _Walk:
         for r in range(added[x] + 1, size):
             if pred_mask[r] & missing:
                 continue
-            if len(parent) == cap:
+            if len(parent) + 1 > cap:
                 raise EnumerationCapError(cap)
             parent.append(x)
             added.append(r)

@@ -1,12 +1,16 @@
 """Stable matchings: deferred acceptance, stability checks, regret, truncation.
 
-Minimum regret is found by one men-proposing deferred-acceptance run on
-the instance itself, resumed as the rank cutoff steps down from the
+Every run here is one :class:`~profmatch.model.DeferredAcceptance`, which
+runs when it is constructed.  Minimum regret is found by one men-proposing
+run on the instance itself, resumed as the rank cutoff steps down from the
 man-optimal matching's degree: O(m) proposals in all for m acceptable
-pairs.  With every list end cut at that degree (:func:`_cut_list_ends`),
-the run is the run of the truncation at it, which the generous solve's
-rotation walk continues.  Only :func:`truncate`, the checked public view,
-builds a truncated instance.
+pairs (:func:`_min_regret_run`).  It has two callers:
+:func:`min_regret_degree`, which reads only the degree, and the solvers'
+generous poset, whose man-optimal matching is the minimum-regret answer.
+With every list end cut at that degree (:func:`_cut_list_ends`), the run
+is the run of the truncation at it, which the generous solve's rotation
+walk continues.  Only :func:`truncate`, the checked public view, builds a
+truncated instance.
 """
 
 from __future__ import annotations
@@ -14,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import DeferredAcceptance, Instance, Matching, _truncated_instance, gs_propose
+from .model import DeferredAcceptance, Instance, Matching, _truncated_instance
 
 
 def _man_optimal_run(inst: Instance) -> DeferredAcceptance:
     """The finished men-proposing run, at the man-optimal stable matching."""
-    return gs_propose(inst.men_lists, inst.women_rank, inst.n_men, inst.n_women)
+    return DeferredAcceptance(inst.men_lists, inst.women_rank)
 
 
 def man_optimal(inst: Instance) -> Matching:
@@ -29,7 +33,7 @@ def man_optimal(inst: Instance) -> Matching:
 
 def woman_optimal(inst: Instance) -> Matching:
     """Woman-optimal stable matching (perfect on a preprocessed instance)."""
-    husband = gs_propose(inst.women_lists, inst.men_rank, inst.n_women, inst.n_men).prop_match
+    husband = DeferredAcceptance(inst.women_lists, inst.men_rank).prop_match
     return Matching((m, w) for w, m in enumerate(husband) if w >= 1 and m)
 
 
@@ -76,18 +80,6 @@ def truncate(inst: Instance, cutoff: int) -> TruncatedInstance:
     if not man_optimal(trunc).is_perfect(trunc):
         raise ValueError(f"truncating at rank {cutoff} leaves no perfect stable matching")
     return TruncatedInstance(trunc)
-
-
-def min_regret(inst: Instance) -> tuple[int, Matching]:
-    """The minimum-regret degree d and the man-optimal stable matching of degree d.
-
-    d is the smallest rank such that truncating at d keeps a perfect stable
-    matching; it equals the degree of every generous stable matching.  The
-    stable matchings of degree <= d form a sublattice, so the answer has the
-    smallest rotation subset among them.  Requires a preprocessed instance.
-    """
-    degree, run = _min_regret_run(inst, _man_optimal_run(inst))
-    return degree, Matching.from_wife_array(run.prop_match)
 
 
 def _min_regret_run(inst: Instance, run: DeferredAcceptance) -> tuple[int, DeferredAcceptance]:
@@ -193,5 +185,9 @@ def _cut_list_ends(inst: Instance, end: list[int], men, cutoff: int) -> None:
 
 
 def min_regret_degree(inst: Instance) -> int:
-    """Smallest d such that truncating at rank d keeps a perfect stable matching."""
-    return min_regret(inst)[0]
+    """Smallest d such that truncating at rank d keeps a perfect stable matching.
+
+    It equals the degree of every generous stable matching.  Requires a
+    preprocessed instance.
+    """
+    return _min_regret_run(inst, _man_optimal_run(inst))[0]

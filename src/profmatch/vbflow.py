@@ -21,8 +21,9 @@ No vector is added on an uncapacitated edge while the flow runs: its
 forward residual never closes, and its backward residual is open exactly
 when some flow crosses it.  A forward push along it appends the bottleneck
 to the edge's list and marks its backward arc open.  The list is summed
-only when a backward arc's capacity is needed, or when the returned flow's
-``edge_flows`` are first read; :func:`min_cut` reads the open arcs instead.
+only when a backward arc's capacity is needed, or, in one pass, when the
+returned flow's ``edge_flows`` are first read; :func:`min_cut` reads the
+open arcs instead.
 
 When no augmenting path remains, the set of residual-reachable nodes yields
 a cut whose capacity equals the flow value entry by entry; that set is the
@@ -38,7 +39,6 @@ O(degree).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .profiles import Profile
@@ -46,15 +46,6 @@ from .rotations import RotationDigraph
 
 SOURCE = -1
 SINK = -2
-
-
-@dataclass(frozen=True)
-class VbEdge:
-    """Edge u -> v; ``cap`` is a non-negative vector, or None for uncapacitated."""
-
-    u: int
-    v: int
-    cap: Optional[Profile]
 
 
 class VbNetwork:
@@ -69,8 +60,8 @@ class VbNetwork:
     enter s or leave t, which no augmenting path does.  Lists indexed by
     node hold ``n_rotations + 2`` entries, so SOURCE and SINK index the last
     two; lists indexed by arc hold 2E entries, so ~e indexes the second
-    half.  ``edges``, ``out_edges`` and ``in_edges`` are views built on
-    first read.
+    half.  ``arc_heads[a]`` is where arc a leads, and ``arc_heads[~a]``
+    where it starts, the head of its reverse.
     """
 
     def __init__(
@@ -85,7 +76,6 @@ class VbNetwork:
         self.heads = heads
         self.caps = caps
         self.arc_heads = heads + tails[::-1]
-        self.arc_tails = tails + heads[::-1]
         arcs: list[list[int]] = [[] for _ in range(n_rotations + 2)]
         for e, u in enumerate(tails):
             arcs[u].append(e)
@@ -94,23 +84,10 @@ class VbNetwork:
                 arcs[heads[e]].append(~e)
         self.arcs = arcs
 
-    @cached_property
-    def edges(self) -> tuple[VbEdge, ...]:
-        return tuple(map(VbEdge, self.tails, self.heads, self.caps))
-
-    @cached_property
-    def out_edges(self) -> dict[int, list[int]]:
-        return self._incident(self.tails)
-
-    @cached_property
-    def in_edges(self) -> dict[int, list[int]]:
-        return self._incident(self.heads)
-
-    def _incident(self, ends: list[int]) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {x: [] for x in (SOURCE, SINK, *range(self.n_rotations))}
-        for e, x in enumerate(ends):
-            out[x].append(e)
-        return out
+    @property
+    def edges(self) -> tuple[tuple[int, int, Optional[Profile]], ...]:
+        """Every edge as a ``(tail, head, cap)`` triple, in edge order."""
+        return tuple(zip(self.tails, self.heads, self.caps))
 
 
 class VbFlow:
@@ -219,7 +196,7 @@ def _level_path(
     to have no such path left is unlabelled, so no later search of the
     phase enters it again.
     """
-    arcs, arc_heads, arc_tails = net.arcs, net.arc_heads, net.arc_tails
+    arcs, arc_heads = net.arcs, net.arc_heads
     path: list[int] = []
     u = SOURCE
     while u != SINK:
@@ -238,7 +215,7 @@ def _level_path(
             level[u] = -1
             if not path:
                 return None
-            u = arc_tails[path.pop()]
+            u = arc_heads[~path.pop()]
     return path
 
 
@@ -311,7 +288,7 @@ def max_vb_flow(net: VbNetwork) -> VbFlow:
         while v != SOURCE:
             a = via[v]
             path.append(a)
-            v = net.arc_tails[a]
+            v = net.arc_heads[~a]
         augment(path)
         # Open arcs into SINK from the level below it: while there are
         # none, no path of this length is left.
@@ -331,11 +308,20 @@ def max_vb_flow(net: VbNetwork) -> VbFlow:
 
     def edge_flows() -> tuple[Profile, ...]:
         return tuple(
-            sum(pushes.get(e, ()), Profile.zero()) if cap is None else cap - room[e]
+            _sum_pushes(pushes.get(e, ())) if cap is None else cap - room[e]
             for e, cap in enumerate(caps)
         )
 
     return VbFlow._unsummed(value, is_open, edge_flows)
+
+
+def _sum_pushes(pushes: Sequence[Profile]) -> Profile:
+    """``sum(pushes, Profile.zero())`` in one pass over their entries."""
+    total: dict[int, int] = {}
+    for p in pushes:
+        for rank, value in p.pairs:
+            total[rank] = total.get(rank, 0) + value
+    return Profile._from_pairs(tuple((r, v) for r, v in sorted(total.items()) if v))
 
 
 def min_cut(net: VbNetwork, flow: VbFlow) -> Cut:

@@ -28,7 +28,7 @@ from profmatch import (
     truncate,
 )
 from profmatch import analytics, cli, model, rotations, solvers, stability
-from profmatch.model import _truncated_instance, gs_propose
+from profmatch.model import DeferredAcceptance, _truncated_instance
 from profmatch.rotations import Rotation, apply_rotation
 from profmatch.vbflow import SINK, SOURCE, VbFlow
 
@@ -424,7 +424,8 @@ def sweep_rotations_reference(
 
 
 def binary_search_min_regret(inst: Instance) -> tuple[int, Matching]:
-    """Reference for ``stability.min_regret``: a binary search over rank cutoffs.
+    """Reference for the minimum-regret descent (``stability._min_regret_run``,
+    read through the solvers' generous poset): a binary search over rank cutoffs.
 
     The woman-optimal matching bounds the degree from below and the
     man-optimal one from above; each probe is a fresh deferred-acceptance
@@ -435,10 +436,10 @@ def binary_search_min_regret(inst: Instance) -> tuple[int, Matching]:
     if n == 0:
         return 0, Matching(())
     men_rank, women_rank = inst.men_rank, inst.women_rank
-    best = gs_propose(inst.men_lists, women_rank, n, inst.n_women).prop_match
+    best = DeferredAcceptance(inst.men_lists, women_rank).prop_match
     if not all(best[1:]):
         raise ValueError("instance admits no perfect stable matching")
-    husband = gs_propose(inst.women_lists, men_rank, inst.n_women, n).prop_match
+    husband = DeferredAcceptance(inst.women_lists, men_rank).prop_match
     lo = max(
         max(men_rank[m][best[m]] for m in range(1, n + 1)),
         max(women_rank[w][m] for w, m in enumerate(husband) if w),
@@ -447,7 +448,7 @@ def binary_search_min_regret(inst: Instance) -> tuple[int, Matching]:
     while lo < hi:
         mid = (lo + hi) // 2
         trunc = _truncated_instance(inst, [mid] * (n + 1), [mid] * (inst.n_women + 1))
-        wife = gs_propose(trunc.men_lists, trunc.women_rank, n, inst.n_women).prop_match
+        wife = DeferredAcceptance(trunc.men_lists, trunc.women_rank).prop_match
         if all(wife[1:]):
             hi, best = mid, wife
         else:
@@ -463,11 +464,11 @@ def two_step_preprocess(inst: Instance) -> Instance:
     agent's worst stable partner, keeping that instance's ranks.
     """
     n_men, n_women = inst.n_men, inst.n_women
-    wife = gs_propose(inst.men_lists, inst.women_rank, n_men, n_women).prop_match
+    wife = DeferredAcceptance(inst.men_lists, inst.women_rank).prop_match
     kept_men = [m for m in range(1, n_men + 1) if wife[m]]
     if len(kept_men) == n_men == n_women:
         return inst
-    husband = gs_propose(inst.women_lists, inst.men_rank, n_women, n_men).prop_match
+    husband = DeferredAcceptance(inst.women_lists, inst.men_rank).prop_match
     kept_women = sorted(wife[m] for m in kept_men)
     new_m = {old: new for new, old in enumerate(kept_men, start=1)}
     new_w = {old: new for new, old in enumerate(kept_women, start=1)}
@@ -554,12 +555,25 @@ def linear_scan_digraph_oracle(inst: Instance, rotations: list[Rotation]) -> Rot
     )
 
 
+def incident_edges(net) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    """The ids of the edges leaving and entering each node of ``net``, in
+    edge order, read from its ``(tail, head, cap)`` triples."""
+    nodes = (SOURCE, SINK, *range(net.n_rotations))
+    out_edges: dict[int, list[int]] = {x: [] for x in nodes}
+    in_edges: dict[int, list[int]] = {x: [] for x in nodes}
+    for ei, (u, v, _cap) in enumerate(net.edges):
+        out_edges[u].append(ei)
+        in_edges[v].append(ei)
+    return out_edges, in_edges
+
+
 def reference_max_vb_flow(net) -> VbFlow:
     """Maximum vector flow by one breadth-first search per augmenting path
     (Edmonds-Karp), adding each bottleneck to every edge of the path: the
     engine ``vbflow.max_vb_flow`` replaced, read through the network's
-    edge views only."""
-    edges, out_edges, in_edges = net.edges, net.out_edges, net.in_edges
+    edge triples only."""
+    edges = net.edges
+    out_edges, in_edges = incident_edges(net)
     zero = Profile.zero()
     flows = [zero] * len(edges)
     while True:
@@ -568,15 +582,15 @@ def reference_max_vb_flow(net) -> VbFlow:
         while queue and SINK not in prev:
             u = queue.popleft()
             for ei in out_edges[u]:
-                e = edges[ei]
-                if e.v not in prev and (e.cap is None or flows[ei] < e.cap):
-                    prev[e.v] = (ei, True)
-                    queue.append(e.v)
+                _u, v, cap = edges[ei]
+                if v not in prev and (cap is None or flows[ei] < cap):
+                    prev[v] = (ei, True)
+                    queue.append(v)
             for ei in in_edges[u]:
-                e = edges[ei]
-                if e.u not in prev and not flows[ei].is_zero:
-                    prev[e.u] = (ei, False)
-                    queue.append(e.u)
+                tail, _v, _cap = edges[ei]
+                if tail not in prev and not flows[ei].is_zero:
+                    prev[tail] = (ei, False)
+                    queue.append(tail)
         if SINK not in prev:
             break
         path = []
@@ -584,11 +598,11 @@ def reference_max_vb_flow(net) -> VbFlow:
         while node != SOURCE:
             ei, forward = prev[node]
             path.append((ei, forward))
-            node = edges[ei].u if forward else edges[ei].v
+            node = edges[ei][0 if forward else 1]
         rooms = [
-            (edges[ei].cap - flows[ei]) if forward else flows[ei]
+            (edges[ei][2] - flows[ei]) if forward else flows[ei]
             for ei, forward in path
-            if not (forward and edges[ei].cap is None)
+            if not (forward and edges[ei][2] is None)
         ]
         bottleneck = min(rooms)
         assert bottleneck > zero

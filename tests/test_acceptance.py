@@ -136,9 +136,9 @@ def test_criterion_1_i0_golden_pipeline(i0_pre):
 
         net = build_vb_network([r.profile for r in rotations], digraph)
         flow = max_vb_flow(net)
-        for ei, e in enumerate(net.edges):
-            if (e.u == SOURCE and names[e.v] == 0) or (e.v == SINK and names[e.u] == 4):
-                assert flow.edge_flows[ei] == e.cap, "cut edge not saturated"
+        for ei, (u, v, cap) in enumerate(net.edges):
+            if (u == SOURCE and names[v] == 0) or (v == SINK and names[u] == 4):
+                assert flow.edge_flows[ei] == cap, "cut edge not saturated"
         assert high_weight(flow.value, 8) == I0_FLOW_VALUE_WEIGHT
 
         cut = min_cut(net, flow)

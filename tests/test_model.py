@@ -23,7 +23,7 @@ from profmatch import (
 )
 
 from profmatch import model
-from profmatch.model import gs_propose
+from profmatch.model import DeferredAcceptance
 
 from helpers import (
     DESCENT_ENDS,
@@ -185,8 +185,8 @@ def test_preprocess_equals_two_step_reference():
         # above its worst stable partner (woman-optimal wife, man-optimal
         # husband), so ranks need no renumbering.
         kept_men, kept_women = set(pre.orig_men[1:]), set(pre.orig_women[1:])
-        wife_z = gs_propose(inst.women_lists, inst.men_rank, inst.n_women, inst.n_men).recv_match
-        husband_m = gs_propose(inst.men_lists, inst.women_rank, inst.n_men, inst.n_women).recv_match
+        wife_z = DeferredAcceptance(inst.women_lists, inst.men_rank).recv_match
+        husband_m = DeferredAcceptance(inst.men_lists, inst.women_rank).recv_match
         for lists, rank, worst, kept, kept_other in (
             (inst.men_lists, inst.men_rank, wife_z, kept_men, kept_women),
             (inst.women_lists, inst.women_rank, husband_m, kept_women, kept_men),

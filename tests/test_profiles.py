@@ -21,6 +21,16 @@ def test_trailing_zeros_insignificant():
     assert Profile([2, 0]).degree == 1
 
 
+def test_entries_must_be_integers():
+    # Read like an index: 1.5 and "3" are refused, not truncated or parsed,
+    # and a bool is the int it stands for.
+    for entries in ([1.5, 0.4], ["3", True], [1, None]):
+        with pytest.raises(TypeError):
+            Profile(entries)
+    assert Profile([True, False, 2]) == Profile([1, 0, 2])
+    assert [type(v) for _rank, v in Profile([True, 2]).pairs] == [int, int]
+
+
 def test_degree_and_sign():
     assert Profile().degree == 0
     assert Profile().sign == 0

@@ -24,8 +24,8 @@ from profmatch import (
 )
 from profmatch import solvers
 from profmatch.rotations import _rotations_from, apply_rotation
-from profmatch.solvers import _Poset
-from profmatch.stability import _man_optimal_run, _min_regret_run, min_regret
+from profmatch.solvers import _Lattice, _Poset
+from profmatch.stability import _man_optimal_run, _min_regret_run
 
 from helpers import (
     DESCENT_ENDS,
@@ -154,7 +154,7 @@ def test_rotation_profiles_equal_profile_differences(i0_pre):
             continue
         starts = [
             (man_optimal(inst), find_rotations(inst)),
-            (min_regret(inst)[1], cutoff_rotations(inst)),
+            (_Lattice(inst).generous.man_optimal, cutoff_rotations(inst)),
         ]
         for start, rotations in starts:
             wife = start.wife_array(inst.n_men)

@@ -189,6 +189,20 @@ def test_enumerate_cap(i0_pre):
         enumerate_stable_matchings(i0_pre, cap=0)
 
 
+def test_fractional_cap_trips_once_the_count_exceeds_it():
+    # The count is an int, so no count equals a cap of 2.5 or 3.5: the cap
+    # must trip as soon as the count would exceed it, not when it equals it.
+    inst = preprocess(generate_uniform(8, 8, 1.0, seed=3))
+    assert len(enumerate_stable_matchings(inst)) == 4
+    for cap in (2.5, 3.5):
+        with pytest.raises(EnumerationCapError):
+            enumerate_stable_matchings(inst, cap=cap)
+        for criterion in (Criterion.SEX_EQUAL, Criterion.MEDIAN):
+            with pytest.raises(EnumerationCapError):
+                solve(inst, criterion, cap=cap)
+    assert len(enumerate_stable_matchings(inst, cap=4.5)) == 4
+
+
 def test_enumeration_matches_visited_set_bfs(i0_pre):
     # The same list in the same order as the breadth-first search that keeps
     # a set of visited subsets, and the cap trips at the same count.
@@ -539,7 +553,7 @@ def test_solver_outputs_perfect_on_preprocessed():
 def test_deferred_acceptance_runs_once_per_poset(monkeypatch):
     inst = preprocess(generate_uniform(40, 40, 1.0, seed=3))
     counts = count_calls(monkeypatch)
-    stability.min_regret(inst)
+    _Lattice(inst).generous
     min_regret_runs = counts["DeferredAcceptance"]
     # One run, resumed at each cutoff: no restart per cutoff and no
     # woman-proposing run for a lower bound.
@@ -697,7 +711,7 @@ def test_matching_only_criteria_walk_no_rotations(i0_pre, monkeypatch):
     monkeypatch.setattr("profmatch.solvers._cut_list_ends", cut)
     for inst in instances:
         cuts.clear()
-        stability.min_regret(inst)
+        _Lattice(inst).generous
         descent = list(cuts)
         for criterion in (Criterion.MIN_REGRET, Criterion.MAN_OPTIMAL, Criterion.WOMAN_OPTIMAL):
             counts.clear()

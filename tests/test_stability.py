@@ -19,7 +19,7 @@ from profmatch import (
 )
 
 from profmatch.model import DeferredAcceptance
-from profmatch.stability import min_regret
+from profmatch.solvers import _Lattice
 
 from helpers import (
     DESCENT_ENDS,
@@ -110,7 +110,8 @@ def test_min_regret_matches_binary_search_reference(i0_pre):
     instances += [preprocess(generate_I1(n)) for n in range(14, 31, 4)]
     instances += [preprocess(latin_chain(n)) for n in (41, 64)]
     for inst in instances:
-        assert min_regret(inst) == binary_search_min_regret(inst)
+        generous = _Lattice(inst).generous
+        assert (generous.cutoff, generous.man_optimal) == binary_search_min_regret(inst)
 
 
 def _recorded_runs(monkeypatch) -> list[list[int]]:
@@ -131,7 +132,8 @@ def _descent(men, women, monkeypatch):
     inst = preprocess(Instance.from_lists(men, women))
     expected = binary_search_min_regret(inst)
     runs = _recorded_runs(monkeypatch)
-    degree, matching = min_regret(inst)
+    generous = _Lattice(inst).generous
+    degree, matching = generous.cutoff, generous.man_optimal
     assert (degree, matching) == expected
     return inst, degree, matching, [Matching.from_wife_array(w) for w in runs]
 

@@ -14,13 +14,14 @@ from profmatch import (
     oracle_exponential_flow,
     preprocess,
 )
-from profmatch.vbflow import SINK, SOURCE, VbFlow
+from profmatch.vbflow import SINK, SOURCE, VbFlow, _sum_pushes
 
 from helpers import (
     I0_FLOW_VALUE_WEIGHT,
     I0_MIN_CUT_CAPACITY,
     I0_OPTIMAL_SUBSET,
     all_closed_subsets,
+    incident_edges,
     reference_max_vb_flow,
     rotation_name_map,
 )
@@ -39,14 +40,14 @@ def test_i0_network_layout(i0_pre):
     source_caps = {}
     sink_caps = {}
     internal = 0
-    for e in net.edges:
-        if e.u == SOURCE:
-            source_caps[names[e.v]] = e.cap
-        elif e.v == SINK:
-            sink_caps[names[e.u]] = e.cap
+    for u, v, cap in net.edges:
+        if u == SOURCE:
+            source_caps[names[v]] = cap
+        elif v == SINK:
+            sink_caps[names[u]] = cap
         else:
             internal += 1
-            assert e.cap is None
+            assert cap is None
     assert internal == 6
     assert source_caps == {
         0: Profile([2, -1, -1, -1, 0, 1]),
@@ -77,7 +78,7 @@ def test_all_positive_rotations_give_zero_flow():
 
     digraph = RotationDigraph(2, {(0, 1): frozenset({1})})
     net = build_vb_network([Profile([1]), Profile([0, 2])], digraph)
-    assert all(e.u != SOURCE for e in net.edges)
+    assert all(u != SOURCE for u, _v, _cap in net.edges)
     flow = max_vb_flow(net)
     assert flow.value == Profile.zero()
     subset = max_profile_closed_subset(net, digraph, min_cut(net, flow))
@@ -92,11 +93,11 @@ def test_i0_flow_cut_and_subset(i0_pre):
     assert flow.value == I0_MIN_CUT_CAPACITY
 
     # Both cut edges are saturated by any maximum flow.
-    for ei, e in enumerate(net.edges):
-        if e.u == SOURCE and names[e.v] == 0:
-            assert flow.edge_flows[ei] == e.cap
-        if e.v == SINK and names[e.u] == 4:
-            assert flow.edge_flows[ei] == e.cap
+    for ei, (u, v, cap) in enumerate(net.edges):
+        if u == SOURCE and names[v] == 0:
+            assert flow.edge_flows[ei] == cap
+        if v == SINK and names[u] == 4:
+            assert flow.edge_flows[ei] == cap
 
     cut = min_cut(net, flow)
     named_cut = {
@@ -134,15 +135,16 @@ def test_flow_conservation_and_capacity_respect():
     zero = Profile.zero()
     for _inst, _rotations, _digraph, net in _random_networks(range(1000, 1015)):
         flow = max_vb_flow(net)
+        out_edges, in_edges = incident_edges(net)
         for rid in range(net.n_rotations):
-            inflow = sum((flow.edge_flows[ei] for ei in net.in_edges[rid]), zero)
-            outflow = sum((flow.edge_flows[ei] for ei in net.out_edges[rid]), zero)
+            inflow = sum((flow.edge_flows[ei] for ei in in_edges[rid]), zero)
+            outflow = sum((flow.edge_flows[ei] for ei in out_edges[rid]), zero)
             assert inflow == outflow
-        for ei, e in enumerate(net.edges):
+        for ei, (_u, _v, cap) in enumerate(net.edges):
             f = flow.edge_flows[ei]
             assert f >= zero
-            if e.cap is not None:
-                assert zero < e.cap and f <= e.cap
+            if cap is not None:
+                assert zero < cap and f <= cap
 
 
 def test_max_flow_min_cut_elementwise():
@@ -227,16 +229,17 @@ def _assert_max_flow_like_reference(net):
     assert cut == min_cut(net, reference)
     assert cut == min_cut(net, VbFlow(flow.edge_flows, flow.value))
     assert len(flow.edge_flows) == len(net.edges)
-    for ei, e in enumerate(net.edges):
+    for ei, (_u, _v, cap) in enumerate(net.edges):
         f = flow.edge_flows[ei]
         assert f >= zero
-        if e.cap is not None:
-            assert f <= e.cap
+        if cap is not None:
+            assert f <= cap
+    out_edges, in_edges = incident_edges(net)
     for node in range(net.n_rotations):
-        inflow = sum((flow.edge_flows[ei] for ei in net.in_edges[node]), zero)
-        outflow = sum((flow.edge_flows[ei] for ei in net.out_edges[node]), zero)
+        inflow = sum((flow.edge_flows[ei] for ei in in_edges[node]), zero)
+        outflow = sum((flow.edge_flows[ei] for ei in out_edges[node]), zero)
         assert inflow == outflow
-    for terminal, ends in ((SOURCE, net.out_edges), (SINK, net.in_edges)):
+    for terminal, ends in ((SOURCE, out_edges), (SINK, in_edges)):
         assert sum((flow.edge_flows[ei] for ei in ends[terminal]), zero) == flow.value
 
 
@@ -309,11 +312,24 @@ def test_second_augmenting_path_cancels_flow_on_an_uncapacitated_edge():
         (0, 3): cap_a - cap_b, (0, 4): cap_b, (4, 5): cap_b, (1, 2): cap_b, (2, 3): cap_b,
         (SOURCE, 0): cap_a, (SOURCE, 1): cap_b, (3, SINK): cap_a, (5, SINK): cap_b,
     }
-    assert {(e.u, e.v): f for e, f in zip(net.edges, flow.edge_flows)} == expected
+    assert {(u, v): f for (u, v, _cap), f in zip(net.edges, flow.edge_flows)} == expected
     cut = min_cut(net, flow)
     assert cut.edges == frozenset({(SOURCE, 0), (SOURCE, 1)})
     assert cut.capacity == cap_a + cap_b
     _assert_max_flow_like_reference(net)
+
+
+@given(
+    st.lists(st.lists(st.integers(-3, 3), max_size=6), max_size=6),
+    st.integers(0, 6),
+)
+def test_one_pass_push_sum_equals_pairwise_sum(entries, cancelled):
+    # Empty lists, and lists where the first few pushes are taken back, so
+    # that entries cancel and may leave the zero vector.
+    pushes = [Profile(e) for e in entries]
+    pushes += [-p for p in pushes[:cancelled]]
+    expected = sum(pushes, Profile.zero())
+    assert _sum_pushes(pushes).pairs == expected.pairs
 
 
 def test_one_phase_finds_every_shortest_path(monkeypatch):
