@@ -15,23 +15,21 @@ both give ``row[partner]`` for a listed partner, and only
 :meth:`Instance.acceptable` tests whether a partner is listed.
 
 Ranks are stored explicitly rather than recomputed from list positions so
-that derived instances (truncated preference lists) can keep the ranks of
-the instance they were derived from.
+that derived instances (bands and truncations of the preference lists) can
+keep the ranks of the instance they were derived from.
 
 Instances built by :func:`parse_instance` or :meth:`Instance.from_lists`
 have rank == list position.  Both read each side's lists through one
 reader, so text and lists pass the same checks: an entry that is not an
 integer, is out of range or repeats in its list raises :class:`ParseError`
-naming the line or the agent.  :func:`preprocess` returns its input when every
-agent is assigned in the stable matchings; otherwise it makes one cut of
-the input, which removes the agents that are not, re-indexes the rest
-densely (keeping a map back to the original indices) and drops the pairs no
-stable matching uses, so that the result has the input's stable matchings
-and no others.  Kept pairs keep the input's ranks, and those are still the
-positions in the lists with the removed agents taken out: an agent that no
-stable matching assigns is ranked below every kept agent's worst stable
-partner on the lists that name it, since otherwise the two would block the
-stable matching in which that partner is assigned.
+naming the line or the agent.  :func:`preprocess` cuts every instance to
+its stable-pair band: each agent keeps the partners from its best to its
+worst stable partner that keep it within theirs, the agents no stable
+matching assigns go, and the rest are re-indexed densely (keeping a map back
+to the original indices).  The result has the input's stable matchings and
+no others; on complete lists it keeps a few percent of the pairs.  Kept
+pairs keep the input's ranks, so a band's ranks are no longer list
+positions.  An instance that already is its band is returned as it is.
 
 Text format (ASCII, LF newlines, no comments)::
 
@@ -139,8 +137,8 @@ class Instance:
 
         Ranks are positive and increase strictly along a list, so a woman
         ranked r sits at position r - 1 at the latest.  She is there
-        whenever ranks are positions; otherwise (truncated instances, with
-        sparse ranks) her position is found by bisection.
+        whenever ranks are positions; otherwise (preprocessed and truncated
+        instances, with sparse ranks) her position is found by bisection.
         """
         row, lst = self.men_rank[man], self.men_lists[man]
         rank = row[woman]
@@ -464,14 +462,13 @@ def _truncated_instance(
     """The pairs (m, w) that m ranks within ``men_limit[m]`` and w within
     ``women_limit[w]``, each keeping its rank on both sides.
 
-    This is the one builder that drops agents: an agent whose limit is 0
-    goes, and the rest are re-indexed densely in their order, with
-    ``orig_men`` / ``orig_women`` carried through.  Entries that name a
-    dropped agent fail its limit and go with it.  Ranks are never
-    renumbered, and :func:`preprocess`'s cut needs none: it drops only
-    agents that no stable matching assigns, and a kept agent ranks each of
-    those below its worst stable partner, its limit, or the two would block
-    the stable matching in which that partner is assigned.
+    An agent whose limit is 0 goes, and the rest are re-indexed densely in
+    their order, with ``orig_men`` / ``orig_women`` carried through; entries
+    that name a dropped agent fail its limit and go with it.  Ranks are
+    never renumbered.  It reads every entry of both sides, so it serves
+    :func:`stability.truncate`; at each agent's rank of its worst stable
+    partner it gives :func:`preprocess`'s band, which that builds from the
+    deferred-acceptance runs' slices instead.
     """
     men_lists, men_rank = _kept_side(
         inst.men_lists, inst.men_rank, men_limit, inst.women_rank, women_limit
@@ -507,38 +504,146 @@ def _kept_side(lists, rank, limit, other_rank, other_limit):
 
 
 def preprocess(inst: Instance) -> Instance:
-    """Reduce an instance to the agents and pairs stable matchings can use.
+    """Reduce an instance to its stable-pair band: each agent's list cut to
+    its stable partners' span, from best to worst.
 
-    The same agents are assigned in every stable matching, so one proposer
-    round identifies who is never assigned.  When nobody is, the input is
-    returned unchanged.  Otherwise one :func:`_truncated_instance` call cuts
-    the input at each agent's worst stable partner: the woman-optimal wife
-    of a man, the man-optimal husband of a woman.  The agents that no stable
-    matching assigns have no such partner and go, and the rest are
-    re-indexed densely.  Removing agents alone can create stable matchings
-    the input does not have, so the pairs below the limits, which no stable
-    matching of the input uses, go too.  The stable matchings of the
-    result, mapped back through ``orig_men`` and ``orig_women``, are
-    exactly those of the input, and all are perfect.
+    One men-proposing and one women-proposing deferred-acceptance run give
+    every agent's best and worst stable partner: the man-optimal and the
+    woman-optimal wife of a man, the woman-optimal and the man-optimal
+    husband of a woman.  A man's band is the slice of his list between his
+    two, less the women who rank him below their worst stable partner, and a
+    woman's band holds the men whose bands hold her.  These are Gusfield and
+    Irving's GS-lists (*The Stable Marriage Problem*, 1989, section 1.2):
+    every pair they drop is in no stable matching, and the result has
+    exactly the input's stable matchings, so also its rotations.  Deferred
+    acceptance on it makes one proposal per man.
 
-    Kept pairs keep the input's ranks; where those are list positions, they
-    stay positions in the lists with only the removed agents taken out.  A
-    kept man who ranked a
-    removed woman at or above his woman-optimal wife would block the
-    woman-optimal matching with her, since she is unassigned there, and
-    symmetrically for a kept woman and the man-optimal matching.  So every
-    entry that names a removed agent lies below the limit, and the cut
-    removes it with the rest.
+    The same agents are assigned in every stable matching.  Those that no
+    stable matching assigns have no stable partners and go, and the rest
+    are re-indexed densely, with ``orig_men`` / ``orig_women`` mapping them
+    back; every stable matching of the result is perfect.  Kept pairs keep
+    the input's ranks, so profiles read the same, though ranks are no longer
+    positions in the cut lists.  A kept man who ranked a removed woman at or
+    above his woman-optimal wife would block the woman-optimal matching with
+    her, since she is unassigned there, and symmetrically for a kept woman
+    and the man-optimal matching; so no band names a removed agent, and the
+    ranks keep their order.
+
+    The result equals ``_truncated_instance(inst, men_limit, women_limit)``
+    at each agent's rank of its worst stable partner (0 for the removed),
+    but it is built from the slices the two runs point at: after the runs
+    it reads no pair outside them, at a cost in proportion to n plus the
+    slices' lengths.  When every list already is its band, which one rank
+    read per agent tells, the input itself is returned, so the band is a
+    fixed point.
     """
     by_men = DeferredAcceptance(inst.men_lists, inst.women_rank)
-    if inst.n_men == inst.n_women and all(by_men.prop_match[1:]):
-        return inst
     by_women = DeferredAcceptance(inst.women_lists, inst.men_rank)
     # A receiver's held rank is its rank of the partner it ends with, the
     # worst it has in any stable matching; a free receiver's is sys.maxsize.
     men_limit = [0 if r == sys.maxsize else r for r in by_women.held]
     women_limit = [0 if r == sys.maxsize else r for r in by_men.held]
-    return _truncated_instance(inst, men_limit, women_limit)
+    if _is_band(inst.men_lists, inst.men_rank, by_men.next_pos, men_limit) and _is_band(
+        inst.women_lists, inst.women_rank, by_women.next_pos, women_limit
+    ):
+        return inst
+    return _band(inst, by_men, by_women, men_limit, women_limit)
+
+
+def _is_band(lists, rank, next_pos, limit) -> bool:
+    """Whether every agent of one side is assigned, its own side's run
+    matched it to its first entry, and its last entry is its worst stable
+    partner, whose rank is its limit."""
+    return all(
+        lim and next_pos[i] == 1 and rank[i][lists[i][-1]] == lim
+        for i, lim in enumerate(limit) if i
+    )
+
+
+def _band(
+    inst: Instance,
+    by_men: DeferredAcceptance,
+    by_women: DeferredAcceptance,
+    men_limit: Sequence[int],
+    women_limit: Sequence[int],
+) -> Instance:
+    """:func:`preprocess`'s cut, from the finished men- and women-proposing
+    runs and each agent's rank of its worst stable partner (0: none)."""
+    men_lists, men_rank, women_rank = inst.men_lists, inst.men_rank, inst.women_rank
+    # A man's man-optimal wife sits one before his proposal pointer.
+    start, wife_z = by_men.next_pos, by_women.recv_match
+    husband_m, husband_z = by_men.recv_match, by_women.prop_match
+    n_men, n_women = inst.n_men, inst.n_women
+    if all(men_limit[1:]) and all(women_limit[1:]):
+        new_m = new_w = None
+        men_width, women_width = n_women + 1, n_men + 1
+        orig_men, orig_women = inst.orig_men, inst.orig_women
+    else:
+        # The new index of each kept agent: the number of kept agents up to
+        # it.  One int object per agent, shared by every list.
+        new_m = list(accumulate((lim > 0 for lim in men_limit[1:]), initial=0))
+        new_w = list(accumulate((lim > 0 for lim in women_limit[1:]), initial=0))
+        men_width, women_width = new_w[-1] + 1, new_m[-1] + 1
+        orig_men = (0, *compress(inst.orig_men[1:], men_limit[1:]))
+        orig_women = (0, *compress(inst.orig_women[1:], women_limit[1:]))
+    # Each woman's kept men, as (her rank of him, him) in the men's order;
+    # only a woman with two or more stable partners is kept by a man with
+    # two or more.
+    bucket: list[list[tuple[int, int]]] = [[] for _ in range(n_women + 1)]
+    # A one-entry band's row is built here as _rank_row would build it.
+    men_dicts, women_dicts = 4 < men_width, 4 < women_width
+    kept_lists, rows = [()], [_rank_row((), (), men_width)]
+    for m in range(1, n_men + 1):
+        lim = men_limit[m]
+        if not lim:
+            continue
+        lst, a, w = men_lists[m], start[m] - 1, wife_z[m]
+        if lst[a] == w:
+            # One stable partner, whom he ranks lim: he is her man-optimal
+            # husband, so she keeps him.
+            if new_w is not None:
+                w = new_w[w]
+            kept_lists.append((w,))
+            rows.append({w: lim} if men_dicts else _rank_row((w,), (lim,), men_width))
+            continue
+        own = men_rank[m]
+        # His woman-optimal wife's position, whom he ranks lim.
+        b = lim - 1 if lim <= len(lst) and lst[lim - 1] == w else (
+            bisect_left(lst, lim, a, key=own.__getitem__)
+        )
+        # Both his optimal wives keep him: the first ranks him her limit,
+        # the last above it.  Only the women between them are tested.
+        kept = (lst[a], *[w for w in lst[a + 1 : b] if women_rank[w][m] <= women_limit[w]], w)
+        for w in kept:
+            bucket[w].append((women_rank[w][m], m))
+        ranks = map(own.__getitem__, kept)
+        if new_w is not None:
+            kept = tuple(map(new_w.__getitem__, kept))
+        kept_lists.append(kept)
+        rows.append(_rank_row(kept, ranks, men_width))
+    women_lists, women_rows = [()], [_rank_row((), (), women_width)]
+    for w in range(1, n_women + 1):
+        lim = women_limit[w]
+        if not lim:
+            continue
+        m = husband_m[w]
+        if m == husband_z[w]:
+            # One stable partner, so no other man's band holds her.
+            if new_m is not None:
+                m = new_m[m]
+            women_lists.append((m,))
+            women_rows.append({m: lim} if women_dicts else _rank_row((m,), (lim,), women_width))
+            continue
+        pairs = bucket[w]
+        pairs.sort()
+        ranks = [r for r, _ in pairs]
+        kept = tuple([m for _, m in pairs] if new_m is None else [new_m[m] for _, m in pairs])
+        women_lists.append(kept)
+        women_rows.append(_rank_row(kept, ranks, women_width))
+    return Instance(
+        tuple(kept_lists), tuple(women_lists), tuple(rows), tuple(women_rows),
+        orig_men, orig_women,
+    )
 
 
 def profile_of(inst: Instance, matching: Matching) -> Profile:

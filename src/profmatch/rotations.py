@@ -129,6 +129,9 @@ def find_rotations(inst: Instance) -> list[Rotation]:
     wife.  Pointers only ever advance (a woman who once rejected m keeps
     rejecting him as her partners improve), so deferred acceptance and the
     walk together advance each pointer at most once per acceptable pair.
+    On a preprocessed instance those are the band's pairs, each man's list
+    ending at his woman-optimal wife: a few percent of the input's pairs on
+    complete lists.
     The walk knows nothing of truncations: continuing the run of one, whose
     list ends are already cut, finds that truncation's rotations.
 

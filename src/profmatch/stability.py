@@ -1,16 +1,18 @@
 """Stable matchings: deferred acceptance, stability checks, regret, truncation.
 
 Every run here is one :class:`~profmatch.model.DeferredAcceptance`, which
-runs when it is constructed.  Minimum regret is found by one men-proposing
-run on the instance itself, resumed as the rank cutoff steps down from the
-man-optimal matching's degree: O(m) proposals in all for m acceptable
-pairs (:func:`_min_regret_run`).  It has two callers:
-:func:`min_regret_degree`, which reads only the degree, and the solvers'
-generous poset, whose man-optimal matching is the minimum-regret answer.
-With every list end cut at that degree (:func:`_cut_list_ends`), the run
-is the run of the truncation at it, which the generous solve's rotation
-walk continues.  Only :func:`truncate`, the checked public view, builds a
-truncated instance.
+runs when it is constructed.  On a preprocessed instance every list is its
+band, from the agent's best to its worst stable partner, so either side's
+run makes one proposal per agent.  Minimum regret is found by one
+men-proposing run on the instance itself, resumed as the rank cutoff steps
+down from the man-optimal matching's degree: O(m) proposals in all for the
+m acceptable pairs of the band (:func:`_min_regret_run`).  It has two
+callers: :func:`min_regret_degree`, which reads only the degree, and the
+solvers' generous poset, whose man-optimal matching is the minimum-regret
+answer.  With every list end cut at that degree (:func:`_cut_list_ends`),
+the run is the run of the truncation at it, which the generous solve's
+rotation walk continues.  Only :func:`truncate`, the checked public view,
+builds a truncated instance.
 """
 
 from __future__ import annotations

@@ -260,29 +260,38 @@ def latin_chain(n: int) -> Instance:
     return Instance.from_lists(men, women)
 
 
+def raw_poset_families(i0: Instance) -> list[Instance]:
+    """``poset_families`` before preprocessing."""
+    out = [i0] + [generate_I1(n) for n in range(4, 13, 2)]
+    for seed in range(300):
+        n, density = 4 + seed % 9, (1.0, 0.7, 0.4)[seed % 3]
+        out.append(generate_uniform(n, n, density, seed=6100 + seed))
+    return out + [latin_chain(n) for n in range(5, 31)]
+
+
 def poset_families(i0: Instance) -> list[Instance]:
     """Preprocessed instances for differential tests of the rotation poset.
 
     I0, ``generate_I1(4..12)``, 300 seeded instances with n = 4..12 at
     densities 1.0, 0.7 and 0.4, and cyclic Latin chains with n = 5..30.
     """
-    out = [i0] + [generate_I1(n) for n in range(4, 13, 2)]
-    for seed in range(300):
-        n, density = 4 + seed % 9, (1.0, 0.7, 0.4)[seed % 3]
-        out.append(generate_uniform(n, n, density, seed=6100 + seed))
-    out += [latin_chain(n) for n in range(5, 31)]
-    return [preprocess(inst) for inst in out]
+    return [preprocess(inst) for inst in raw_poset_families(i0)]
+
+
+def raw_cutoff_families(i0: Instance) -> list[Instance]:
+    """``cutoff_families`` before preprocessing."""
+    out = raw_poset_families(i0)
+    for seed in range(360):
+        n, density = (20, 40, 80)[seed % 3], (1.0, 0.5, 0.2)[seed // 3 % 3]
+        out.append(generate_uniform(n, n, density, seed=6600 + seed))
+    return out
 
 
 def cutoff_families(i0: Instance) -> list[Instance]:
     """``poset_families`` plus 360 seeded instances with n = 20, 40 and 80 at
     densities 1.0, 0.5 and 0.2, preprocessed: large enough for type-2 edges
     and for minimum-regret cutoffs that drop most of every list."""
-    out = poset_families(i0)
-    for seed in range(360):
-        n, density = (20, 40, 80)[seed % 3], (1.0, 0.5, 0.2)[seed // 3 % 3]
-        out.append(preprocess(generate_uniform(n, n, density, seed=6600 + seed)))
-    return out
+    return [preprocess(inst) for inst in raw_cutoff_families(i0)]
 
 
 # Mutual lists (men, women) of four instances that pin each way the
@@ -456,18 +465,38 @@ def binary_search_min_regret(inst: Instance) -> tuple[int, Matching]:
     return lo, Matching.from_wife_array(best)
 
 
+def stable_limits(inst: Instance) -> tuple[list[int], list[int]]:
+    """Each agent's rank of its worst stable partner (0: none), men's then
+    women's: the limits ``model.preprocess`` cuts at."""
+    by_men = DeferredAcceptance(inst.men_lists, inst.women_rank)
+    by_women = DeferredAcceptance(inst.women_lists, inst.men_rank)
+    return (
+        [w and inst.men_rank[m][w] for m, w in enumerate(by_women.recv_match)],
+        [m and inst.women_rank[w][m] for w, m in enumerate(by_men.recv_match)],
+    )
+
+
+def reference_preprocess(inst: Instance) -> Instance:
+    """Reference for ``model.preprocess``: the cut it made before it cut
+    every instance to its band.  It returns its input whenever every agent
+    is assigned, and otherwise drops the agents no stable matching assigns
+    and the pairs below either agent's worst stable partner."""
+    wife = DeferredAcceptance(inst.men_lists, inst.women_rank).prop_match
+    if inst.n_men == inst.n_women and all(wife[1:]):
+        return inst
+    return _truncated_instance(inst, *stable_limits(inst))
+
+
 def two_step_preprocess(inst: Instance) -> Instance:
-    """Reference for ``model.preprocess``: the two-step reduction it replaced.
+    """Reference for ``model.preprocess``: a two-step reduction.
 
     It re-indexes the kept agents' lists through two dicts into a validated
     instance with rank == position, then cuts each pair below either
-    agent's worst stable partner, keeping that instance's ranks.
+    agent's worst stable partner, keeping that instance's ranks.  So it
+    assumes its input's ranks are positions.
     """
-    n_men, n_women = inst.n_men, inst.n_women
     wife = DeferredAcceptance(inst.men_lists, inst.women_rank).prop_match
-    kept_men = [m for m in range(1, n_men + 1) if wife[m]]
-    if len(kept_men) == n_men == n_women:
-        return inst
+    kept_men = [m for m in range(1, inst.n_men + 1) if wife[m]]
     husband = DeferredAcceptance(inst.women_lists, inst.men_rank).prop_match
     kept_women = sorted(wife[m] for m in kept_men)
     new_m = {old: new for new, old in enumerate(kept_men, start=1)}

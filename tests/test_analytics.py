@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from profmatch import (
@@ -20,6 +22,8 @@ from profmatch import (
     solve,
     space_report,
 )
+
+from profmatch.analytics import _shuffle_all
 
 from helpers import I0_RANK_MAXIMAL, count_calls, tiny_unique_instance, uniform_lists
 
@@ -201,6 +205,25 @@ def test_generators_build_what_from_lists_builds():
     assert kinds == {dict, tuple}
 
 
+def test_shuffle_loop_draws_as_random_shuffle():
+    # The same lists as random.shuffle, and the generator left in the same
+    # state: the next draw agrees.  Lengths 0, 1 and 2 draw nothing, nothing
+    # and one bit; lengths just past a power of two reject most often.
+    lengths = [0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 33, 64, 65, 100, 129, 1000, 1025]
+    for seed in range(300):
+        rng = random.Random(seed)
+        lists = [list(range(k)) for k in lengths] + [
+            list(range(rng.randrange(50))) for _ in range(5)
+        ]
+        expected = [lst[:] for lst in lists]
+        ours, theirs = random.Random(seed + 10_000), random.Random(seed + 10_000)
+        _shuffle_all(ours, lists)
+        for lst in expected:
+            theirs.shuffle(lst)
+        assert lists == expected
+        assert ours.random() == theirs.random()
+
+
 def test_generate_uniform_sparse_is_valid_instance():
     # The generator builds mutual lists without validating them again.
     inst = generate_uniform(8, 8, 0.5, seed=99)
@@ -226,7 +249,7 @@ def test_batch_stats_i0_all_criteria(i0):
         cells = line.split(",")
         assert cells[0] == "i0"
         assert cells[2] == "8"  # n
-        assert cells[3] == "128"  # m
+        assert cells[3] == "44"  # m, the band's list length (128 in I0's lists)
         assert cells[4] == "5"  # rotations
         assert cells[5] == "8"  # stable matchings
     rm_row = next(l for l in lines if ",rank-maximal," in l)

@@ -433,8 +433,9 @@ def test_each_poset_is_built_once_per_instance(monkeypatch, consumer):
     assert counts["_rotations_from"] == counts["build_digraph"] == 2
     assert counts["_min_regret_run"] == counts["_closed_subsets"] == 1
     # One deferred-acceptance run, which both posets continue; stats also
-    # preprocesses and finds the woman-optimal matching.
-    assert counts["DeferredAcceptance"] == (3 if consumer == "stats" else 1)
+    # preprocesses, which runs one from each side, and finds the
+    # woman-optimal matching.
+    assert counts["DeferredAcceptance"] == (4 if consumer == "stats" else 1)
     assert counts["max_vb_flow"] == 3
     assert counts["oracle_exponential_flow"] == (2 if consumer == "oracle-check" else 0)
     assert counts["_cycle_profile"] == rotations

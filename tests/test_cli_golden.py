@@ -14,12 +14,12 @@ import pytest
 from profmatch.cli import CRITERION_TOKENS, main
 
 GOLDEN = {
-    (1.0, 1): "c53471c34778bdfb7d19dcc3163f4e86463a2a139685c772f7244a8d35332d09",
-    (1.0, 2): "c5bda8fedf661dd516cbb82a4fc2c92f1977fe6e51b88058d4a07fd3de308b03",
-    (1.0, 3): "e9295d79ccfaee613b58a7be998c4cfdc387161c3fd422c003fad9050b022f91",
-    (0.5, 1): "1629410c4d235391a9a4f1cf9a85a1f30be0ad1adf01dfd72a12dba581b3db73",
+    (1.0, 1): "482e11caa2d972de66b6f1feca0c167c492aee57656e4e84daddd29fd25fc71e",
+    (1.0, 2): "40571ca08d41eb4b16a91ff02b8d656690819bb354adfad6ea74e87f4d4f5bd9",
+    (1.0, 3): "fcef1002f072e233b5d72bf7a1a8853bf7a910579378c94a78eeaef92c5a06f4",
+    (0.5, 1): "dbbdf03377460428ea7de2584020db47d28076aebcfab07a23e22be40ee4285f",
     (0.5, 2): "73904faaffc2f97b4880a5a74beec165997977e233c6d21e52d2e5354e46aeb6",
-    (0.5, 3): "207dffbb9b03c8fe0cff30b7668b0c07929e604ff75359aeacde64446e7508ad",
+    (0.5, 3): "dddb988f7fe7fc571844a8a14540126c0dac67a070cd3a7bbb1ddb52a9e3ba40",
 }
 ORACLE_CHECK = "05b47b3f1a0cc716428ec9d2d93f8c0861363114138ed1f1efcfbf62ac3e7c1e"
 

@@ -23,14 +23,20 @@ from profmatch import (
 )
 
 from profmatch import model
-from profmatch.model import DeferredAcceptance
+from profmatch.model import DeferredAcceptance, _truncated_instance
+from profmatch.solvers import EnumerationCapError
 
 from helpers import (
     DESCENT_ENDS,
     I0_ALL_MATCHINGS,
+    I0_MAN_OPTIMAL,
+    I0_WOMAN_OPTIMAL,
     brute_force_all_stable_matchings,
     lists_text,
+    raw_cutoff_families,
+    reference_preprocess,
     sparse_lists,
+    stable_limits,
     two_step_preprocess,
 )
 
@@ -92,9 +98,21 @@ def test_parse_drops_non_mutual_entries_with_warning():
     assert any("man 2 lists woman 1" in w for w in warnings)
 
 
-def test_preprocess_i0_is_identity(i0, i0_pre):
-    assert i0_pre == i0
-    assert preprocess(i0) is i0  # nobody is removed, so nothing is rebuilt
+def test_preprocess_i0_is_its_band(i0, i0_pre):
+    # Nobody is removed, and each man keeps the women from his man-optimal
+    # to his woman-optimal wife who rank him within their man-optimal
+    # husband: 22 of the 64 pairs, each at its rank in I0.
+    assert (i0_pre.orig_men, i0_pre.orig_women) == (i0.orig_men, i0.orig_women)
+    assert i0_pre.total_list_length == 44
+    for m in range(1, 9):
+        lst = i0_pre.men_lists[m]
+        assert lst[0] == I0_MAN_OPTIMAL[m - 1][1] and lst[-1] == I0_WOMAN_OPTIMAL[m - 1][1]
+        assert [i0.men_rank[m][w] for w in lst] == [i0_pre.men_rank[m][w] for w in lst]
+        assert [i0_pre.women_rank[w][m] for w in lst] == [i0.women_rank[w][m] for w in lst]
+    assert {frozenset(M) for M in enumerate_stable_matchings(i0_pre)} == set(
+        map(frozenset, I0_ALL_MATCHINGS)
+    )
+    assert preprocess(i0_pre) is i0_pre  # the band is a fixed point
 
 
 def test_preprocess_cuts_pairs_no_stable_matching_uses():
@@ -169,16 +187,28 @@ def _preprocess_inputs():
         yield Instance.from_lists(*lists)
 
 
-def test_preprocess_equals_two_step_reference():
+def _band_inputs(i0):
+    """The differential gate's inputs, unpreprocessed."""
+    yield from _preprocess_inputs()
+    yield from raw_cutoff_families(i0)
+    for seed in range(40):
+        n = (10, 30, 60, 100)[seed % 4]
+        yield generate_uniform(n, n, (1.0, 0.5)[seed // 4 % 2], seed=9400 + seed)
+
+
+def test_preprocess_equals_two_step_reference(i0):
+    # The band built from the runs' slices equals the cut of every entry at
+    # both agents' worst stable partners, and the two-step reduction:
+    # lists, ranks, row kinds and index maps.
     reduced = 0
-    for inst in _preprocess_inputs():
+    for inst in _band_inputs(i0):
         pre = preprocess(inst)
-        expected = two_step_preprocess(inst)
-        assert (pre.men_lists, pre.women_lists) == (expected.men_lists, expected.women_lists)
-        for rows, expected_rows in ((pre.men_rank, expected.men_rank), (pre.women_rank, expected.women_rank)):
-            assert rows == expected_rows
-            assert list(map(type, rows)) == list(map(type, expected_rows))
-        assert (pre.orig_men, pre.orig_women) == (expected.orig_men, expected.orig_women)
+        for expected in (two_step_preprocess(inst), _truncated_instance(inst, *stable_limits(inst))):
+            assert (pre.men_lists, pre.women_lists) == (expected.men_lists, expected.women_lists)
+            for rows, expected_rows in ((pre.men_rank, expected.men_rank), (pre.women_rank, expected.women_rank)):
+                assert rows == expected_rows
+                assert list(map(type, rows)) == list(map(type, expected_rows))
+            assert (pre.orig_men, pre.orig_women) == (expected.orig_men, expected.orig_women)
         reduced += pre is not inst
 
         # What the cut rests on: no kept agent ranks a removed agent at or
@@ -201,7 +231,83 @@ def test_preprocess_equals_two_step_reference():
             for lst in lists:
                 assert len(set(lst)) == len(lst) and all(1 <= j <= n_other for j in lst)
         assert model._first_unreturned(pre) is None
-    assert reduced == 602  # all but the DESCENT_ENDS instances
+    assert reduced == 1312  # all but the 26 Latin chains, each its own band
+
+
+def _answers(inst):
+    """Every criterion's matching, or the cap error's type."""
+    out = []
+    for criterion in Criterion:
+        try:
+            out.append(solve(inst, criterion))
+        except EnumerationCapError:
+            out.append(EnumerationCapError)
+    return out
+
+
+def test_preprocess_keeps_every_answer_of_the_reference(i0):
+    # Against the cut preprocess made before it cut every instance: the
+    # same agents, every criterion's matching, the same rotations (their
+    # ids may come out in another order) and, where n <= 8, the stable
+    # matchings a brute force finds on the band.
+    cut = reordered = brute_forced = 0
+    for inst in _band_inputs(i0):
+        pre, ref = preprocess(inst), reference_preprocess(inst)
+        assert (pre.orig_men, pre.orig_women) == (ref.orig_men, ref.orig_women)
+        assert _answers(pre) == _answers(ref)
+        rotations, ref_rotations = find_rotations(pre), find_rotations(ref)
+        assert {(r.cycle, r.profile) for r in rotations} == {
+            (r.cycle, r.profile) for r in ref_rotations
+        }
+        reordered += [r.cycle for r in rotations] != [r.cycle for r in ref_rotations]
+        cut += pre.acceptable_pairs < ref.acceptable_pairs
+        if pre.n_men <= 8:
+            assert brute_force_all_stable_matchings(pre) == {
+                frozenset(M) for M in enumerate_stable_matchings(ref)
+            }
+            brute_forced += 1
+    # 472 cut further than the reference, 78 reordered, 767 brute-forced.
+    assert cut >= 400 and reordered >= 50 and brute_forced >= 700
+
+
+def test_preprocess_counts_on_a_complete_n1000_instance():
+    inst = generate_uniform(1000, 1000, 1.0, seed=7)
+    pre = preprocess(inst)
+    assert inst.acceptable_pairs == 1_000_000 and pre.acceptable_pairs == 19_619
+    assert (pre.n_men, pre.n_women) == (1000, 1000)
+    assert all(type(row) is dict for row in pre.men_rank + pre.women_rank)
+    assert len(find_rotations(pre)) == 149
+
+
+class _CountingRow(tuple):
+    """A dense rank row that counts the entries read through it."""
+
+    reads = 0
+
+    def __getitem__(self, j):
+        _CountingRow.reads += 1
+        return tuple.__getitem__(self, j)
+
+
+def test_preprocess_reads_a_fraction_of_the_rank_entries():
+    # Two deferred-acceptance runs and one read per entry of the slices
+    # between each man's optimal wives, plus a few per kept pair: no pass
+    # over every entry.  A pass over one side's rows alone would read
+    # 40,000 entries, twice the bound; 13,165 were read here.
+    inst = generate_uniform(200, 200, 1.0, seed=1)
+    assert all(type(row) is tuple for row in inst.men_rank[1:] + inst.women_rank[1:])
+
+    def counting(rows):
+        return (rows[0], *map(_CountingRow, rows[1:]))
+
+    counted = model.Instance(
+        inst.men_lists, inst.women_lists, counting(inst.men_rank), counting(inst.women_rank),
+        inst.orig_men, inst.orig_women,
+    )
+    _CountingRow.reads = 0
+    pre = preprocess(counted)
+    assert _CountingRow.reads < inst.total_list_length / 4
+    assert pre == preprocess(inst)
 
 
 def test_profile_of_examples(i0_pre):
@@ -405,12 +511,17 @@ def test_from_lists_and_parse_instance_agree(lists):
 
 
 def test_preprocess_idempotent():
-    from profmatch import generate_uniform
-
+    # The band is a fixed point that preprocess recognises, so it returns
+    # the very instance, although band ranks are no longer list positions.
     for seed in range(8):
         inst = generate_uniform(6, 8, 0.5, seed=8600 + seed)
         pre = preprocess(inst)
-        assert preprocess(pre) == pre
+        assert preprocess(pre) is pre
+    for seed in range(8):
+        pre = preprocess(generate_uniform(30, 30, 1.0, seed=8700 + seed))
+        assert any(pre.men_rank[m][pre.men_lists[m][-1]] > len(pre.men_lists[m])
+                   for m in range(1, 31))
+        assert preprocess(pre) is pre
 
 
 @given(st.text(alphabet="0123456789 -\n", max_size=60))

@@ -326,17 +326,19 @@ def test_median_always_stable():
         assert is_stable(inst, select_median(ms, inst))
 
 
-def test_median_rejects_partial_enumeration_and_unstable_assembly(i0_pre):
-    matchings = enumerate_stable_matchings(i0_pre)
+def test_median_rejects_partial_enumeration_and_unstable_assembly(i0):
+    # On the input lists, where every agent is assigned: the band drops
+    # pairs the unstable matching uses.
+    matchings = enumerate_stable_matchings(i0)
     # Man 8, the last, is unmatched in one matching: its wife tuple is short.
     partial = Matching(pair for pair in matchings[0] if pair[0] != 8)
     with pytest.raises(RuntimeError, match="full enumeration"):
-        select_median(matchings[1:] + [partial], i0_pre)
+        select_median(matchings[1:] + [partial], i0)
     # The median of one unstable perfect matching is that matching.
     unstable = Matching((m, m) for m in range(1, 9))
-    assert not is_stable(i0_pre, unstable)
+    assert not is_stable(i0, unstable)
     with pytest.raises(RuntimeError, match="not stable"):
-        select_median([unstable], i0_pre)
+        select_median([unstable], i0)
 
 
 def test_egalitarian_and_sex_equal_i0(i0_pre):
@@ -439,15 +441,20 @@ def test_egalitarian_equals_first_enumerated_tie(i0_pre):
 
 def test_mixed_rank_rows_agree_with_oracles():
     # Lists of 1..n entries give dict rows to short lists and dense rows to
-    # long ones, within one instance and within its preprocessed form.
-    kinds_in, kinds_pre = set(), set()
-    brute_forced = 0
+    # long ones within one instance.  Their bands are short, so the dense
+    # rows that reach the solvers come from the uncut Latin chains: a chain
+    # is its own band, and every one of its lists is as long as its side.
+    family = []
     for seed in range(40):
         rng = random.Random(seed)
         n = rng.randint(12, 16)
-        inst = Instance.from_lists(
+        family.append(Instance.from_lists(
             *sparse_lists(n, [rng.randint(1, n) for _ in range(n)], seed=9100 + seed)
-        )
+        ))
+    family += [latin_chain(n) for n in (4, 5, 6, 9)]
+    kinds_in, kinds_pre = set(), set()
+    brute_forced = 0
+    for inst in family:
         pre = preprocess(inst)
         kinds_in.update(type(row) for row in inst.men_rank[1:] + inst.women_rank[1:])
         kinds_pre.update(type(row) for row in pre.men_rank[1:] + pre.women_rank[1:])
