@@ -16,7 +16,12 @@ both give ``row[partner]`` for a listed partner, and only
 
 Ranks are stored explicitly rather than recomputed from list positions so
 that derived instances (bands and truncations of the preference lists) can
-keep the ranks of the instance they were derived from.
+keep the ranks of the instance they were derived from.  One cut,
+:func:`_cut`, builds both: each man keeps the women of one slice of his
+list, from a given place to the last woman within his rank limit, who rank
+him within theirs; each woman's list is gathered from the men's kept pairs;
+agents whose limit is 0 go, and the rest are re-indexed densely (keeping a
+map back to the original indices).
 
 Instances built by :func:`parse_instance` or :meth:`Instance.from_lists`
 have rank == list position.  Both read each side's lists through one
@@ -24,12 +29,11 @@ reader, so text and lists pass the same checks: an entry that is not an
 integer, is out of range or repeats in its list raises :class:`ParseError`
 naming the line or the agent.  :func:`preprocess` cuts every instance to
 its stable-pair band: each agent keeps the partners from its best to its
-worst stable partner that keep it within theirs, the agents no stable
-matching assigns go, and the rest are re-indexed densely (keeping a map back
-to the original indices).  The result has the input's stable matchings and
-no others; on complete lists it keeps a few percent of the pairs.  Kept
-pairs keep the input's ranks, so a band's ranks are no longer list
-positions.  An instance that already is its band is returned as it is.
+worst stable partner that keep it within theirs, and the agents no stable
+matching assigns go.  The result has the input's stable matchings and no
+others; on complete lists it keeps a few percent of the pairs.  Kept pairs
+keep the input's ranks, so a band's ranks are no longer list positions.
+An instance that already is its band is returned as it is.
 
 Text format (ASCII, LF newlines, no comments)::
 
@@ -44,7 +48,7 @@ from __future__ import annotations
 
 import operator
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -139,6 +143,7 @@ class Instance:
         ranked r sits at position r - 1 at the latest.  She is there
         whenever ranks are positions; otherwise (preprocessed and truncated
         instances, with sparse ranks) her position is found by bisection.
+        :func:`_cut` finds the end of each man's slice the same way.
         """
         row, lst = self.men_rank[man], self.men_lists[man]
         rank = row[woman]
@@ -456,53 +461,6 @@ class DeferredAcceptance:
         return free
 
 
-def _truncated_instance(
-    inst: Instance, men_limit: Sequence[int], women_limit: Sequence[int]
-) -> Instance:
-    """The pairs (m, w) that m ranks within ``men_limit[m]`` and w within
-    ``women_limit[w]``, each keeping its rank on both sides.
-
-    An agent whose limit is 0 goes, and the rest are re-indexed densely in
-    their order, with ``orig_men`` / ``orig_women`` carried through; entries
-    that name a dropped agent fail its limit and go with it.  Ranks are
-    never renumbered.  It reads every entry of both sides, so it serves
-    :func:`stability.truncate`; at each agent's rank of its worst stable
-    partner it gives :func:`preprocess`'s band, which that builds from the
-    deferred-acceptance runs' slices instead.
-    """
-    men_lists, men_rank = _kept_side(
-        inst.men_lists, inst.men_rank, men_limit, inst.women_rank, women_limit
-    )
-    women_lists, women_rank = _kept_side(
-        inst.women_lists, inst.women_rank, women_limit, inst.men_rank, men_limit
-    )
-    return Instance(
-        men_lists,
-        women_lists,
-        men_rank,
-        women_rank,
-        (0, *compress(inst.orig_men[1:], men_limit[1:])),
-        (0, *compress(inst.orig_women[1:], women_limit[1:])),
-    )
-
-
-def _kept_side(lists, rank, limit, other_rank, other_limit):
-    """One side's kept lists and rank rows, both with the index-0 stub."""
-    # The new index of each kept agent on the other side: the number of
-    # kept agents up to it.  One int object per agent, shared by every list.
-    new = list(accumulate((lim > 0 for lim in other_limit[1:]), initial=0))
-    width = new[-1] + 1
-    kept_lists, rows = [()], [_rank_row((), (), width)]
-    for i in range(1, len(lists)):
-        own, lim = rank[i], limit[i]
-        if lim:
-            kept = [j for j in lists[i] if own[j] <= lim and other_rank[j][i] <= other_limit[j]]
-            renamed = tuple(map(new.__getitem__, kept))
-            kept_lists.append(renamed)
-            rows.append(_rank_row(renamed, map(own.__getitem__, kept), width))
-    return tuple(kept_lists), tuple(rows)
-
-
 def preprocess(inst: Instance) -> Instance:
     """Reduce an instance to its stable-pair band: each agent's list cut to
     its stable partners' span, from best to worst.
@@ -529,13 +487,14 @@ def preprocess(inst: Instance) -> Instance:
     and the man-optimal matching; so no band names a removed agent, and the
     ranks keep their order.
 
-    The result equals ``_truncated_instance(inst, men_limit, women_limit)``
-    at each agent's rank of its worst stable partner (0 for the removed),
-    but it is built from the slices the two runs point at: after the runs
-    it reads no pair outside them, at a cost in proportion to n plus the
-    slices' lengths.  When every list already is its band, which one rank
-    read per agent tells, the input itself is returned, so the band is a
-    fixed point.
+    The band is :func:`_cut` at each agent's rank of its worst stable
+    partner (0 for the removed), with each man's slice starting at his
+    man-optimal wife, where the men's run left his pointer.  It is also
+    handed each man's woman-optimal wife, so that two agents who are each
+    other's one stable partner cost no rank read.  After the runs it reads
+    no pair outside the slices, at a cost in proportion to n plus their
+    lengths.  When every list already is its band, which one rank read per
+    agent tells, the input itself is returned, so the band is a fixed point.
     """
     by_men = DeferredAcceptance(inst.men_lists, inst.women_rank)
     by_women = DeferredAcceptance(inst.women_lists, inst.men_rank)
@@ -547,7 +506,8 @@ def preprocess(inst: Instance) -> Instance:
         inst.women_lists, inst.women_rank, by_women.next_pos, women_limit
     ):
         return inst
-    return _band(inst, by_men, by_women, men_limit, women_limit)
+    first = [p - 1 for p in by_men.next_pos]
+    return _cut(inst, first, men_limit, women_limit, by_women.recv_match)
 
 
 def _is_band(lists, rank, next_pos, limit) -> bool:
@@ -560,89 +520,93 @@ def _is_band(lists, rank, next_pos, limit) -> bool:
     )
 
 
-def _band(
-    inst: Instance,
-    by_men: DeferredAcceptance,
-    by_women: DeferredAcceptance,
-    men_limit: Sequence[int],
-    women_limit: Sequence[int],
+def _cut(
+    inst: Instance, first: Sequence[int], men_limit: Sequence[int], women_limit: Sequence[int],
+    fixed: Optional[Sequence[int]] = None,
 ) -> Instance:
-    """:func:`preprocess`'s cut, from the finished men- and women-proposing
-    runs and each agent's rank of its worst stable partner (0: none)."""
+    """The pairs (m, w) with w at or after place ``first[m]`` of m's list
+    that m ranks within ``men_limit[m]`` and w within ``women_limit[w]``,
+    each keeping its rank on both sides.
+
+    An agent whose limit is 0 goes, and the rest are re-indexed densely in
+    their order, with ``orig_men`` / ``orig_women`` carried through; entries
+    that name a dropped agent fail its limit and go with it.  Ranks are
+    never renumbered.  A man's kept women lie in one slice of his list,
+    from place ``first[m]`` to the last woman he ranks within his limit.
+    Ranks rise by at least one per place, so a woman he ranks at his limit
+    ends the slice, and where ranks are positions she sits at the place
+    the limit names, the fast path of :meth:`Instance.man_list_position`;
+    otherwise the end is found by bisection.  Each slice entry costs one
+    read of the woman's rank of him, and each woman's list is her kept men
+    sorted by that rank, so the cost is in proportion to n plus the slices'
+    lengths, not to the pairs.
+
+    A caller that wants every pair within the limits passes 0 for every
+    ``first``; one whose limits are its agents' worst stable partners may
+    start each man at his best.  Such a caller may also pass ``fixed``,
+    each man's worst stable partner: a man whose best is her too has one
+    stable partner, who ranks him at her limit as he ranks her at his, and
+    no other man keeps her (he would block the woman-optimal matching with
+    her), so both their one-entry lists are built with no rank read.
+    """
     men_lists, men_rank, women_rank = inst.men_lists, inst.men_rank, inst.women_rank
-    # A man's man-optimal wife sits one before his proposal pointer.
-    start, wife_z = by_men.next_pos, by_women.recv_match
-    husband_m, husband_z = by_men.recv_match, by_women.prop_match
-    n_men, n_women = inst.n_men, inst.n_women
-    if all(men_limit[1:]) and all(women_limit[1:]):
-        new_m = new_w = None
-        men_width, women_width = n_women + 1, n_men + 1
-        orig_men, orig_women = inst.orig_men, inst.orig_women
-    else:
-        # The new index of each kept agent: the number of kept agents up to
-        # it.  One int object per agent, shared by every list.
-        new_m = list(accumulate((lim > 0 for lim in men_limit[1:]), initial=0))
-        new_w = list(accumulate((lim > 0 for lim in women_limit[1:]), initial=0))
-        men_width, women_width = new_w[-1] + 1, new_m[-1] + 1
-        orig_men = (0, *compress(inst.orig_men[1:], men_limit[1:]))
-        orig_women = (0, *compress(inst.orig_women[1:], women_limit[1:]))
-    # Each woman's kept men, as (her rank of him, him) in the men's order;
-    # only a woman with two or more stable partners is kept by a man with
-    # two or more.
-    bucket: list[list[tuple[int, int]]] = [[] for _ in range(n_women + 1)]
-    # A one-entry band's row is built here as _rank_row would build it.
+    # The new index of each kept agent: the number of kept agents up to it.
+    # One int object per agent, shared by every list.
+    new_m = list(accumulate((lim > 0 for lim in men_limit[1:]), initial=0))
+    new_w = list(accumulate((lim > 0 for lim in women_limit[1:]), initial=0))
+    men_width, women_width = new_w[-1] + 1, new_m[-1] + 1
+    # Each woman's kept men, as (her rank of him, him) in the men's order,
+    # and the man of each woman whose one stable partner ``fixed`` names.
+    bucket: list[list[tuple[int, int]]] = [[] for _ in range(inst.n_women + 1)]
+    only = [0] * (inst.n_women + 1)
+    # A one-entry row is built here as _rank_row would build it.
     men_dicts, women_dicts = 4 < men_width, 4 < women_width
-    kept_lists, rows = [()], [_rank_row((), (), men_width)]
-    for m in range(1, n_men + 1):
+    men_lists_out, men_rows = [()], [_rank_row((), (), men_width)]
+    for m in range(1, inst.n_men + 1):
         lim = men_limit[m]
         if not lim:
             continue
-        lst, a, w = men_lists[m], start[m] - 1, wife_z[m]
-        if lst[a] == w:
-            # One stable partner, whom he ranks lim: he is her man-optimal
-            # husband, so she keeps him.
-            if new_w is not None:
-                w = new_w[w]
-            kept_lists.append((w,))
-            rows.append({w: lim} if men_dicts else _rank_row((w,), (lim,), men_width))
+        lst, own, a = men_lists[m], men_rank[m], first[m]
+        if fixed and lst[a] == fixed[m]:
+            w = lst[a]
+            only[w] = m
+            w = new_w[w]
+            men_lists_out.append((w,))
+            men_rows.append({w: lim} if men_dicts else _rank_row((w,), (lim,), men_width))
             continue
-        own = men_rank[m]
-        # His woman-optimal wife's position, whom he ranks lim.
-        b = lim - 1 if lim <= len(lst) and lst[lim - 1] == w else (
-            bisect_left(lst, lim, a, key=own.__getitem__)
+        b = lim if lim <= len(lst) and own[lst[lim - 1]] == lim else (
+            bisect_right(lst, lim, a, key=own.__getitem__)
         )
-        # Both his optimal wives keep him: the first ranks him her limit,
-        # the last above it.  Only the women between them are tested.
-        kept = (lst[a], *[w for w in lst[a + 1 : b] if women_rank[w][m] <= women_limit[w]], w)
-        for w in kept:
-            bucket[w].append((women_rank[w][m], m))
+        kept = []
+        for w in lst[a:b]:
+            r = women_rank[w][m]
+            if r <= women_limit[w]:
+                kept.append(w)
+                bucket[w].append((r, m))
         ranks = map(own.__getitem__, kept)
-        if new_w is not None:
-            kept = tuple(map(new_w.__getitem__, kept))
-        kept_lists.append(kept)
-        rows.append(_rank_row(kept, ranks, men_width))
-    women_lists, women_rows = [()], [_rank_row((), (), women_width)]
-    for w in range(1, n_women + 1):
+        kept = tuple(map(new_w.__getitem__, kept))
+        men_lists_out.append(kept)
+        men_rows.append(_rank_row(kept, ranks, men_width))
+    women_lists_out, women_rows = [()], [_rank_row((), (), women_width)]
+    for w in range(1, inst.n_women + 1):
         lim = women_limit[w]
         if not lim:
             continue
-        m = husband_m[w]
-        if m == husband_z[w]:
-            # One stable partner, so no other man's band holds her.
-            if new_m is not None:
-                m = new_m[m]
-            women_lists.append((m,))
+        m = only[w]
+        if m:
+            m = new_m[m]
+            women_lists_out.append((m,))
             women_rows.append({m: lim} if women_dicts else _rank_row((m,), (lim,), women_width))
             continue
         pairs = bucket[w]
         pairs.sort()
-        ranks = [r for r, _ in pairs]
-        kept = tuple([m for _, m in pairs] if new_m is None else [new_m[m] for _, m in pairs])
-        women_lists.append(kept)
-        women_rows.append(_rank_row(kept, ranks, women_width))
+        kept = tuple([new_m[m] for _, m in pairs])
+        women_lists_out.append(kept)
+        women_rows.append(_rank_row(kept, [r for r, _ in pairs], women_width))
     return Instance(
-        tuple(kept_lists), tuple(women_lists), tuple(rows), tuple(women_rows),
-        orig_men, orig_women,
+        tuple(men_lists_out), tuple(women_lists_out), tuple(men_rows), tuple(women_rows),
+        (0, *compress(inst.orig_men[1:], men_limit[1:])),
+        (0, *compress(inst.orig_women[1:], women_limit[1:])),
     )
 
 

@@ -12,7 +12,10 @@ solvers' generous poset, whose man-optimal matching is the minimum-regret
 answer.  With every list end cut at that degree (:func:`_cut_list_ends`),
 the run is the run of the truncation at it, which the generous solve's
 rotation walk continues.  Only :func:`truncate`, the checked public view,
-builds a truncated instance.
+builds a truncated instance: the model's one cut (``model._cut``), which
+reads each man's list only up to the cutoff.  Like the descent, it
+requires a preprocessed instance, and says so when handed one with no
+perfect stable matching.
 """
 
 from __future__ import annotations
@@ -20,7 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import DeferredAcceptance, Instance, Matching, _truncated_instance
+from .model import DeferredAcceptance, Instance, Matching, _cut
+
+
+_NOT_PERFECT = "instance admits no perfect stable matching; preprocess first"
 
 
 def _man_optimal_run(inst: Instance) -> DeferredAcceptance:
@@ -73,13 +79,20 @@ class TruncatedInstance:
 def truncate(inst: Instance, cutoff: int) -> TruncatedInstance:
     """Drop every entry ranked worse than ``cutoff`` on either side.
 
-    Raises ValueError if the truncation destroys all perfect stable
-    matchings, i.e. if ``cutoff`` is below the minimum-regret degree.
+    Requires a preprocessed instance, or one whose stable matchings are
+    perfect.  Each man's kept women lie in his list's prefix up to
+    ``cutoff``, so only the prefixes are read.  Raises ValueError if the
+    truncation destroys all perfect stable matchings, i.e. if ``cutoff`` is
+    below the minimum-regret degree, and with :func:`min_regret_degree`'s
+    message if the instance has none to begin with.
     """
     if cutoff < 1:
         raise ValueError("cutoff rank must be >= 1")
-    trunc = _truncated_instance(inst, [cutoff] * (inst.n_men + 1), [cutoff] * (inst.n_women + 1))
+    men, women = [cutoff] * (inst.n_men + 1), [cutoff] * (inst.n_women + 1)
+    trunc = _cut(inst, [0] * (inst.n_men + 1), men, women)
     if not man_optimal(trunc).is_perfect(trunc):
+        if not man_optimal(inst).is_perfect(inst):
+            raise ValueError(_NOT_PERFECT)
         raise ValueError(f"truncating at rank {cutoff} leaves no perfect stable matching")
     return TruncatedInstance(trunc)
 
@@ -124,7 +137,7 @@ def _min_regret_run(inst: Instance, run: DeferredAcceptance) -> tuple[int, Defer
         run.prop_match, run.recv_match, run.held, run.next_pos, run.end
     )
     if not all(wife[1:]):
-        raise ValueError("instance admits no perfect stable matching; preprocess first")
+        raise ValueError(_NOT_PERFECT)
     worst = max(men_rank[m][wife[m]] for m in range(1, n + 1))
     degree = max(worst, max(held[w] for w in wife[1:]))
     # Women by the rank they hold; an entry is stale once her rank drops.

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
-from itertools import permutations
+from itertools import accumulate, compress, permutations
 from typing import Optional, Sequence
 
 from profmatch import (
@@ -28,7 +28,7 @@ from profmatch import (
     truncate,
 )
 from profmatch import analytics, cli, model, rotations, solvers, stability
-from profmatch.model import DeferredAcceptance, _truncated_instance
+from profmatch.model import DeferredAcceptance, _rank_row
 from profmatch.rotations import Rotation, apply_rotation
 from profmatch.vbflow import SINK, SOURCE, VbFlow
 
@@ -430,6 +430,52 @@ def sweep_rotations_reference(
         if not progressed:
             break
     return rotations
+
+
+def _truncated_instance(
+    inst: Instance, men_limit: Sequence[int], women_limit: Sequence[int]
+) -> Instance:
+    """Reference for ``model._cut``: the pairs (m, w) that m ranks within
+    ``men_limit[m]`` and w within ``women_limit[w]``, each keeping its rank
+    on both sides.
+
+    An agent whose limit is 0 goes, and the rest are re-indexed densely in
+    their order, with ``orig_men`` / ``orig_women`` carried through; entries
+    that name a dropped agent fail its limit and go with it.  Ranks are
+    never renumbered.  It reads every entry of both sides, where ``_cut``
+    reads one slice per man.
+    """
+    men_lists, men_rank = _kept_side(
+        inst.men_lists, inst.men_rank, men_limit, inst.women_rank, women_limit
+    )
+    women_lists, women_rank = _kept_side(
+        inst.women_lists, inst.women_rank, women_limit, inst.men_rank, men_limit
+    )
+    return Instance(
+        men_lists,
+        women_lists,
+        men_rank,
+        women_rank,
+        (0, *compress(inst.orig_men[1:], men_limit[1:])),
+        (0, *compress(inst.orig_women[1:], women_limit[1:])),
+    )
+
+
+def _kept_side(lists, rank, limit, other_rank, other_limit):
+    """One side's kept lists and rank rows, both with the index-0 stub."""
+    # The new index of each kept agent on the other side: the number of
+    # kept agents up to it.  One int object per agent, shared by every list.
+    new = list(accumulate((lim > 0 for lim in other_limit[1:]), initial=0))
+    width = new[-1] + 1
+    kept_lists, rows = [()], [_rank_row((), (), width)]
+    for i in range(1, len(lists)):
+        own, lim = rank[i], limit[i]
+        if lim:
+            kept = [j for j in lists[i] if own[j] <= lim and other_rank[j][i] <= other_limit[j]]
+            renamed = tuple(map(new.__getitem__, kept))
+            kept_lists.append(renamed)
+            rows.append(_rank_row(renamed, map(own.__getitem__, kept), width))
+    return tuple(kept_lists), tuple(rows)
 
 
 def binary_search_min_regret(inst: Instance) -> tuple[int, Matching]:

@@ -14,6 +14,7 @@ from profmatch import (
     find_rotations,
     format_instance,
     generate_uniform,
+    man_optimal,
     min_regret_degree,
     parse_instance,
     preprocess,
@@ -23,7 +24,7 @@ from profmatch import (
 )
 
 from profmatch import model
-from profmatch.model import DeferredAcceptance, _truncated_instance
+from profmatch.model import DeferredAcceptance
 from profmatch.solvers import EnumerationCapError
 
 from helpers import (
@@ -31,6 +32,7 @@ from helpers import (
     I0_ALL_MATCHINGS,
     I0_MAN_OPTIMAL,
     I0_WOMAN_OPTIMAL,
+    _truncated_instance,
     brute_force_all_stable_matchings,
     lists_text,
     raw_cutoff_families,
@@ -234,6 +236,49 @@ def test_preprocess_equals_two_step_reference(i0):
     assert reduced == 1312  # all but the 26 Latin chains, each its own band
 
 
+def _assert_same_instance(got, expected):
+    """Equal lists, rank values, row kinds and index maps."""
+    assert (got.men_lists, got.women_lists) == (expected.men_lists, expected.women_lists)
+    for rows, expected_rows in ((got.men_rank, expected.men_rank), (got.women_rank, expected.women_rank)):
+        assert rows == expected_rows
+        assert list(map(type, rows)) == list(map(type, expected_rows))
+    assert (got.orig_men, got.orig_women) == (expected.orig_men, expected.orig_women)
+
+
+def _largest_rank(inst):
+    return max(
+        (rank[i][lst[-1]]
+         for lists, rank in ((inst.men_lists, inst.men_rank), (inst.women_lists, inst.women_rank))
+         for i, lst in enumerate(lists) if lst),
+        default=0,
+    )
+
+
+def test_truncate_equals_the_full_scan_reference(i0):
+    # The prefix cut equals the cut of every entry at the cutoff, on each
+    # band and on each input up to n = 60 whose stable matchings are
+    # perfect, at every cutoff from the minimum-regret degree to the
+    # largest rank; below the degree it raises.  (The uncut inputs at
+    # n = 80 and 100 would take 20 s more, for lists of the same kind.)
+    bases = cutoffs = 0
+    for inst in _band_inputs(i0):
+        pre = preprocess(inst)
+        degree = min_regret_degree(pre)
+        if not degree:
+            continue
+        raw = inst.n_men <= 60 and man_optimal(inst).is_perfect(inst)
+        for base in (pre, inst) if raw else (pre,):
+            bases += 1
+            for cutoff in range(degree, _largest_rank(base) + 1):
+                limits = [cutoff] * (base.n_men + 1), [cutoff] * (base.n_women + 1)
+                got = truncate(base, cutoff).instance
+                _assert_same_instance(got, _truncated_instance(base, *limits))
+                cutoffs += 1
+            with pytest.raises(ValueError):
+                truncate(base, degree - 1)
+    assert (bases, cutoffs) == (1731, 7475)
+
+
 def _answers(inst):
     """Every criterion's matching, or the cap error's type."""
     out = []
@@ -289,25 +334,42 @@ class _CountingRow(tuple):
         return tuple.__getitem__(self, j)
 
 
-def test_preprocess_reads_a_fraction_of_the_rank_entries():
-    # Two deferred-acceptance runs and one read per entry of the slices
-    # between each man's optimal wives, plus a few per kept pair: no pass
-    # over every entry.  A pass over one side's rows alone would read
-    # 40,000 entries, twice the bound; 13,165 were read here.
-    inst = generate_uniform(200, 200, 1.0, seed=1)
+def _counted(inst):
+    """The instance with each dense rank row wrapped in a :class:`_CountingRow`."""
     assert all(type(row) is tuple for row in inst.men_rank[1:] + inst.women_rank[1:])
 
     def counting(rows):
         return (rows[0], *map(_CountingRow, rows[1:]))
 
-    counted = model.Instance(
+    return model.Instance(
         inst.men_lists, inst.women_lists, counting(inst.men_rank), counting(inst.women_rank),
         inst.orig_men, inst.orig_women,
     )
+
+
+def test_preprocess_reads_a_fraction_of_the_rank_entries():
+    # Two deferred-acceptance runs and one read per entry of the slices
+    # between each man's optimal wives, plus a few per kept pair: no pass
+    # over every entry.  A pass over one side's rows alone would read
+    # 40,000 entries, twice the bound; 11,829 were read here.
+    inst = generate_uniform(200, 200, 1.0, seed=1)
+    counted = _counted(inst)
     _CountingRow.reads = 0
     pre = preprocess(counted)
     assert _CountingRow.reads < inst.total_list_length / 4
     assert pre == preprocess(inst)
+
+
+def test_truncate_reads_only_the_prefixes():
+    # Each man's kept women lie in the first d places of his list: about
+    # two reads per place, not a pass over every entry of both sides.
+    inst = generate_uniform(200, 200, 1.0, seed=1)
+    degree = min_regret_degree(preprocess(inst))
+    counted = _counted(inst)
+    _CountingRow.reads = 0
+    trunc = truncate(counted, degree).instance
+    assert _CountingRow.reads < inst.total_list_length / 2
+    assert trunc == truncate(inst, degree).instance
 
 
 def test_profile_of_examples(i0_pre):

@@ -13,6 +13,7 @@ from profmatch import (
     man_optimal,
     matching_degree,
     min_regret_degree,
+    parse_instance,
     preprocess,
     truncate,
     woman_optimal,
@@ -225,6 +226,21 @@ def test_truncate_below_min_regret_raises(i0_pre):
     d = min_regret_degree(i0_pre)
     with pytest.raises(ValueError):
         truncate(i0_pre, d - 1)
+
+
+def test_truncate_asks_for_preprocessing_when_the_input_has_no_perfect_matching():
+    # Man 2 and woman 2 are in no stable matching, so even the cut at the
+    # largest rank, 3, which drops nothing, has no perfect one: the input
+    # is at fault, not the cutoff.
+    inst = parse_instance("3 3\n3 1\n3 1\n1 3\n1 2 3\n\n3 1 2\n")
+    with pytest.raises(ValueError, match="preprocess first"):
+        truncate(inst, 3)
+    with pytest.raises(ValueError, match="preprocess first"):
+        min_regret_degree(inst)
+    pre = preprocess(inst)
+    assert truncate(pre, 3).instance == pre
+    with pytest.raises(ValueError, match="truncating at rank 1 leaves no perfect"):
+        truncate(pre, 1)
 
 
 def test_gs_outputs_always_stable():
