@@ -4,10 +4,12 @@ A rotation is an ordered cycle of man-woman pairs inside a stable matching;
 re-assigning each man to the next woman in the cycle yields another stable
 matching one step down the man-lattice.  Every run from the man-optimal to
 the woman-optimal matching eliminates each rotation of the instance exactly
-once, which is how :func:`find_rotations` collects them all.  That walk
-continues the deferred-acceptance run that reached the man-optimal matching
-(Gusfield & Irving, 1989), in place: its proposal pointers become the scan
-pointers, and no list position is searched for.
+once, which is how :func:`find_rotations` collects them all.  It finds them
+in one depth-first walk over the men's successor pointers that continues
+the deferred-acceptance run that reached the man-optimal matching, in
+place: its proposal pointers become the scan pointers, no list position is
+searched for, and the whole poset costs O(m) for the m acceptable pairs
+(Gusfield & Irving, *The Stable Marriage Problem*, 1989).
 
 The digraph records two kinds of forced precedence between rotations:
 
@@ -121,17 +123,19 @@ def find_rotations(inst: Instance) -> list[Rotation]:
     man m the next woman on his list who strictly prefers m to her current
     partner defines a successor pointer; cycles of the successor map are
     exactly the rotations currently exposed, and eliminating them until none
-    remain visits every rotation of the instance exactly once.
+    remain visits every rotation of the instance exactly once.  One
+    depth-first walk follows the pointers from each man in turn and
+    eliminates each cycle as it closes (see :func:`_rotations_from`).
 
     The walk continues the deferred-acceptance run that reached the
-    man-optimal matching, from its own state (see :func:`_rotations_from`):
-    each man's scan pointer starts where his proposals stopped, one past his
-    wife.  Pointers only ever advance (a woman who once rejected m keeps
-    rejecting him as her partners improve), so deferred acceptance and the
-    walk together advance each pointer at most once per acceptable pair.
-    On a preprocessed instance those are the band's pairs, each man's list
-    ending at his woman-optimal wife: a few percent of the input's pairs on
-    complete lists.
+    man-optimal matching, from its own state: each man's scan pointer starts
+    where his proposals stopped, one past his wife.  Pointers only ever
+    advance (a woman who once rejected m keeps rejecting him as her partners
+    improve), so deferred acceptance and the walk together advance each
+    pointer at most once per acceptable pair, and the walk reads one rank
+    more per visit of a man: O(m) in all.  On a preprocessed instance the
+    pairs are the band's, each man's list ending at his woman-optimal wife:
+    a few percent of the input's pairs on complete lists.
     The walk knows nothing of truncations: continuing the run of one, whose
     list ends are already cut, finds that truncation's rotations.
 
@@ -141,9 +145,6 @@ def find_rotations(inst: Instance) -> list[Rotation]:
     after all of its predecessors have been eliminated and numbered.
     """
     return _rotations_from(inst, _man_optimal_run(inst))
-
-
-_DEAD = -1  # the walk's mark for a man who can never move again
 
 
 def _rotations_from(inst: Instance, run: DeferredAcceptance) -> list[Rotation]:
@@ -157,12 +158,24 @@ def _rotations_from(inst: Instance, run: DeferredAcceptance) -> list[Rotation]:
     test reads one rank), ``next_pos`` the scan pointers and ``end`` the
     list ends, which no man scans past.  No list position is searched for.
 
-    Each sweep follows successor pointers from every man in index order,
-    and extracts the cycles it closes.  A man whose pointer has run out, or
-    leads to a man who can never move again, can never move again himself:
-    the woman it points at keeps a husband who never moves, and so keeps
-    preferring him.  Such men are marked once and skipped by every later
-    sweep; everyone else settled in a sweep is walked again in the next.
+    One depth-first walk follows successor pointers along a path of men,
+    each man's successor being the next man on it; ``at`` holds each man's
+    place on the path (-1 off it), so a cycle closes in O(1).  A path
+    starts at a man taken off a to-do stack, which holds every man in
+    ascending order at first.  A closed cycle is cut off the path and
+    eliminated, its men go back on the stack (at most once each:
+    ``queued``), and the walk goes on from the man now on top of the path,
+    whose successor alone has changed.  A man whose pointer has run out, or
+    leads to a dead man, can never move again (the woman it points at keeps
+    a husband who never moves, and so keeps preferring him); he and every
+    man on the path behind him are dead for good, and never visited again.
+
+    Each list entry is read at most once as a pointer passes it, and each
+    visit of a man reads one rank more.  A man who joins the path leaves it
+    either dead, which happens once for good, or in an eliminated cycle,
+    once per rotation pair; and each elimination has the man left on top
+    visited again.  So the walk makes at most n + (rotation pairs) +
+    (rotations) visits, and costs O(m).
     """
     n = inst.n_men
     if n == 0:
@@ -187,55 +200,53 @@ def _rotations_from(inst: Instance, run: DeferredAcceptance) -> list[Rotation]:
             held[w] = women_rank[w][m]
             ptr[m] += 1
 
-    dead: list[int] = []  # men who can never move again
-    progressed = True
-    while progressed:
-        progressed = False
-        state = [0] * (n + 1)  # 0 fresh, 1 on current path, 2 settled this sweep, or _DEAD
-        for m in dead:
-            state[m] = _DEAD
-        for start in range(1, n + 1):
-            if state[start]:
-                continue
-            path: list[int] = []
-            m = start
-            while True:
-                s = state[m]
-                if s == 1:
-                    at = path.index(m)
-                    extract(path[at:])
-                    for x in path[at:]:
-                        state[x] = 2
-                    for x in path[:at]:
-                        state[x] = 0
-                    progressed = True
+    at = [-1] * (n + 1)  # each man's place on the path, -1 when off it
+    dead = [False] * (n + 1)  # men who can never move again
+    queued = [True] * (n + 1)  # men on the to-do stack
+    todo = list(range(n, 0, -1))  # start men, popped in ascending order at first
+    path: list[int] = []
+    while True:
+        if path:
+            m = path[-1]
+        else:
+            while todo:
+                m = todo.pop()
+                queued[m] = False
+                if not dead[m]:
                     break
-                if s:
-                    for x in path:
-                        state[x] = s
-                    if s == _DEAD:
-                        dead += path
-                    break
-                lst = men_lists[m]
-                p, stop = ptr[m], end[m]
-                nxt = 0
-                while p < stop:
-                    w = lst[p]
-                    if women_rank[w][m] < held[w]:
-                        nxt = w
-                        break
-                    p += 1
-                ptr[m] = p
-                if not nxt:
-                    path.append(m)
-                    for x in path:
-                        state[x] = _DEAD
-                    dead += path
-                    break
-                state[m] = 1
-                path.append(m)
-                m = husband[nxt]
-    return rotations
+            else:
+                return rotations
+            at[m] = 0
+            path.append(m)
+        lst = men_lists[m]
+        p, stop = ptr[m], end[m]
+        nxt = 0
+        while p < stop:
+            w = lst[p]
+            if women_rank[w][m] < held[w]:
+                nxt = w
+                break
+            p += 1
+        ptr[m] = p
+        h = husband[nxt]
+        if not nxt or dead[h]:
+            for x in path:
+                dead[x] = True  # off the path for good: ``at`` is never read again
+            path.clear()
+            continue
+        i = at[h]
+        if i < 0:
+            at[h] = len(path)
+            path.append(h)
+            continue
+        cycle = path[i:]
+        del path[i:]
+        for x in cycle:
+            at[x] = -1
+            if not queued[x]:
+                queued[x] = True
+                todo.append(x)
+        extract(cycle)
 
 
 def _cycle_profile(inst: Instance, cycle: tuple[tuple[int, int], ...]) -> Profile:

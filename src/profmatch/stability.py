@@ -131,13 +131,13 @@ def _min_regret_run(inst: Instance, run: DeferredAcceptance) -> tuple[int, Defer
     """
     n = inst.n_men
     men_lists, men_rank, women_rank = inst.men_lists, inst.men_rank, inst.women_rank
-    if n == 0:
-        return 0, run
     wife, husband, held, next_pos, end = (
         run.prop_match, run.recv_match, run.held, run.next_pos, run.end
     )
-    if not all(wife[1:]):
+    if inst.n_women != n or not all(wife[1:]):
         raise ValueError(_NOT_PERFECT)
+    if n == 0:
+        return 0, run
     worst = max(men_rank[m][wife[m]] for m in range(1, n + 1))
     degree = max(worst, max(held[w] for w in wife[1:]))
     # Women by the rank they hold; an entry is stale once her rank drops.

@@ -432,6 +432,34 @@ def sweep_rotations_reference(
     return rotations
 
 
+def assert_same_poset(
+    inst: Instance, got: list[Rotation], expected: list[Rotation],
+    profiles: Optional[list[Profile]] = None,
+) -> None:
+    """``got`` and ``expected`` hold the same rotations, numbered in two
+    topological orders.  Keyed by its canonical cycle, each rotation of
+    ``got`` has the reference's profile (``profiles[i]`` is that of
+    ``expected[i]``, if given), the two digraphs have the same labelled
+    edges once mapped through the cycles, and every edge of ``got``'s goes
+    from a lower id to a higher one."""
+    assert [rot.rid for rot in got] == list(range(len(got)))
+    cycles = [rot.cycle for rot in expected]
+    assert sorted(rot.cycle for rot in got) == sorted(cycles)
+    if profiles is None:
+        profiles = [rot.profile for rot in expected]
+    reference = dict(zip(cycles, profiles))
+    assert [rot.profile for rot in got] == [reference[rot.cycle] for rot in got]
+    digraph = build_digraph(inst, got)
+    assert all(u < v for u, v, _labels in digraph.edges())
+
+    def by_cycle(rotations, edges):
+        return {(rotations[u].cycle, rotations[v].cycle): labels for u, v, labels in edges}
+
+    assert by_cycle(got, digraph.edges()) == by_cycle(
+        expected, build_digraph(inst, expected).edges()
+    )
+
+
 def _truncated_instance(
     inst: Instance, men_limit: Sequence[int], women_limit: Sequence[int]
 ) -> Instance:

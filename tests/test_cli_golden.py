@@ -14,10 +14,10 @@ import pytest
 from profmatch.cli import CRITERION_TOKENS, main
 
 GOLDEN = {
-    (1.0, 1): "482e11caa2d972de66b6f1feca0c167c492aee57656e4e84daddd29fd25fc71e",
-    (1.0, 2): "40571ca08d41eb4b16a91ff02b8d656690819bb354adfad6ea74e87f4d4f5bd9",
+    (1.0, 1): "80360d83d3b4682de84c5ab9520617d90a38bd38a784b22f33194e2cd6969f0e",
+    (1.0, 2): "a02bf56e80fcbec859d598d3458c41adf2db4100c4cc871ca2d49bb5ec679804",
     (1.0, 3): "fcef1002f072e233b5d72bf7a1a8853bf7a910579378c94a78eeaef92c5a06f4",
-    (0.5, 1): "dbbdf03377460428ea7de2584020db47d28076aebcfab07a23e22be40ee4285f",
+    (0.5, 1): "775be3becae3659c5bf893dbeacd307690b04ab23238b75db0e9b3d519d3534e",
     (0.5, 2): "73904faaffc2f97b4880a5a74beec165997977e233c6d21e52d2e5354e46aeb6",
     (0.5, 3): "dddb988f7fe7fc571844a8a14540126c0dac67a070cd3a7bbb1ddb52a9e3ba40",
 }

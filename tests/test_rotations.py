@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import sys
 
 import pytest
 
@@ -25,7 +27,7 @@ from profmatch import (
 from profmatch import solvers
 from profmatch.rotations import _rotations_from, apply_rotation
 from profmatch.solvers import _Lattice, _Poset
-from profmatch.stability import _man_optimal_run, _min_regret_run
+from profmatch.stability import _cut_list_ends, _man_optimal_run, _min_regret_run
 
 from helpers import (
     DESCENT_ENDS,
@@ -33,6 +35,7 @@ from helpers import (
     I0_RANK_MAXIMAL,
     I0_ROTATIONS,
     all_closed_subsets,
+    assert_same_poset,
     cutoff_families,
     cutoff_rotations,
     latin_chain,
@@ -257,14 +260,15 @@ def _assert_resumable(inst, run) -> None:
 
 
 def test_walk_equals_sweep_reference(i0_pre):
-    # The walk continues the deferred-acceptance run in place and skips men
-    # who can never move again; the reference sweeps from a wife array with
-    # bisected positions and list ends, and walks every man in each sweep.
-    # Rotations (ids, cycles and profiles) and digraphs agree, with and
-    # without the minimum-regret cutoff.  The run the descent hands over is
-    # deferred acceptance's state at its matching, whether the descent ended
-    # feasible or undid its last step.  Short sparse lists leave many men
-    # with no woman left to scan.
+    # The walk continues the deferred-acceptance run in place, depth first,
+    # and never revisits a dead man; the reference sweeps from a wife array
+    # with bisected positions and list ends, and walks every man in each
+    # sweep.  The two number the rotations in different topological orders;
+    # keyed by cycle, rotations (cycles and profiles) and labelled digraph
+    # edges agree, with and without the minimum-regret cutoff.  The run the
+    # descent hands over is deferred acceptance's state at its matching,
+    # whether the descent ended feasible or undid its last step.  Short
+    # sparse lists leave many men with no woman left to scan.
     instances = [(None, inst) for inst in cutoff_families(i0_pre)]
     for seed in range(12):
         rng = random.Random(seed)
@@ -282,8 +286,7 @@ def test_walk_equals_sweep_reference(i0_pre):
             continue
         got = find_rotations(inst)
         expected = sweep_rotations_reference(inst, man_optimal(inst).wife_array(inst.n_men))
-        assert got == expected
-        assert build_digraph(inst, got) == build_digraph(inst, expected)
+        assert_same_poset(inst, got, expected)
         degree, run = _min_regret_run(inst, _man_optimal_run(inst))
         _assert_resumable(inst, run)
         # Only a step that is undone leaves every man within the degree.
@@ -294,9 +297,78 @@ def test_walk_equals_sweep_reference(i0_pre):
         wife = run.prop_match[:]
         got = list(_Poset(inst, run, degree).rotations)
         expected = sweep_rotations_reference(inst, wife, degree)
-        assert got == expected
-        assert build_digraph(inst, got) == build_digraph(inst, expected)
+        assert_same_poset(inst, got, expected)
     assert min(exits) >= 300
+
+
+def _counting_women_rank(inst, reads):
+    """``inst`` with every woman's rank row adding its reads to ``reads[0]``."""
+    class Row(tuple):
+        def __getitem__(self, i):
+            reads[0] += 1
+            return tuple.__getitem__(self, i)
+
+    class DictRow(dict):
+        def __getitem__(self, k):
+            reads[0] += 1
+            return dict.__getitem__(self, k)
+
+    rows = tuple(Row(r) if isinstance(r, tuple) else DictRow(r) for r in inst.women_rank)
+    return dataclasses.replace(inst, women_rank=rows)
+
+
+def test_rotation_walk_reads_each_list_entry_at_most_once():
+    # Each pointer passes each list entry at most once, and each visit of a
+    # man reads one rank more: n first visits, one per man of each cycle
+    # closed and one per rotation for the man left on top of the path,
+    # whose successor changed.  Eliminating a rotation reads one rank per
+    # pair.  So the walk costs O(m), with or without the minimum-regret
+    # cutoff; a sweep over every man per round reads far more on complete
+    # lists (8,213 reads at n = 300, seed 7, against a bound of 3,934).
+    men, women = sparse_lists(600, [60] * 600, seed=11)
+    instances = [
+        generate_uniform(300, 300, 1.0, seed=7),
+        generate_uniform(300, 300, 1.0, seed=8),
+        generate_uniform(400, 400, 0.2, seed=9),
+        Instance.from_lists(men, women),
+        latin_chain(60),
+    ]
+    found = []  # rotations of each full poset, then of its cut one
+    for inst in map(preprocess, instances):
+        degree, cut_run = _min_regret_run(inst, _man_optimal_run(inst))
+        _cut_list_ends(inst, cut_run.end, range(1, inst.n_men + 1), degree)
+        for run in (_man_optimal_run(inst), cut_run):
+            pairs = sum(run.end[1:])
+            reads = [0]
+            rotations = _rotations_from(_counting_women_rank(inst, reads), run)
+            moved = sum(len(rot.cycle) for rot in rotations)
+            assert reads[0] <= pairs + moved + inst.n_men + len(rotations)
+            found.append(len(rotations))
+    assert min(found[::2]) >= 15 and sum(found[1::2]) >= 15
+
+
+def test_rotation_walk_stacks_each_man_at_most_once():
+    # A man goes on the to-do stack when a cycle he was in is eliminated,
+    # unless he is on it already, so the stack never holds more than n men.
+    # Stale entries would cost no rank read: each Latin rotation moves every
+    # man, and without the check the stack would grow by n per rotation.
+    for inst in (preprocess(latin_chain(30)), preprocess(generate_uniform(60, 60, 1.0, seed=7))):
+        longest = [0]
+
+        def line(frame, event, arg):
+            longest[0] = max(longest[0], len(frame.f_locals.get("todo", ())))
+            return line
+
+        def call(frame, event, arg):
+            return line if frame.f_code is _rotations_from.__code__ else None
+
+        tracer = sys.gettrace()
+        sys.settrace(call)
+        try:
+            rotations = _rotations_from(inst, _man_optimal_run(inst))
+        finally:
+            sys.settrace(tracer)
+        assert rotations and 0 < longest[0] <= inst.n_men
 
 
 def test_rotation_walk_searches_no_list_position(i0_pre, monkeypatch):

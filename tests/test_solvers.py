@@ -45,6 +45,7 @@ from helpers import (
     I0_FLOW_VALUE_WEIGHT,
     I0_OPTIMAL_SUBSET,
     I0_RANK_MAXIMAL,
+    assert_same_poset,
     bfs_enumeration_oracle,
     brute_force_all_stable_matchings,
     brute_force_stable_matchings,
@@ -597,10 +598,12 @@ def test_generous_builds_no_instance(i0_pre, monkeypatch):
 
 def test_profiles_and_rank_changes_equal_eager_reference(i0_pre):
     # Every rotation of either poset reads the profile the reference walk
-    # builds at extraction, and its rank change (dm, dw) is the change in
-    # the men's and the women's cost across its elimination, in id order
-    # from the man-optimal matching (so dm - dw is the change in man minus
-    # woman cost), and dm + dw is the sum of k * p_k over its profile.
+    # builds at extraction for its cycle, and its rank change (dm, dw) is
+    # the change in the men's and the women's cost across its elimination,
+    # in id order from the man-optimal matching (so dm - dw is the change
+    # in man minus woman cost), and dm + dw is the sum of k * p_k over its
+    # profile.  The reference numbers the rotations in another topological
+    # order, so they are matched by cycle.
     checked = 0
     for inst in poset_families(i0_pre):
         n = inst.n_men
@@ -612,11 +615,12 @@ def test_profiles_and_rank_changes_equal_eager_reference(i0_pre):
             reference = sweep_rotations_reference(
                 inst, poset.man_optimal.wife_array(n), poset.cutoff, eager
             )
-            assert [r.cycle for r in poset.rotations] == [r.cycle for r in reference]
-            assert [r.profile for r in poset.rotations] == eager
+            assert_same_poset(inst, list(poset.rotations), reference, eager)
+            eager = dict(zip((r.cycle for r in reference), eager))
             wife = poset.man_optimal.wife_array(n)
             before = _cost_pair(inst, poset.man_optimal)
-            for rot, profile in zip(poset.rotations, eager):
+            for rot in poset.rotations:
+                profile = eager[rot.cycle]
                 dm, dw = rot.rank_change
                 assert dm + dw == sum(k * e for k, e in profile.pairs)
                 apply_rotation(wife, rot.cycle)

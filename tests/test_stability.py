@@ -3,6 +3,7 @@ import random
 import pytest
 
 from profmatch import (
+    Criterion,
     Instance,
     Matching,
     blocking_pair,
@@ -15,6 +16,7 @@ from profmatch import (
     min_regret_degree,
     parse_instance,
     preprocess,
+    solve,
     truncate,
     woman_optimal,
 )
@@ -241,6 +243,17 @@ def test_truncate_asks_for_preprocessing_when_the_input_has_no_perfect_matching(
     assert truncate(pre, 3).instance == pre
     with pytest.raises(ValueError, match="truncating at rank 1 leaves no perfect"):
         truncate(pre, 1)
+    # Every man is matched but a woman is not, or there is no man at all:
+    # the descent checks the sides' sizes too, so each call gives one message.
+    for text in ("1 2\n1 2\n1\n1\n", "0 1\n\n"):
+        lopsided = parse_instance(text)
+        with pytest.raises(ValueError, match="preprocess first"):
+            truncate(lopsided, 1)
+        with pytest.raises(ValueError, match="preprocess first"):
+            min_regret_degree(lopsided)
+        for criterion in (Criterion.MIN_REGRET, Criterion.GENEROUS):
+            with pytest.raises(ValueError, match="preprocess first"):
+                solve(lopsided, criterion)
 
 
 def test_gs_outputs_always_stable():
