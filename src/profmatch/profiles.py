@@ -13,8 +13,10 @@ Profiles are stored sparse, as the rank-ordered ``(rank, value)`` pairs of
 their nonzero entries: the compressed encoding whose size
 :func:`analytics.space_report` charges.  A rotation of a Latin chain has
 about four nonzero entries at degree near n, so arithmetic, comparison and
-hashing cost O(nonzeros), not O(degree).  The dense views (``elements``,
-``padded``, iteration) are built on request.
+hashing cost O(nonzeros), not O(degree).  A sum or a difference is one
+merge of the two pair lists; a difference negates the entries it takes
+from the right operand as it goes, and builds no negated copy of it.  The
+dense views (``elements``, ``padded``, iteration) are built on request.
 
 Trailing zeros never matter: ``Profile([2, 0]) == Profile([2])``.
 """
@@ -112,7 +114,31 @@ class Profile:
         return Profile._from_pairs(tuple(out))
 
     def __sub__(self, other: "Profile") -> "Profile":
-        return self + (-other)
+        a, b = self._pairs, other._pairs
+        if not b:
+            return self
+        # The same merge as ``__add__``, negating ``other``'s entries as it
+        # takes them: no negated copy of ``other`` is built.
+        out = []
+        ia = ib = 0
+        la, lb = len(a), len(b)
+        while ia < la and ib < lb:
+            pa, pb = a[ia], b[ib]
+            if pa[0] < pb[0]:
+                out.append(pa)
+                ia += 1
+            elif pb[0] < pa[0]:
+                out.append((pb[0], -pb[1]))
+                ib += 1
+            else:
+                e = pa[1] - pb[1]
+                if e:
+                    out.append((pa[0], e))
+                ia += 1
+                ib += 1
+        out += a[ia:]
+        out += [(i, -e) for i, e in b[ib:]]
+        return Profile._from_pairs(tuple(out))
 
     def __neg__(self) -> "Profile":
         return Profile._from_pairs(tuple((i, -e) for i, e in self._pairs))

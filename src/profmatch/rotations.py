@@ -73,11 +73,19 @@ class RotationDigraph:
 
     def __init__(self, size: int, edge_labels: dict[tuple[int, int], frozenset[int]]):
         self._size = size
-        self._labels = dict(sorted(edge_labels.items()))
         preds: list[list[int]] = [[] for _ in range(size)]
-        for u, v in self._labels:
+        for u, v in edge_labels:
             preds[v].append(u)
-        self._preds = tuple(tuple(p) for p in preds)
+        # Edges in (u, v) order without sorting them: each node's
+        # predecessors ascending, then each node's successors collected in
+        # ascending v.  Dinic's choice of paths follows this order.
+        succs: list[list[int]] = [[] for _ in range(size)]
+        for v, p in enumerate(preds):
+            p.sort()
+            for u in p:
+                succs[u].append(v)
+        self._labels = {(u, v): edge_labels[u, v] for u, s in enumerate(succs) for v in s}
+        self._preds = tuple(map(tuple, preds))
 
     @property
     def size(self) -> int:
@@ -157,6 +165,8 @@ def _rotations_from(inst: Instance, run: DeferredAcceptance) -> list[Rotation]:
     husband (kept up to date as rotations are eliminated, so the pointer
     test reads one rank), ``next_pos`` the scan pointers and ``end`` the
     list ends, which no man scans past.  No list position is searched for.
+    ``found`` keeps the rank each man's successor gives him, read by the
+    scan that found her, which is what she holds once he moves to her.
 
     One depth-first walk follows successor pointers along a path of men,
     each man's successor being the next man on it; ``at`` holds each man's
@@ -171,11 +181,11 @@ def _rotations_from(inst: Instance, run: DeferredAcceptance) -> list[Rotation]:
     man on the path behind him are dead for good, and never visited again.
 
     Each list entry is read at most once as a pointer passes it, and each
-    visit of a man reads one rank more.  A man who joins the path leaves it
-    either dead, which happens once for good, or in an eliminated cycle,
-    once per rotation pair; and each elimination has the man left on top
-    visited again.  So the walk makes at most n + (rotation pairs) +
-    (rotations) visits, and costs O(m).
+    visit of a man reads one rank more; an elimination reads none.  A man
+    who joins the path leaves it either dead, which happens once for good,
+    or in an eliminated cycle, once per rotation pair; and each elimination
+    has the man left on top visited again.  So the walk makes at most n +
+    (rotation pairs) + (rotations) visits, and costs O(m).
     """
     n = inst.n_men
     if n == 0:
@@ -197,10 +207,11 @@ def _rotations_from(inst: Instance, run: DeferredAcceptance) -> list[Rotation]:
         for m, w in zip(cycle_men, wives[1:] + wives[:1]):
             wife[m] = w
             husband[w] = m
-            held[w] = women_rank[w][m]
+            held[w] = found[m]
             ptr[m] += 1
 
     at = [-1] * (n + 1)  # each man's place on the path, -1 when off it
+    found = [0] * (n + 1)  # the rank each man's successor gives him
     dead = [False] * (n + 1)  # men who can never move again
     queued = [True] * (n + 1)  # men on the to-do stack
     todo = list(range(n, 0, -1))  # start men, popped in ascending order at first
@@ -223,8 +234,9 @@ def _rotations_from(inst: Instance, run: DeferredAcceptance) -> list[Rotation]:
         nxt = 0
         while p < stop:
             w = lst[p]
-            if women_rank[w][m] < held[w]:
-                nxt = w
+            r = women_rank[w][m]
+            if r < held[w]:
+                nxt, found[m] = w, r
                 break
             p += 1
         ptr[m] = p

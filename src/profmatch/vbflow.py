@@ -21,9 +21,15 @@ No vector is added on an uncapacitated edge while the flow runs: its
 forward residual never closes, and its backward residual is open exactly
 when some flow crosses it.  A forward push along it appends the bottleneck
 to the edge's list and marks its backward arc open.  The list is summed
-only when a backward arc's capacity is needed, or, in one pass, when the
-returned flow's ``edge_flows`` are first read; :func:`min_cut` reads the
-open arcs instead.
+only when a backward arc's capacity is needed, or when the returned flow's
+``edge_flows`` are first read; :func:`min_cut` reads the open arcs instead.
+
+The arc that sets an augmentation's bottleneck closes with no arithmetic:
+its residual (room, or pending push) is the bottleneck vector itself, so
+it becomes the zero vector without a subtraction.  Every other finite
+residual on the path pays one merge.  A sum of many vectors (a push list,
+the flow value over the source edges, a cut's capacity) runs in one pass
+over their entries, not one merge per addend.
 
 When no augmenting path remains, the set of residual-reachable nodes yields
 a cut whose capacity equals the flow value entry by entry; that set is the
@@ -251,7 +257,7 @@ def max_vb_flow(net: VbNetwork) -> VbFlow:
             else:
                 pending = pushes[~a]
                 if len(pending) > 1:
-                    pending[:] = [sum(pending, Profile.zero())]
+                    pending[:] = [_sum_pushes(pending)]
                 r = pending[0]
             if bottleneck is None or r < bottleneck:
                 bottleneck = r
@@ -267,11 +273,13 @@ def max_vb_flow(net: VbNetwork) -> VbFlow:
                     else:
                         pending.append(bottleneck)
                 else:
-                    r = room[a] = r - bottleneck
+                    # The arc that set the bottleneck closes with no merge.
+                    r = room[a] = Profile.zero() if r is bottleneck else r - bottleneck
                     if r.is_zero:
                         is_open[a] = False
             else:
-                f = pushes[~a][0] - bottleneck
+                f = pushes[~a][0]
+                f = Profile.zero() if f is bottleneck else f - bottleneck
                 if f.is_zero:
                     del pushes[~a]
                     is_open[a] = False
@@ -304,7 +312,7 @@ def max_vb_flow(net: VbNetwork) -> VbFlow:
 
     # A source edge that no path crossed still holds its capacity as room.
     used = [e for e, u in enumerate(net.tails) if u == SOURCE and room[e] is not caps[e]]
-    value = sum((caps[e] - room[e] for e in used), Profile.zero())
+    value = _sum_pushes([caps[e] - room[e] for e in used])
 
     def edge_flows() -> tuple[Profile, ...]:
         return tuple(
@@ -315,10 +323,10 @@ def max_vb_flow(net: VbNetwork) -> VbFlow:
     return VbFlow._unsummed(value, is_open, edge_flows)
 
 
-def _sum_pushes(pushes: Sequence[Profile]) -> Profile:
-    """``sum(pushes, Profile.zero())`` in one pass over their entries."""
+def _sum_pushes(profiles: Sequence[Profile]) -> Profile:
+    """``sum(profiles, Profile.zero())`` in one pass over their entries."""
     total: dict[int, int] = {}
-    for p in pushes:
+    for p in profiles:
         for rank, value in p.pairs:
             total[rank] = total.get(rank, 0) + value
     return Profile._from_pairs(tuple((r, v) for r, v in sorted(total.items()) if v))
@@ -333,14 +341,14 @@ def min_cut(net: VbNetwork, flow: VbFlow) -> Cut:
     if level[SINK] >= 0:
         raise ValueError("flow admits an augmenting path; compute max_vb_flow first")
     cut_edges = []
-    capacity = Profile.zero()
+    cut_caps = []
     for u, v, cap in zip(net.tails, net.heads, net.caps):
         if level[u] >= 0 and level[v] < 0:
             if cap is None:
                 raise RuntimeError("minimum cut crossed an uncapacitated edge")
             cut_edges.append((u, v))
-            capacity = capacity + cap
-    return Cut(frozenset(cut_edges), capacity)
+            cut_caps.append(cap)
+    return Cut(frozenset(cut_edges), _sum_pushes(cut_caps))
 
 
 def max_profile_closed_subset(

@@ -17,6 +17,7 @@ from profmatch import (
     find_rotations,
     generate_I1,
     generate_uniform,
+    high_weight,
     is_stable,
     man_optimal,
     matching_degree,
@@ -538,6 +539,33 @@ def test_oracle_agrees_with_pipeline_in_both_modes(i0_pre):
         if find_rotations(trunc):
             nonempty += agree(trunc, d)
     assert nonempty >= 150
+
+
+def test_flow_solution_agrees_with_oracle_on_long_profiles():
+    # The comparisons above stop at n = 8, where a profile has a few
+    # entries.  Complete lists at n = 60-150 give rotation profiles of
+    # degree near n and flows whose vectors hold tens of entries, on the
+    # full poset (rank-maximal weights) and on the generous one (weights
+    # reverse-negated over its cutoff d).
+    from profmatch.solvers import _flow_solution
+
+    longest = nonzero_generous = 0
+    for n, seed in ((60, 1), (60, 2), (90, 3), (90, 4), (120, 5), (120, 6), (150, 5), (150, 6)):
+        lattice = _Lattice(preprocess(generate_uniform(n, n, 1.0, seed=seed)))
+        for poset, criterion in (
+            (lattice.full, Criterion.RANK_MAXIMAL),
+            (lattice.generous, Criterion.GENEROUS),
+        ):
+            _matching, (flow, cut, subset) = _flow_solution(poset, criterion)
+            value, expected = oracle_exponential_flow(
+                poset.rotations, poset.digraph, n, poset.cutoff
+            )
+            assert subset == expected
+            assert high_weight(flow.value, n) == value
+            assert cut.capacity == flow.value
+            longest = max(longest, len(flow.value.pairs))
+            nonzero_generous += poset.cutoff is not None and not flow.value.is_zero
+    assert longest >= 60 and nonzero_generous >= 2
 
 
 def test_solve_dispatcher_all_criteria(i0_pre):

@@ -351,3 +351,34 @@ def test_one_phase_finds_every_shortest_path(monkeypatch):
     monkeypatch.setattr(vbflow, "_levels", levels)
     max_vb_flow(net)
     assert len(searches) <= 3
+
+
+def test_flow_and_cut_negate_no_profile_and_subtract_none_from_itself(monkeypatch):
+    # A subtraction merges its two pair lists directly, and the arc whose
+    # residual is the bottleneck closes with no subtraction at all.  Both
+    # are counted on one seeded complete instance, where the network's
+    # build does negate (each negative rotation's source capacity), which
+    # shows that the counts see the calls.
+    inst = preprocess(generate_uniform(300, 300, 1.0, seed=1))
+    rotations = find_rotations(inst)
+    negations, self_subtractions = [], []
+    real_neg, real_sub = Profile.__neg__, Profile.__sub__
+
+    def neg(p):
+        negations.append(p)
+        return real_neg(p)
+
+    def sub(p, q):
+        if p is q:
+            self_subtractions.append(p)
+        return real_sub(p, q)
+
+    monkeypatch.setattr(Profile, "__neg__", neg)
+    monkeypatch.setattr(Profile, "__sub__", sub)
+    net = build_vb_network([rot.profile for rot in rotations], build_digraph(inst, rotations))
+    assert negations
+    negations.clear()
+    flow = max_vb_flow(net)
+    min_cut(net, flow)
+    assert negations == [] and self_subtractions == []
+    assert not flow.value.is_zero
