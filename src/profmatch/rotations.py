@@ -8,8 +8,10 @@ once, which is how :func:`find_rotations` collects them all.  It finds them
 in one depth-first walk over the men's successor pointers that continues
 the deferred-acceptance run that reached the man-optimal matching, in
 place: its proposal pointers become the scan pointers, no list position is
-searched for, and the whole poset costs O(m) for the m acceptable pairs
-(Gusfield & Irving, *The Stable Marriage Problem*, 1989).
+searched for, and the same pass records each rotation's immediate
+predecessors, so the whole poset costs O(m) for the m acceptable pairs
+(Gusfield & Irving, *The Stable Marriage Problem*, 1989, section 3.3).
+:func:`build_digraph` only assembles what the walk recorded.
 
 The digraph records two kinds of forced precedence between rotations:
 
@@ -44,12 +46,16 @@ class Rotation:
     exponential-weight oracle read profiles, and only egalitarian and
     sex-equal read rank changes, so each is built from the cycle and the
     instance's rank tables on first read and then kept on the rotation.
+    ``_preds`` holds its immediate predecessors in the precedence digraph,
+    each with its label set, as the walk that found it recorded them
+    (None on a rotation made any other way).
     Equality and hashing cover ``rid``, ``cycle`` and ``profile``.
     """
 
     rid: int
     cycle: tuple[tuple[int, int], ...]
     _inst: Instance = field(repr=False)
+    _preds: Optional[dict[int, frozenset[int]]] = field(default=None, repr=False)
 
     @cached_property
     def profile(self) -> Profile:
@@ -72,20 +78,37 @@ class RotationDigraph:
     """Directed graph over rotation ids with label sets on the edges."""
 
     def __init__(self, size: int, edge_labels: dict[tuple[int, int], frozenset[int]]):
-        self._size = size
-        preds: list[list[int]] = [[] for _ in range(size)]
-        for u, v in edge_labels:
-            preds[v].append(u)
+        into: list[dict[int, frozenset[int]]] = [{} for _ in range(size)]
+        for (u, v), labs in edge_labels.items():
+            into[v][u] = labs
+        self._adopt(into)
+
+    @classmethod
+    def _of_predecessors(cls, into: list[dict[int, frozenset[int]]]) -> RotationDigraph:
+        """The digraph whose node v has the labelled predecessors ``into[v]``
+        (``{u: labels}``), which it keeps without copying them."""
+        digraph = cls.__new__(cls)
+        digraph._adopt(into)
+        return digraph
+
+    def _adopt(self, into: list[dict[int, frozenset[int]]]) -> None:
+        self._size = len(into)
+        self._into = into
+        self._preds = tuple(tuple(sorted(p)) for p in into)
+
+    @cached_property
+    def _labels(self) -> dict[tuple[int, int], frozenset[int]]:
         # Edges in (u, v) order without sorting them: each node's
-        # predecessors ascending, then each node's successors collected in
-        # ascending v.  Dinic's choice of paths follows this order.
-        succs: list[list[int]] = [[] for _ in range(size)]
-        for v, p in enumerate(preds):
-            p.sort()
+        # successors collected in ascending v from its ascending
+        # predecessors.  Dinic's choice of paths follows this order.  Only
+        # the flow reads edges, so the walk over closed subsets, which reads
+        # predecessors, never builds them.
+        succs: list[list[int]] = [[] for _ in range(self._size)]
+        for v, p in enumerate(self._preds):
             for u in p:
                 succs[u].append(v)
-        self._labels = {(u, v): edge_labels[u, v] for u, s in enumerate(succs) for v in s}
-        self._preds = tuple(map(tuple, preds))
+        into = self._into
+        return {(u, v): into[v][u] for u, s in enumerate(succs) for v in s}
 
     @property
     def size(self) -> int:
@@ -147,12 +170,22 @@ def find_rotations(inst: Instance) -> list[Rotation]:
     The walk knows nothing of truncations: continuing the run of one, whose
     list ends are already cut, finds that truncation's rotations.
 
+    The same pass records each rotation's immediate predecessors on it:
+    the rotation that last moved each of its men (type 1), and for each
+    woman a man's pointer passes on the way to his next wife, the move
+    that took her above him (type 2, found by bisection over her moves,
+    with the rank the pointer test has just read).  :func:`build_digraph`
+    assembles them, so the poset costs this one pass.
+
     Rotation ids are a topological order of the precedence digraph: every
     edge u -> v has u < v.  A rotation is given its id when it is
     eliminated, and it can be eliminated only once it is exposed, which is
     after all of its predecessors have been eliminated and numbered.
     """
     return _rotations_from(inst, _man_optimal_run(inst))
+
+
+_TYPE1, _TYPE2, _BOTH = frozenset({1}), frozenset({2}), frozenset({1, 2})
 
 
 def _rotations_from(inst: Instance, run: DeferredAcceptance) -> list[Rotation]:
@@ -186,6 +219,25 @@ def _rotations_from(inst: Instance, run: DeferredAcceptance) -> list[Rotation]:
     or in an eliminated cycle, once per rotation pair; and each elimination
     has the man left on top visited again.  So the walk makes at most n +
     (rotation pairs) + (rotations) visits, and costs O(m).
+
+    The walk records each rotation's immediate predecessors as it goes,
+    which :func:`build_digraph` assembles (Gusfield, SIAM J. Comput. 1987):
+
+    * type 1 -- ``last`` holds the rotation that last moved each man, which
+      moved him to his current wife: it precedes the rotation that moves
+      him next.
+    * type 2 -- each woman's partners only improve, so her partner ranks
+      fall along her moves.  ``moves`` keeps, per woman who moves, the
+      rotations that move her and, negated, the rank of the partner she
+      started with and of each one they give her (ascending, read from
+      ``found``).  A pointer passes a woman who ranks her husband above the
+      man m scanning, at the rank r just read; so the move that took her
+      from a partner ranked at or below m to one above him, if she started
+      below him, is already recorded, and a bisection at -r finds it.  Its
+      rotation is ``pending`` for m's next rotation, the one that moves him
+      past her.
+
+    Each rotation keeps its predecessors once each, labelled by type.
     """
     n = inst.n_men
     if n == 0:
@@ -196,19 +248,41 @@ def _rotations_from(inst: Instance, run: DeferredAcceptance) -> list[Rotation]:
     men_lists, women_rank = inst.men_lists, inst.women_rank
 
     rotations: list[Rotation] = []
+    last = [-1] * (n + 1)  # the rotation that last moved each man
+    pending: list[Optional[list[int]]] = [None] * (n + 1)  # type-2 predecessors of his next
+    moves: list[Optional[tuple[list[int], list[int]]]] = [None] * (n + 1)
 
     def extract(cycle_men: list[int]) -> None:
         # Canonical form: start the cycle at its smallest man index.
         lead = cycle_men.index(min(cycle_men))
         cycle_men = cycle_men[lead:] + cycle_men[:lead]
+        rid = len(rotations)
         wives = [wife[m] for m in cycle_men]
-        pairs = tuple(zip(cycle_men, wives))
-        rotations.append(Rotation(len(rotations), pairs, inst))
+        preds: dict[int, frozenset[int]] = {}  # immediate predecessor -> edge labels
+        passed: list[int] = []
         for m, w in zip(cycle_men, wives[1:] + wives[:1]):
+            preds[last[m]] = _TYPE1
+            last[m] = rid
+            q = pending[m]
+            if q is not None:
+                passed += q
+                pending[m] = None
+            r = found[m]
+            mv = moves[w]
+            if mv is None:
+                moves[w] = ([rid], [-held[w], -r])
+            else:
+                mv[0].append(rid)
+                mv[1].append(-r)
             wife[m] = w
             husband[w] = m
-            held[w] = found[m]
+            held[w] = r
             ptr[m] += 1
+        preds.pop(-1, None)  # men the walk had not moved yet
+        for u in passed:
+            labs = preds.get(u)
+            preds[u] = _TYPE2 if labs is None or labs is _TYPE2 else _BOTH
+        rotations.append(Rotation(rid, tuple(zip(cycle_men, wives)), inst, preds))
 
     at = [-1] * (n + 1)  # each man's place on the path, -1 when off it
     found = [0] * (n + 1)  # the rank each man's successor gives him
@@ -238,6 +312,17 @@ def _rotations_from(inst: Instance, run: DeferredAcceptance) -> list[Rotation]:
             if r < held[w]:
                 nxt, found[m] = w, r
                 break
+            mv = moves[w]
+            if mv is not None:
+                # Her first move to a partner above m; none (j = 0) if she
+                # started above him.
+                j = bisect_right(mv[1], -r)
+                if j:
+                    q = pending[m]
+                    if q is None:
+                        pending[m] = [mv[0][j - 1]]
+                    else:
+                        q.append(mv[0][j - 1])
             p += 1
         ptr[m] = p
         h = husband[nxt]
@@ -295,80 +380,21 @@ def _rank_change(inst: Instance, cycle: tuple[tuple[int, int], ...]) -> tuple[in
     return dm, dw
 
 
-_TYPE1, _TYPE2, _BOTH = frozenset({1}), frozenset({2}), frozenset({1, 2})
-
-
 def build_digraph(inst: Instance, rotations: list[Rotation]) -> RotationDigraph:
     """Precedence digraph with type-1/type-2 labels (merged per edge).
 
-    Rotations are taken in id order: one maximal chain from the matching
-    extraction started at eliminates them in that order (see
-    :func:`find_rotations`).  Along it each man only moves down his list, so
-    the rotation that last moved m moved him to his current wife: it is the
-    type-1 predecessor of the rotation that moves him next, and his list
-    position is carried from one rotation to the next.  The men of a cycle
-    mostly share that predecessor (on a Latin chain all of them do), so its
-    edge is added only where it differs from the previous man's.
-
-    Each woman only moves up her list: the partner ranks of her moves
-    strictly decrease, each move starting at the rank the one before it
-    ended.  The move of a woman that takes her from a partner ranked at or
-    below m to one ranked above m is therefore found by bisection over the
-    ranks her earlier moves end at; a woman who ranks m below every partner
-    she holds has none.  The scan for m starts after his current wife, whose
-    such move is the rotation being scanned.  Every other woman m passes over
-    ranks her partner above m, since the matching the rotation is exposed in
-    is stable, so no move of that rotation passes the test and its moves can
-    be recorded while it is scanned.
+    Assembled from the immediate predecessors the walk that found the
+    rotations recorded on each of them (see :func:`_rotations_from`); it
+    reads no preference list and no rank.  ``rotations`` must be one walk's
+    on ``inst``, as :func:`find_rotations` returns them; a rotation made any
+    other way, or on another instance, is a ValueError.
     """
-    men_lists, women_rank = inst.men_lists, inst.women_rank
-    # Per woman who moves, over her moves in id order: the rotations, the
-    # negated ranks of the partners they give her (ascending), and the ranks
-    # of the partners they take away.  Only those women get lists, so an
-    # instance with few rotations allocates little per agent.
-    moves: list[Optional[tuple[list[int], list[int], list[int]]]] = [None] * (inst.n_women + 1)
-    last = [-1] * (inst.n_men + 1)  # the rotation that last moved each man
-    position = [0] * (inst.n_men + 1)  # list position of his wife once he has moved
-    type1: set[tuple[int, int]] = set()
-    type2: set[tuple[int, int]] = set()
     for rot in rotations:
-        rid, cycle = rot.rid, rot.cycle
-        r_prev = -1  # the previous man's type-1 predecessor (-1: none)
-        for (m, w), (m_next, w_next) in zip(cycle, cycle[1:] + cycle[:1]):
-            r1 = last[m]
-            if r1 < 0:
-                pos = inst.man_list_position(m, w)
-            else:
-                if r1 != r_prev:
-                    type1.add((r1, rid))
-                pos = position[m]
-            r_prev = r1
-            last[m] = rid
-            lst = men_lists[m]
-            pos += 1
-            wj = lst[pos]
-            while wj != w_next:
-                mv = moves[wj]
-                if mv is not None:
-                    # Her first move to a partner she ranks above m.
-                    rids, after, before = mv
-                    r_me = women_rank[wj][m]
-                    j = bisect_right(after, -r_me)
-                    if j < len(after) and r_me <= before[j]:
-                        type2.add((rids[j], rid))
-                pos += 1
-                wj = lst[pos]
-            position[m] = pos
-            rank_w = women_rank[w_next]
-            mv = moves[w_next]
-            if mv is None:
-                mv = moves[w_next] = ([], [], [])
-            mv[0].append(rid)
-            mv[1].append(-rank_w[m])
-            mv[2].append(rank_w[m_next])
-    labels = {e: _BOTH if e in type2 else _TYPE1 for e in type1}
-    labels.update((e, _TYPE2) for e in type2 - type1)
-    return RotationDigraph(len(rotations), labels)
+        if rot._preds is None or rot._inst is not inst:
+            raise ValueError(
+                f"rotation {rot.rid} was not found by the rotation walk on this instance"
+            )
+    return RotationDigraph._of_predecessors([rot._preds for rot in rotations])
 
 
 def apply_rotation(wife: list[int], cycle) -> None:

@@ -441,7 +441,9 @@ def assert_same_poset(
     ``got`` has the reference's profile (``profiles[i]`` is that of
     ``expected[i]``, if given), the two digraphs have the same labelled
     edges once mapped through the cycles, and every edge of ``got``'s goes
-    from a lower id to a higher one."""
+    from a lower id to a higher one.  ``got``'s digraph is ``build_digraph``'s,
+    the reference's the linear scan's: ``build_digraph`` takes only the
+    rotations the walk found."""
     assert [rot.rid for rot in got] == list(range(len(got)))
     cycles = [rot.cycle for rot in expected]
     assert sorted(rot.cycle for rot in got) == sorted(cycles)
@@ -456,7 +458,7 @@ def assert_same_poset(
         return {(rotations[u].cycle, rotations[v].cycle): labels for u, v, labels in edges}
 
     assert by_cycle(got, digraph.edges()) == by_cycle(
-        expected, build_digraph(inst, expected).edges()
+        expected, linear_scan_digraph_oracle(inst, expected).edges()
     )
 
 

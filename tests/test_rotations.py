@@ -262,6 +262,25 @@ def test_build_digraph_matches_linear_scan(i0_pre):
     assert type2 >= 500
 
 
+def test_build_digraph_rejects_rotations_the_walk_did_not_find(i0_pre):
+    # The digraph is assembled from the predecessors the walk recorded on
+    # each rotation; a rotation made any other way, or found on another
+    # instance, would silently lose its edges.
+    swept = sweep_rotations_reference(i0_pre, man_optimal(i0_pre).wife_array(i0_pre.n_men))
+    rotations = find_rotations(i0_pre)
+    trunc = truncate(i0_pre, min_regret_degree(i0_pre)).instance
+    for inst, foreign in [
+        (i0_pre, swept),
+        (i0_pre, rotations[:-1] + swept[-1:]),
+        (i0_pre, find_rotations(trunc)),
+        (trunc, rotations),
+    ]:
+        assert foreign
+        with pytest.raises(ValueError, match="not found by the rotation walk on this instance"):
+            build_digraph(inst, foreign)
+    assert build_digraph(i0_pre, rotations) == linear_scan_digraph_oracle(i0_pre, rotations)
+
+
 def test_cutoff_rotations_equal_truncation_rotations(i0_pre):
     # Extracting under the minimum-regret cutoff d from the man-optimal
     # matching of the truncation at d gives that truncation's rotations, and
@@ -335,20 +354,27 @@ def test_walk_equals_sweep_reference(i0_pre):
     assert min(exits) >= 300
 
 
-def _counting_women_rank(inst, reads):
-    """``inst`` with every woman's rank row adding its reads to ``reads[0]``."""
-    class Row(tuple):
-        def __getitem__(self, i):
-            reads[0] += 1
-            return tuple.__getitem__(self, i)
+def _counting_reads(inst, reads):
+    """``inst`` with every rank row, the men's and the women's, adding its
+    reads to ``reads[0]``, and every man's list adding its reads to
+    ``reads[1]``."""
+    def counting(base, k):
+        class Counted(base):
+            def __getitem__(self, i):
+                reads[k] += 1
+                return base.__getitem__(self, i)
 
-    class DictRow(dict):
-        def __getitem__(self, k):
-            reads[0] += 1
-            return dict.__getitem__(self, k)
+        return Counted
 
-    rows = tuple(Row(r) if isinstance(r, tuple) else DictRow(r) for r in inst.women_rank)
-    return dataclasses.replace(inst, women_rank=rows)
+    Row, DictRow, List = counting(tuple, 0), counting(dict, 0), counting(tuple, 1)
+
+    def ranks(table):
+        return tuple(Row(r) if isinstance(r, tuple) else DictRow(r) for r in table)
+
+    return dataclasses.replace(
+        inst, men_rank=ranks(inst.men_rank), women_rank=ranks(inst.women_rank),
+        men_lists=tuple(map(List, inst.men_lists)),
+    )
 
 
 def test_rotation_walk_reads_each_list_entry_at_most_once():
@@ -361,7 +387,10 @@ def test_rotation_walk_reads_each_list_entry_at_most_once():
     # So the walk costs O(m), with or without the minimum-regret cutoff; a
     # sweep over every man per round reads far more on complete lists
     # (8,213 reads at n = 300, seed 7, against a bound of 3,298), and
-    # re-reading each moved man's rank at elimination reads 3,324.
+    # re-reading each moved man's rank at elimination reads 3,324.  The
+    # digraph only assembles the predecessors the walk recorded, so the
+    # whole poset stays within the walk's bound; a second scan of the lists
+    # passed over adds 4,398 rank reads there.
     men, women = sparse_lists(600, [60] * 600, seed=11)
     instances = [
         generate_uniform(300, 300, 1.0, seed=7),
@@ -376,8 +405,12 @@ def test_rotation_walk_reads_each_list_entry_at_most_once():
         _cut_list_ends(inst, cut_run.end, range(1, inst.n_men + 1), degree)
         for run in (_man_optimal_run(inst), cut_run):
             pairs = sum(run.end[1:])
-            reads = [0]
-            rotations = _rotations_from(_counting_women_rank(inst, reads), run)
+            reads = [0, 0]
+            counted = _counting_reads(inst, reads)
+            rotations = _rotations_from(counted, run)
+            walk = reads[:]
+            build_digraph(counted, rotations)
+            assert reads == walk  # the digraph reads no rank and no list
             assert reads[0] <= pairs + inst.n_men + len(rotations)
             found.append(len(rotations))
     assert min(found[::2]) >= 15 and sum(found[1::2]) >= 15
@@ -408,10 +441,12 @@ def test_rotation_walk_stacks_each_man_at_most_once():
 
 
 def test_rotation_walk_searches_no_list_position(i0_pre, monkeypatch):
-    # The walk reads each man's list position from the run's pointer.  The
-    # digraph still looks up the first wife of each man who moves, which
-    # shows that the count sees the calls.  The instances with agents
-    # removed have sparse ranks, where a lookup would bisect.
+    # The walk reads each man's list position from the run's pointer, and
+    # the digraph only assembles the predecessors the walk recorded, so no
+    # stage of the poset looks a position up.  The minimum-regret descent's
+    # undo step still does, for each wife it gives back, which shows that
+    # the count sees the calls.  The instances with agents removed have
+    # sparse ranks, where a lookup would bisect.
     instances = [i0_pre, preprocess(generate_uniform(40, 40, 1.0, seed=3))]
     instances += [preprocess(generate_uniform(20, 24, 0.5, seed=7600 + s)) for s in range(4)]
     calls = []
@@ -421,27 +456,38 @@ def test_rotation_walk_searches_no_list_position(i0_pre, monkeypatch):
         calls.append((man, woman))
         return real_position(self, man, woman)
 
-    walks = []
-    real_walk = solvers._rotations_from
+    stages = {"_rotations_from": [], "build_digraph": []}
 
-    def walk(*args):
-        before = len(calls)
-        rotations = real_walk(*args)
-        walks.append(len(calls) - before)
-        return rotations
+    def counting(name):
+        real = getattr(solvers, name)
+
+        def stage(*args):
+            before = len(calls)
+            out = real(*args)
+            stages[name].append(len(calls) - before)
+            return out
+
+        return stage
 
     monkeypatch.setattr(Instance, "man_list_position", position)
-    monkeypatch.setattr(solvers, "_rotations_from", walk)
+    for name in stages:
+        monkeypatch.setattr(solvers, name, counting(name))
     criteria = [Criterion.RANK_MAXIMAL, Criterion.GENEROUS, Criterion.EGALITARIAN,
                 Criterion.SEX_EQUAL, Criterion.MEDIAN]
     for inst in instances:
         calls.clear()
-        find_rotations(inst)
+        build_digraph(inst, find_rotations(inst))
         assert calls == []
         for criterion in criteria:
             solve(inst, criterion)
-    assert walks == [0] * (len(instances) * len(criteria))
-    assert calls
+    assert stages["_rotations_from"] == [0] * (len(instances) * len(criteria))
+    assert len(stages["build_digraph"]) >= len(instances) and not any(stages["build_digraph"])
+    # The control: descents that end by undoing their last step.
+    for name in ("exhausted_man", "man_past_cutoff"):
+        inst = preprocess(Instance.from_lists(*DESCENT_ENDS[name]))
+        calls.clear()
+        solve(inst, Criterion.MIN_REGRET)
+        assert calls, name
 
 
 def test_eliminate_golden_subset(i0_pre):
