@@ -41,9 +41,11 @@ def last_choice_threshold(n: int, pct: int) -> int:
 
 
 def matching_stats(inst: Instance, matching: Matching, pct_list=(10, 20, 50)) -> MatchingStats:
-    """Measures for a perfect matching on a preprocessed instance."""
+    """Measures for a perfect matching on a preprocessed instance; raises
+    ValueError on any other, or on a pair that is not mutually acceptable."""
     if not matching.is_perfect(inst):
         raise ValueError("stats are defined for perfect matchings only")
+    matching.validate_in(inst)
     n = inst.n_men
     man_ranks = [inst.men_rank[m][w] for m, w in matching]
     woman_ranks = [inst.women_rank[w][m] for m, w in matching]

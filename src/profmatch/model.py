@@ -300,12 +300,21 @@ class Matching:
         return list(self._wife) + [0] * (n_men + 1 - len(self._wife))
 
     def validate_in(self, inst: Instance) -> None:
-        """Raise ValueError unless every pair is mutually acceptable in inst."""
-        for m, w in self:
-            if not (1 <= m <= inst.n_men and 1 <= w <= inst.n_women):
-                raise ValueError(f"pair ({m},{w}) references unknown agents")
-            if not inst.acceptable(m, w):
-                raise ValueError(f"pair ({m},{w}) is not mutually acceptable")
+        """Raise ValueError unless every pair is mutually acceptable in inst.
+
+        The first pair, by man, that names an agent inst does not have or
+        that his rank row does not list is named.  One pass over the wife
+        tuple, which reads one rank row per matched man.
+        """
+        n_men, n_women, men_rank = inst.n_men, inst.n_women, inst.men_rank
+        for m, w in enumerate(self._wife):
+            if w:
+                if m > n_men or w > n_women:
+                    raise ValueError(f"pair ({m},{w}) references unknown agents")
+                # _listed, inlined: w is in range, and a dense row spans the women.
+                row = men_rank[m]
+                if not (w in row if type(row) is dict else row[w] > 0):
+                    raise ValueError(f"pair ({m},{w}) is not mutually acceptable")
 
     def is_perfect(self, inst: Instance) -> bool:
         return len(self) == inst.n_men == inst.n_women

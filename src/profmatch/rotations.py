@@ -11,6 +11,10 @@ place: its proposal pointers become the scan pointers, no list position is
 searched for, and the same pass records each rotation's immediate
 predecessors, so the whole poset costs O(m) for the m acceptable pairs
 (Gusfield & Irving, *The Stable Marriage Problem*, 1989, section 3.3).
+Men whose pointer starts at their list end, who hold their one stable
+partner in every stable matching, are marked dead before the walk and
+never visited: it visits each of the other men once, plus once per
+rotation pair and per rotation.
 :func:`build_digraph` only assembles what the walk recorded.
 
 The digraph records two kinds of forced precedence between rotations:
@@ -203,22 +207,26 @@ def _rotations_from(inst: Instance, run: DeferredAcceptance) -> list[Rotation]:
 
     One depth-first walk follows successor pointers along a path of men,
     each man's successor being the next man on it; ``at`` holds each man's
-    place on the path (-1 off it), so a cycle closes in O(1).  A path
-    starts at a man taken off a to-do stack, which holds every man in
-    ascending order at first.  A closed cycle is cut off the path and
-    eliminated, its men go back on the stack (at most once each:
-    ``queued``), and the walk goes on from the man now on top of the path,
-    whose successor alone has changed.  A man whose pointer has run out, or
-    leads to a dead man, can never move again (the woman it points at keeps
-    a husband who never moves, and so keeps preferring him); he and every
-    man on the path behind him are dead for good, and never visited again.
+    place on the path (-1 off it), so a cycle closes in O(1).  A man whose
+    pointer has run out, or leads to a dead man, can never move again (the
+    woman it points at keeps a husband who never moves, and so keeps
+    preferring him); he and every man on the path behind him are dead for
+    good, and never visited again.  A man whose pointer starts at his list
+    end (on a sparse band, nearly every man: he has one stable partner) is
+    dead before the walk starts.  A path starts at a man taken off a to-do
+    stack, which holds the live men in ascending order at first.  A closed
+    cycle is cut off the path and eliminated, its men go back on the stack
+    (at most once each: ``queued`` marks the men on it), and the walk goes
+    on from the man now on top of the path, whose successor alone has
+    changed.
 
     Each list entry is read at most once as a pointer passes it, and each
-    visit of a man reads one rank more; an elimination reads none.  A man
-    who joins the path leaves it either dead, which happens once for good,
-    or in an eliminated cycle, once per rotation pair; and each elimination
-    has the man left on top visited again.  So the walk makes at most n +
-    (rotation pairs) + (rotations) visits, and costs O(m).
+    visit of a man reads one rank more; an elimination reads none.  Only
+    live men join the path, and each leaves it either dead, which happens
+    once for good, or in an eliminated cycle, once per rotation pair; and
+    each elimination has the man left on top visited again.  So the walk
+    makes at most (live men) + (rotation pairs) + (rotations) visits, and
+    costs O(m) after the O(n) pass that marks the dead.
 
     The walk records each rotation's immediate predecessors as it goes,
     which :func:`build_digraph` assembles (Gusfield, SIAM J. Comput. 1987):
@@ -286,9 +294,9 @@ def _rotations_from(inst: Instance, run: DeferredAcceptance) -> list[Rotation]:
 
     at = [-1] * (n + 1)  # each man's place on the path, -1 when off it
     found = [0] * (n + 1)  # the rank each man's successor gives him
-    dead = [False] * (n + 1)  # men who can never move again
-    queued = [True] * (n + 1)  # men on the to-do stack
-    todo = list(range(n, 0, -1))  # start men, popped in ascending order at first
+    dead = [p >= e for p, e in zip(ptr, end)]  # men who can never move again
+    queued = [not d for d in dead]  # men on the to-do stack
+    todo = [m for m in range(n, 0, -1) if queued[m]]  # popped in ascending order at first
     path: list[int] = []
     while True:
         if path:

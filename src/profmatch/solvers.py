@@ -347,13 +347,21 @@ def _median(poset: _Poset, walk: _Walk) -> Matching:
 
 
 def _cost_pair(inst: Instance, matching: Matching) -> tuple[int, int]:
-    man_cost = sum(inst.men_rank[m][w] for m, w in matching)
-    woman_cost = sum(inst.women_rank[w][m] for m, w in matching)
+    """The men's and the women's total rank, in one pass over the wives."""
+    men_rank, women_rank = inst.men_rank, inst.women_rank
+    man_cost = woman_cost = 0
+    for m, w in enumerate(matching._wife):
+        if w:
+            man_cost += men_rank[m][w]
+            woman_cost += women_rank[w][m]
     return man_cost, woman_cost
 
 
 def matching_degree(inst: Instance, matching: Matching) -> int:
-    """Worst rank over all assigned agents (0 for the empty matching)."""
+    """Worst rank over all assigned agents (0 for the empty matching).
+    Raises ValueError, as :meth:`Matching.validate_in` does, on a pair that
+    is not mutually acceptable."""
+    matching.validate_in(inst)
     degree = 0
     for m, w in matching:
         degree = max(degree, inst.men_rank[m][w], inst.women_rank[w][m])

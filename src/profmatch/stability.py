@@ -48,18 +48,27 @@ def woman_optimal(inst: Instance) -> Matching:
 def blocking_pair(inst: Instance, matching: Matching) -> Optional[tuple[int, int]]:
     """A mutually acceptable pair preferring each other to their assignments.
 
-    Returns None when the matching is stable.  An unmatched agent prefers
-    every acceptable partner.  Scanning each man's list up to (not
-    including) his current partner covers all candidate pairs.
+    Returns None when the matching is stable; raises ValueError, as
+    :meth:`Matching.validate_in` does, if it holds a pair that is not
+    mutually acceptable.  An unmatched agent prefers every acceptable
+    partner.  Scanning each man's list up to (not including) his current
+    partner covers all candidate pairs, so the first blocking pair by man,
+    then by his preference, is returned.  One pass over the wives fills a
+    husband array, and one over the lists reads two ranks per entry
+    scanned; a man who holds his first choice costs one comparison.
     """
     matching.validate_in(inst)
-    husband = {w: m for m, w in matching}
-    for m, w_cur in enumerate(matching.wife_array(inst.n_men)):
-        for w in inst.men_lists[m]:
+    wife = matching.wife_array(inst.n_men)
+    husband = [0] * (inst.n_women + 1)
+    for m, w in enumerate(wife):
+        husband[w] = m  # slot 0, written by the unmatched men, is never read
+    women_rank = inst.women_rank
+    for m, (lst, w_cur) in enumerate(zip(inst.men_lists, wife)):
+        for w in lst:
             if w == w_cur:
                 break
-            h = husband.get(w)
-            if h is None or inst.women_rank[w][m] < inst.women_rank[w][h]:
+            h = husband[w]
+            if not h or women_rank[w][m] < women_rank[w][h]:
                 return (m, w)
     return None
 

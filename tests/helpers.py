@@ -814,3 +814,33 @@ def count_calls(monkeypatch) -> Counter:
             if name in vars(module):
                 monkeypatch.setattr(module, name, counting(name, vars(module)[name]))
     return counts
+
+
+def reference_validate_in(matching: Matching, inst: Instance) -> None:
+    """``Matching.validate_in`` pair by pair, through ``Instance.acceptable``."""
+    for m, w in matching:
+        if not (1 <= m <= inst.n_men and 1 <= w <= inst.n_women):
+            raise ValueError(f"pair ({m},{w}) references unknown agents")
+        if not inst.acceptable(m, w):
+            raise ValueError(f"pair ({m},{w}) is not mutually acceptable")
+
+
+def reference_blocking_pair(inst: Instance, matching: Matching) -> Optional[tuple[int, int]]:
+    """``stability.blocking_pair`` over a dict of husbands."""
+    reference_validate_in(matching, inst)
+    husband = {w: m for m, w in matching}
+    for m, w_cur in enumerate(matching.wife_array(inst.n_men)):
+        for w in inst.men_lists[m]:
+            if w == w_cur:
+                break
+            h = husband.get(w)
+            if h is None or inst.women_rank[w][m] < inst.women_rank[w][h]:
+                return (m, w)
+    return None
+
+
+def reference_cost_pair(inst: Instance, matching: Matching) -> tuple[int, int]:
+    """``solvers._cost_pair`` as two sums over the pairs."""
+    man_cost = sum(inst.men_rank[m][w] for m, w in matching)
+    woman_cost = sum(inst.women_rank[w][m] for m, w in matching)
+    return man_cost, woman_cost

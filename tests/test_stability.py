@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from profmatch import (
     Criterion,
@@ -13,6 +14,7 @@ from profmatch import (
     is_stable,
     man_optimal,
     matching_degree,
+    matching_stats,
     min_regret_degree,
     parse_instance,
     preprocess,
@@ -22,7 +24,7 @@ from profmatch import (
 )
 
 from profmatch.model import DeferredAcceptance
-from profmatch.solvers import _Lattice
+from profmatch.solvers import _Lattice, _cost_pair
 
 from helpers import (
     DESCENT_ENDS,
@@ -31,6 +33,9 @@ from helpers import (
     binary_search_min_regret,
     cutoff_families,
     latin_chain,
+    reference_blocking_pair,
+    reference_cost_pair,
+    reference_validate_in,
     sparse_lists,
     tiny_unique_instance,
 )
@@ -74,6 +79,89 @@ def test_blocking_pair_prefers_each_other():
         wc = bad.wife_of(m)
         assert h is None or inst.women_rank[w][m] < inst.women_rank[w][h]
         assert wc is None or inst.men_rank[m][w] < inst.men_rank[m][wc]
+
+
+@st.composite
+def raw_instances_with_matchings(draw):
+    """An unpreprocessed instance, or now and then its band, with a partial
+    matching: acceptable pairs drawn man by man, or the man-optimal
+    matching, plus now and then a pair that may be unacceptable or name an
+    agent the instance does not have, in place of those it meets.  Up to 9 women, so lists of up to two
+    get dict rows and longer ones dense rows."""
+    n_men, n_women = draw(st.integers(0, 7)), draw(st.integers(0, 9))
+    men = [[w for w in range(1, n_women + 1) if draw(st.booleans())] for _ in range(n_men)]
+    men = [draw(st.permutations(lst)) for lst in men]
+    women = [[m for m in range(1, n_men + 1) if w in men[m - 1]] for w in range(1, n_women + 1)]
+    women = [draw(st.permutations(lst)) for lst in women]
+    inst = Instance.from_lists(men, women)
+    if draw(st.booleans()):
+        inst = preprocess(inst)
+    if draw(st.booleans()):
+        pairs = list(man_optimal(inst))
+    else:
+        pairs, taken = [], set()
+        for m in range(1, inst.n_men + 1):
+            free = [w for w in inst.men_lists[m] if w not in taken]
+            k = draw(st.integers(0, len(free)))
+            if k:
+                pairs.append((m, free[k - 1]))
+                taken.add(free[k - 1])
+    extra = draw(st.none() | st.tuples(
+        st.integers(1, inst.n_men + 2), st.integers(1, inst.n_women + 2)
+    ))
+    if extra is not None:
+        # It takes the place of the pairs it shares an agent with.
+        pairs = [(m, w) for m, w in pairs if m != extra[0] and w != extra[1]] + [extra]
+    return inst, Matching(pairs)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=raw_instances_with_matchings())
+def test_flat_checks_equal_the_pairwise_references(case):
+    # validate_in and blocking_pair each make one flat pass over the wife
+    # tuple; the references walk the pairs and look husbands up in a dict.
+    # Both give the same answer, or raise the same exception and message.
+    inst, matching = case
+    assert _outcome(matching.validate_in, inst) == _outcome(reference_validate_in, matching, inst)
+    assert _outcome(blocking_pair, inst, matching) == _outcome(
+        reference_blocking_pair, inst, matching
+    )
+    # _cost_pair reads each matched pair's two ranks once, as the reference's
+    # two sums do, only interleaved: the same total where the reference has
+    # one, and a failed lookup where it fails, though on a matching with two
+    # bad pairs not necessarily the same one.
+    try:
+        expected = reference_cost_pair(inst, matching)
+    except LookupError:
+        with pytest.raises(LookupError):
+            _cost_pair(inst, matching)
+    else:
+        assert _cost_pair(inst, matching) == expected
+
+
+def test_degree_and_stats_reject_pairs_the_instance_does_not_accept():
+    # Man 1 does not list woman 2; a dense row reads rank 0 there, so the
+    # degree and the stats once came out as if he did.
+    inst = parse_instance("2 2\n1\n1 2\n1 2\n2\n")
+    crossed = Matching([(1, 2), (2, 1)])
+    for measure in (matching_degree, matching_stats):
+        with pytest.raises(ValueError, match=r"pair \(1,2\) is not mutually acceptable"):
+            measure(inst, crossed)
+    # A man the instance does not have: once an IndexError.
+    inst = parse_instance("3 3\n1 2 3\n1 2 3\n1 2 3\n1 2 3\n1 2 3\n1 2 3\n")
+    for measure, matching in (
+        (matching_degree, Matching([(4, 1)])),
+        (matching_stats, Matching([(1, 1), (2, 2), (4, 3)])),
+    ):
+        with pytest.raises(ValueError, match=r"pair \(4,\d\) references unknown agents"):
+            measure(inst, matching)
 
 
 def test_min_regret_degree_examples(i0_pre):
