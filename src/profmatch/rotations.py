@@ -84,6 +84,8 @@ class RotationDigraph:
     def __init__(self, size: int, edge_labels: dict[tuple[int, int], frozenset[int]]):
         into: list[dict[int, frozenset[int]]] = [{} for _ in range(size)]
         for (u, v), labs in edge_labels.items():
+            if not (0 <= u < size and 0 <= v < size):
+                raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{size - 1}")
             into[v][u] = labs
         self._adopt(into)
 

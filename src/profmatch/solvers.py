@@ -14,7 +14,14 @@ maximum-weight closed subset -> elimination.  A rotation weighs its profile
 (rank-maximal), its profile reverse-negated over d ranks (generous), or
 (-cost change, -1) (egalitarian).  Only the first two read profiles;
 egalitarian and sex-equal read each rotation's rank change, the men's and
-the women's, instead.  Each rotation builds either on first read.  The flow
+the women's, instead.  Each rotation builds either on first read.
+Egalitarian builds its network over the transitive reduction of the
+digraph (``_Poset.reduced``), which has the same closed sets and, on
+complete lists, about a tenth of the edges; its flow then takes a few more
+level searches on a far smaller network.  Rank-maximal and generous keep
+the full digraph: on the reduction, rank-maximal's long profiles took 53
+level searches instead of 6 over uniform-complete's three n = 300
+instances, and its solve was slower.  The flow
 solve hands its flow witness back with the matching, so ``oracle-check``
 judges the flows the answers came from.  Sex-equal and median read the
 walk, which holds two ints per node and builds only the answer.  The
@@ -112,6 +119,34 @@ class _Poset:
     @cached_property
     def digraph(self) -> RotationDigraph:
         return build_digraph(self.inst, self.rotations)
+
+    @cached_property
+    def reduced(self) -> RotationDigraph:
+        """The transitive reduction of ``digraph`` (Aho, Garey & Ullman, 1972),
+        whose kept edges carry ``digraph``'s label sets.
+
+        It has the same ancestors, so the same closed sets, with the fewest
+        edges.  Rotation ids are a topological order, so one pass in id
+        order holds each node's ancestors as an int bitmask: a node's
+        predecessors are read in descending id, and one is kept only if no
+        later one already reaches it.  A digraph where no node has two
+        predecessors, such as a chain, is already reduced and is returned.
+        """
+        digraph = self.digraph
+        preds, labels = digraph._preds, digraph._into
+        if all(len(p) < 2 for p in preds):
+            return digraph
+        reach: list[int] = []  # each node's ancestors, itself included
+        into: list[dict[int, frozenset[int]]] = []
+        for v, p in enumerate(preds):
+            mask, kept = 0, {}
+            for u in reversed(p):
+                if not mask >> u & 1:
+                    kept[u] = labels[v][u]
+                    mask |= reach[u]
+            reach.append(mask | 1 << v)
+            into.append(kept)
+        return RotationDigraph._of_predecessors(into)
 
     def eliminate(self, subset) -> Matching:
         return eliminate_closed_subset(
@@ -230,7 +265,16 @@ def _flow_solution(
 ) -> tuple[Matching, tuple[VbFlow, Cut, frozenset[int]]]:
     """The rank-maximal, egalitarian or generous matching on ``poset``: the
     closed subset of maximum total rotation weight, eliminated, with its
-    flow witness (max flow, min cut, closed subset)."""
+    flow witness (max flow, min cut, closed subset).
+
+    Egalitarian's network is built over ``poset.reduced``, the others' over
+    ``poset.digraph``.  Both have the same closed sets, so the same minimum
+    cuts and the same residual-reachable set after any maximum flow: every
+    output is the same on either.  The reduction only pays where the
+    weights are short: rank-maximal needed 53 level searches on it instead
+    of 6 (uniform-complete, three n = 300 instances), and generous gained
+    nothing, so both read the full digraph.
+    """
     if criterion is Criterion.EGALITARIAN:
         weights = [_egalitarian_weight(r.rank_change) for r in poset.rotations]
     elif criterion is Criterion.GENEROUS:
@@ -241,10 +285,11 @@ def _flow_solution(
         weights = [r.profile.reverse_negate(poset.cutoff) for r in poset.rotations]
     else:
         weights = [r.profile for r in poset.rotations]
-    net = build_vb_network(weights, poset.digraph)
+    digraph = poset.reduced if criterion is Criterion.EGALITARIAN else poset.digraph
+    net = build_vb_network(weights, digraph)
     flow = max_vb_flow(net)
     cut = min_cut(net, flow)
-    subset = max_profile_closed_subset(net, poset.digraph, cut)
+    subset = max_profile_closed_subset(net, digraph, cut)
     return poset.eliminate(subset), (flow, cut, subset)
 
 
@@ -368,20 +413,31 @@ def matching_degree(inst: Instance, matching: Matching) -> int:
     return degree
 
 
+def _checked_cost_pair(inst: Instance, matching: Matching) -> tuple[int, int]:
+    """:func:`_cost_pair`, after :meth:`Matching.validate_in`: raises
+    ValueError on a pair that is not mutually acceptable."""
+    matching.validate_in(inst)
+    return _cost_pair(inst, matching)
+
+
 def select_egalitarian(matchings: list[Matching], inst: Instance) -> Matching:
-    """Minimum total rank; first enumerated wins ties."""
+    """Minimum total rank; first enumerated wins ties.  Raises ValueError,
+    as :meth:`Matching.validate_in` does, on a pair that is not mutually
+    acceptable."""
     if not matchings:
         raise ValueError("no matchings to select from")
-    return min(matchings, key=lambda M: sum(_cost_pair(inst, M)))
+    return min(matchings, key=lambda M: sum(_checked_cost_pair(inst, M)))
 
 
 def select_sex_equal(matchings: list[Matching], inst: Instance) -> Matching:
-    """Minimum |man cost - woman cost|; first enumerated wins ties."""
+    """Minimum |man cost - woman cost|; first enumerated wins ties.  Raises
+    ValueError, as :meth:`Matching.validate_in` does, on a pair that is not
+    mutually acceptable."""
     if not matchings:
         raise ValueError("no matchings to select from")
 
     def score(M: Matching) -> int:
-        mc, wc = _cost_pair(inst, M)
+        mc, wc = _checked_cost_pair(inst, M)
         return abs(mc - wc)
 
     return min(matchings, key=score)

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 import sys
 
 import pytest
@@ -125,6 +126,14 @@ def test_digraph_orders_edges_from_any_insertion_order(params, rng):
     assert digraph.edges() == reference.edges() and digraph == reference
     for v in range(size):
         assert digraph.predecessors(v) == tuple(sorted(u for u, w in labels if w == v))
+
+
+@pytest.mark.parametrize("edge", [(-1, 1), (1, -1), (2, 0), (0, 2)])
+def test_digraph_rejects_an_edge_outside_its_nodes(edge):
+    # Predecessor -1 once wrapped around to node 1, and edges() then raised
+    # KeyError; an endpoint past the last node raised IndexError.
+    with pytest.raises(ValueError, match=re.escape(f"edge {edge} has an endpoint outside 0..1")):
+        RotationDigraph(2, {edge: frozenset({1})})
 
 
 def test_rotation_profiles_sum_to_lattice_spread():

@@ -4,6 +4,7 @@ from collections import Counter
 from math import prod
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from profmatch import (
     Criterion,
@@ -26,6 +27,7 @@ from profmatch import (
     min_cut,
     min_regret_degree,
     oracle_exponential_flow,
+    parse_instance,
     preprocess,
     profile_of,
     select_egalitarian,
@@ -39,7 +41,7 @@ from profmatch import (
 )
 from profmatch import stability
 from profmatch.rotations import apply_rotation
-from profmatch.solvers import _Lattice, _cost_pair
+from profmatch.solvers import _Lattice, _cost_pair, _egalitarian_weight, _flow_solution
 
 from helpers import (
     I0_ALL_MATCHINGS,
@@ -368,6 +370,16 @@ def test_selectors_reject_empty():
             fn([], inst)
 
 
+def test_selectors_reject_pairs_the_instance_does_not_accept():
+    # Man 1 does not list woman 2.  The cost selectors once ranked the
+    # crossed matching first, at a "cost" of 3 read from a dense row's 0.
+    inst = parse_instance("2 2\n1\n1 2\n1 2\n2\n")
+    crossed, straight = Matching([(1, 2), (2, 1)]), Matching([(1, 1), (2, 2)])
+    for select in (select_egalitarian, select_sex_equal, select_min_regret):
+        with pytest.raises(ValueError, match=r"pair \(1,2\) is not mutually acceptable"):
+            select([crossed, straight], inst)
+
+
 def test_sex_equal_zero_on_symmetric_singleton():
     inst = preprocess(generate_uniform(1, 1, 1.0, seed=1))
     ms = enumerate_stable_matchings(inst)
@@ -566,6 +578,80 @@ def test_flow_solution_agrees_with_oracle_on_long_profiles():
             longest = max(longest, len(flow.value.pairs))
             nonzero_generous += poset.cutoff is not None and not flow.value.is_zero
     assert longest >= 60 and nonzero_generous >= 2
+
+
+# Walk-built digraphs: seeded instances at n = 2-14 and three densities,
+# and one complete n = 300 instance, whose walk records thousands of edges
+# of which a tenth are left in the reduction.
+walk_cases = st.tuples(st.integers(2, 14), st.sampled_from((1.0, 0.7, 0.4)), st.integers(0, 10**6))
+COMPLETE_300 = (300, 1.0, 7)
+
+
+def _full_poset(case):
+    n, density, seed = case
+    return _Lattice(preprocess(generate_uniform(n, n, density, seed=seed))).full
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=walk_cases)
+@example(case=COMPLETE_300)
+def test_reduction_keeps_every_ancestor_and_no_implied_edge(case):
+    poset = _full_poset(case)
+    full, reduced = poset.digraph, poset.reduced
+    labels = {(u, v): labs for u, v, labs in full.edges()}
+    for u, v, labs in reduced.edges():
+        assert labels[u, v] == labs
+    for v in range(full.size):
+        assert reduced.ancestors([v]) == full.ancestors([v])
+        kept = reduced.predecessors(v)
+        for u in kept:
+            assert u not in reduced.ancestors(w for w in kept if w != u)
+    if all(len(full.predecessors(v)) < 2 for v in range(full.size)):
+        assert reduced is full
+
+
+def test_reduction_returns_a_chain_as_is_and_thins_a_complete_poset():
+    for n in (2, 5, 30, 80):
+        poset = _Lattice(preprocess(latin_chain(n))).full
+        assert poset.reduced is poset.digraph and len(poset.digraph.edges()) == n - 2
+    poset = _full_poset(COMPLETE_300)
+    assert len(poset.reduced.edges()) * 5 < len(poset.digraph.edges())
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=walk_cases)
+@example(case=COMPLETE_300)
+def test_egalitarian_on_the_reduction_equals_the_full_network(case):
+    # The network on the full digraph is the reference the reduced one
+    # replaced.
+    poset = _full_poset(case)
+    matching, (flow, cut, subset) = _flow_solution(poset, Criterion.EGALITARIAN)
+    weights = [_egalitarian_weight(r.rank_change) for r in poset.rotations]
+    net = build_vb_network(weights, poset.digraph)
+    ref_flow = max_vb_flow(net)
+    ref_cut = min_cut(net, ref_flow)
+    ref_subset = max_profile_closed_subset(net, poset.digraph, ref_cut)
+    assert (subset, flow.value, cut) == (ref_subset, ref_flow.value, ref_cut)
+    assert matching == poset.eliminate(ref_subset)
+
+
+def test_only_egalitarian_reads_the_reduction(monkeypatch):
+    lattice = _Lattice(preprocess(generate_uniform(40, 40, 1.0, seed=5)))
+    read = []
+    real = build_vb_network
+
+    def build(weights, digraph):
+        read.append(digraph)
+        return real(weights, digraph)
+
+    monkeypatch.setattr("profmatch.solvers.build_vb_network", build)
+    lattice.solve(Criterion.RANK_MAXIMAL)
+    lattice.solve(Criterion.GENEROUS)
+    assert "reduced" not in vars(lattice.full) and "reduced" not in vars(lattice.generous)
+    lattice.solve(Criterion.EGALITARIAN)
+    full = lattice.full
+    assert len(read) == 3 and full.reduced != full.digraph
+    assert read[0] is full.digraph and read[1] is lattice.generous.digraph and read[2] is full.reduced
 
 
 def test_solve_dispatcher_all_criteria(i0_pre):
