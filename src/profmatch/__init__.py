@@ -28,12 +28,9 @@ from .solvers import (
     select_min_regret,
     select_sex_equal,
     solve,
-    solve_generous,
-    solve_rank_maximal,
 )
 from .stability import (
     blocking_pair,
-    is_stable,
     man_optimal,
     min_regret_degree,
     truncate,
@@ -82,7 +79,6 @@ __all__ = [
     "generate_uniform",
     "high_weight",
     "i1_rotation_profiles",
-    "is_stable",
     "last_choice_threshold",
     "man_optimal",
     "matching_degree",
@@ -100,8 +96,6 @@ __all__ = [
     "select_min_regret",
     "select_sex_equal",
     "solve",
-    "solve_generous",
-    "solve_rank_maximal",
     "space_report",
     "truncate",
     "woman_optimal",

@@ -628,4 +628,4 @@ def profile_of(inst: Instance, matching: Matching) -> Profile:
         rw = inst.women_rank[w][m]
         counts[rm] = counts.get(rm, 0) + 1
         counts[rw] = counts.get(rw, 0) + 1
-    return Profile._from_pairs(tuple(sorted(counts.items())))
+    return Profile.from_counts(counts)

@@ -13,10 +13,14 @@ Profiles are stored sparse, as the rank-ordered ``(rank, value)`` pairs of
 their nonzero entries: the compressed encoding whose size
 :func:`analytics.space_report` charges.  A rotation of a Latin chain has
 about four nonzero entries at degree near n, so arithmetic, comparison and
-hashing cost O(nonzeros), not O(degree).  A sum or a difference is one
-merge of the two pair lists; a difference negates the entries it takes
-from the right operand as it goes, and builds no negated copy of it.  The
-dense views (``elements``, ``padded``, iteration) are built on request.
+hashing cost O(nonzeros), not O(degree).  A difference is one merge of
+the two pair lists, which negates the entries it takes from the right
+operand as it goes and builds no negated copy of it.  A sum of any number
+of profiles (:meth:`Profile.sum`, which ``+`` runs on two) is one pass over
+their entries.  The dense views (``elements``, ``padded``, iteration) are
+built on request.  Only this module reads the pairs' storage: other
+modules build a profile from its dense entries, from a ``{rank: count}``
+dict (:meth:`Profile.from_counts`) or by arithmetic on profiles.
 
 Trailing zeros never matter: ``Profile([2, 0]) == Profile([2])``.
 """
@@ -49,6 +53,23 @@ class Profile:
     @classmethod
     def zero(cls) -> "Profile":
         return _ZERO
+
+    @classmethod
+    def from_counts(cls, counts: dict[int, int]) -> "Profile":
+        """Profile with ``counts[rank]`` at each rank: the keys are ranks of at
+        least 1, the values integers, and zero counts are dropped."""
+        return cls._from_pairs(tuple(sorted(p for p in counts.items() if p[1])))
+
+    @classmethod
+    def sum(cls, profiles: Iterable["Profile"]) -> "Profile":
+        """``profiles`` added up in one pass over their entries, not one merge
+        per addend."""
+        total: dict[int, int] = {}
+        get = total.get
+        for p in profiles:
+            for rank, value in p._pairs:
+                total[rank] = get(rank, 0) + value
+        return cls.from_counts(total)
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -86,39 +107,14 @@ class Profile:
         return tuple(out)
 
     def __add__(self, other: "Profile") -> "Profile":
-        a, b = self._pairs, other._pairs
-        if not b:
-            return self
-        if not a:
-            return other
-        # Merge the two rank-ordered pair lists.
-        out = []
-        ia = ib = 0
-        la, lb = len(a), len(b)
-        while ia < la and ib < lb:
-            pa, pb = a[ia], b[ib]
-            if pa[0] < pb[0]:
-                out.append(pa)
-                ia += 1
-            elif pb[0] < pa[0]:
-                out.append(pb)
-                ib += 1
-            else:
-                e = pa[1] + pb[1]
-                if e:
-                    out.append((pa[0], e))
-                ia += 1
-                ib += 1
-        out += a[ia:]
-        out += b[ib:]
-        return Profile._from_pairs(tuple(out))
+        return Profile.sum((self, other))
 
     def __sub__(self, other: "Profile") -> "Profile":
         a, b = self._pairs, other._pairs
         if not b:
             return self
-        # The same merge as ``__add__``, negating ``other``'s entries as it
-        # takes them: no negated copy of ``other`` is built.
+        # Merge the two rank-ordered pair lists, negating ``other``'s entries
+        # as it takes them: no negated copy of ``other`` is built.
         out = []
         ia = ib = 0
         la, lb = len(a), len(b)

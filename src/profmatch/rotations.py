@@ -25,7 +25,13 @@ The digraph records two kinds of forced precedence between rotations:
   rotation that moves w above m (when that is a different rotation).
 
 Predecessor-closed vertex sets of this digraph correspond one-to-one with
-the stable matchings of the instance.
+the stable matchings of the instance.  :class:`RotationDigraph` keeps each
+node's labelled predecessors and nothing else, and only this module reads
+them: the flow network and the walk over closed sets read
+:meth:`~RotationDigraph.predecessors`, the edge list is built only when
+:meth:`~RotationDigraph.edges` is called, and the transitive reduction
+(:attr:`~RotationDigraph.reduction`, which has the same closed sets) on
+first read.
 """
 
 from __future__ import annotations
@@ -79,7 +85,9 @@ class Rotation:
 
 
 class RotationDigraph:
-    """Directed graph over rotation ids with label sets on the edges."""
+    """Directed graph over rotation ids with label sets on the edges, kept
+    as each node's labelled predecessors, ``_into[v]`` (``{u: labels}``),
+    and the same predecessors ascending, ``_preds[v]``."""
 
     def __init__(self, size: int, edge_labels: dict[tuple[int, int], frozenset[int]]):
         into: list[dict[int, frozenset[int]]] = [{} for _ in range(size)]
@@ -98,30 +106,46 @@ class RotationDigraph:
         return digraph
 
     def _adopt(self, into: list[dict[int, frozenset[int]]]) -> None:
-        self._size = len(into)
         self._into = into
         self._preds = tuple(tuple(sorted(p)) for p in into)
 
-    @cached_property
-    def _labels(self) -> dict[tuple[int, int], frozenset[int]]:
-        # Edges in (u, v) order without sorting them: each node's
-        # successors collected in ascending v from its ascending
-        # predecessors.  Dinic's choice of paths follows this order.  Only
-        # the flow reads edges, so the walk over closed subsets, which reads
-        # predecessors, never builds them.
-        succs: list[list[int]] = [[] for _ in range(self._size)]
-        for v, p in enumerate(self._preds):
-            for u in p:
-                succs[u].append(v)
-        into = self._into
-        return {(u, v): into[v][u] for u, s in enumerate(succs) for v in s}
-
     @property
     def size(self) -> int:
-        return self._size
+        return len(self._preds)
 
     def edges(self) -> tuple[tuple[int, int, frozenset[int]], ...]:
-        return tuple((u, v, labs) for (u, v), labs in self._labels.items())
+        """Every edge as a ``(u, v, labels)`` triple, sorted by ``(u, v)``,
+        built on each call."""
+        into = self._into
+        return tuple(sorted((u, v, labs) for v, p in enumerate(into) for u, labs in p.items()))
+
+    @cached_property
+    def reduction(self) -> RotationDigraph:
+        """The transitive reduction (Aho, Garey & Ullman, 1972), whose kept
+        edges carry this digraph's label sets.
+
+        It has the same ancestors, so the same closed sets, with the fewest
+        edges.  Every edge must run from a lower id to a higher, as
+        :func:`build_digraph`'s do (ids are a topological order), so one
+        pass in id order holds each node's ancestors as an int bitmask: a
+        node's predecessors are read in descending id, and one is kept only
+        if no later one already reaches it.  A digraph where no node has two
+        predecessors, such as a chain, is already reduced and is returned.
+        """
+        preds, labels = self._preds, self._into
+        if all(len(p) < 2 for p in preds):
+            return self
+        reach: list[int] = []  # each node's ancestors, itself included
+        into: list[dict[int, frozenset[int]]] = []
+        for v, p in enumerate(preds):
+            mask, kept = 0, {}
+            for u in reversed(p):
+                if not mask >> u & 1:
+                    kept[u] = labels[v][u]
+                    mask |= reach[u]
+            reach.append(mask | 1 << v)
+            into.append(kept)
+        return RotationDigraph._of_predecessors(into)
 
     def predecessors(self, v: int) -> tuple[int, ...]:
         return self._preds[v]
@@ -143,14 +167,10 @@ class RotationDigraph:
         return all(u in s for v in s for u in self._preds[v])
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RotationDigraph)
-            and self._size == other._size
-            and self._labels == other._labels
-        )
+        return isinstance(other, RotationDigraph) and self._into == other._into
 
     def __repr__(self) -> str:
-        return f"RotationDigraph(size={self._size}, edges={self.edges()!r})"
+        return f"RotationDigraph(size={self.size}, edges={self.edges()!r})"
 
 
 def find_rotations(inst: Instance) -> list[Rotation]:
@@ -372,7 +392,7 @@ def _cycle_profile(inst: Instance, cycle: tuple[tuple[int, int], ...]) -> Profil
         delta[r] = get(r, 0) - 1
         r = w_row[m_next]
         delta[r] = get(r, 0) - 1
-    return Profile._from_pairs(tuple(sorted(p for p in delta.items() if p[1])))
+    return Profile.from_counts(delta)
 
 
 def _rank_change(inst: Instance, cycle: tuple[tuple[int, int], ...]) -> tuple[int, int]:

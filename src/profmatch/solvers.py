@@ -16,17 +16,22 @@ maximum-weight closed subset -> elimination.  A rotation weighs its profile
 egalitarian and sex-equal read each rotation's rank change, the men's and
 the women's, instead.  Each rotation builds either on first read.
 Egalitarian builds its network over the transitive reduction of the
-digraph (``_Poset.reduced``), which has the same closed sets and, on
-complete lists, about a tenth of the edges; its flow then takes a few more
-level searches on a far smaller network.  Rank-maximal and generous keep
-the full digraph: on the reduction, rank-maximal's long profiles took 53
-level searches instead of 6 over uniform-complete's three n = 300
-instances, and its solve was slower.  The flow
-solve hands its flow witness back with the matching, so ``oracle-check``
-judges the flows the answers came from.  Sex-equal and median read the
-walk, which holds two ints per node and builds only the answer.  The
-``select_*`` functions rank an explicit list of stable matchings and stay
-usable as oracles over any enumeration.
+digraph (:attr:`~profmatch.rotations.RotationDigraph.reduction`), which
+has the same closed sets and, on complete lists, about a tenth of the
+edges; its flow then takes a few more level searches on a far smaller
+network.  Rank-maximal and generous keep the full digraph: on the
+reduction, rank-maximal's long profiles took 53 level searches instead of
+6 over uniform-complete's three n = 300 instances, and its solve was
+slower.  The flow solve hands its flow witness back with the matching, so
+``oracle-check`` judges the flows the answers came from.  Sex-equal and
+median read the walk, which holds two ints per node and builds only the
+answer.  The ``select_*`` functions rank an explicit list of stable
+matchings and stay usable as oracles over any enumeration.
+
+This module reads the digraph through its methods, profiles through
+their arithmetic and matchings through their pairs and wife arrays, never
+the representation inside :mod:`~profmatch.rotations`,
+:mod:`~profmatch.profiles` or :mod:`~profmatch.model`.
 
 ``oracle_exponential_flow`` re-solves the same cut problem on a scalar
 network whose capacities are exact exponential-weight integers.  It shares
@@ -39,7 +44,7 @@ from __future__ import annotations
 from collections import deque
 from enum import Enum
 from functools import cached_property
-from itertools import islice, zip_longest
+from itertools import islice
 from math import ceil
 from typing import Optional, Sequence
 
@@ -119,34 +124,6 @@ class _Poset:
     @cached_property
     def digraph(self) -> RotationDigraph:
         return build_digraph(self.inst, self.rotations)
-
-    @cached_property
-    def reduced(self) -> RotationDigraph:
-        """The transitive reduction of ``digraph`` (Aho, Garey & Ullman, 1972),
-        whose kept edges carry ``digraph``'s label sets.
-
-        It has the same ancestors, so the same closed sets, with the fewest
-        edges.  Rotation ids are a topological order, so one pass in id
-        order holds each node's ancestors as an int bitmask: a node's
-        predecessors are read in descending id, and one is kept only if no
-        later one already reaches it.  A digraph where no node has two
-        predecessors, such as a chain, is already reduced and is returned.
-        """
-        digraph = self.digraph
-        preds, labels = digraph._preds, digraph._into
-        if all(len(p) < 2 for p in preds):
-            return digraph
-        reach: list[int] = []  # each node's ancestors, itself included
-        into: list[dict[int, frozenset[int]]] = []
-        for v, p in enumerate(preds):
-            mask, kept = 0, {}
-            for u in reversed(p):
-                if not mask >> u & 1:
-                    kept[u] = labels[v][u]
-                    mask |= reach[u]
-            reach.append(mask | 1 << v)
-            into.append(kept)
-        return RotationDigraph._of_predecessors(into)
 
     def eliminate(self, subset) -> Matching:
         return eliminate_closed_subset(
@@ -229,17 +206,6 @@ class _Lattice:
         return _median(self.full, self._capped_walk())
 
 
-def solve_rank_maximal(inst: Instance) -> Matching:
-    """Stable matching with the lexicographically maximum profile."""
-    return solve(inst, Criterion.RANK_MAXIMAL)
-
-
-def solve_generous(inst: Instance) -> Matching:
-    """Stable matching with the lexicographically minimum reverse profile;
-    its degree is the minimum-regret degree."""
-    return solve(inst, Criterion.GENEROUS)
-
-
 def _egalitarian_weight(change: tuple[int, int]) -> Profile:
     """Weight ``(-c, -1)`` of a rotation whose elimination changes the cost by c.
 
@@ -267,10 +233,10 @@ def _flow_solution(
     closed subset of maximum total rotation weight, eliminated, with its
     flow witness (max flow, min cut, closed subset).
 
-    Egalitarian's network is built over ``poset.reduced``, the others' over
-    ``poset.digraph``.  Both have the same closed sets, so the same minimum
-    cuts and the same residual-reachable set after any maximum flow: every
-    output is the same on either.  The reduction only pays where the
+    Egalitarian's network is built over ``poset.digraph.reduction``, the
+    others' over ``poset.digraph``.  Both have the same closed sets, so the
+    same minimum cuts and the same residual-reachable set after any maximum
+    flow: every output is the same on either.  The reduction only pays where the
     weights are short: rank-maximal needed 53 level searches on it instead
     of 6 (uniform-complete, three n = 300 instances), and generous gained
     nothing, so both read the full digraph.
@@ -285,7 +251,7 @@ def _flow_solution(
         weights = [r.profile.reverse_negate(poset.cutoff) for r in poset.rotations]
     else:
         weights = [r.profile for r in poset.rotations]
-    digraph = poset.reduced if criterion is Criterion.EGALITARIAN else poset.digraph
+    digraph = poset.digraph.reduction if criterion is Criterion.EGALITARIAN else poset.digraph
     net = build_vb_network(weights, digraph)
     flow = max_vb_flow(net)
     cut = min_cut(net, flow)
@@ -395,7 +361,7 @@ def _cost_pair(inst: Instance, matching: Matching) -> tuple[int, int]:
     """The men's and the women's total rank, in one pass over the wives."""
     men_rank, women_rank = inst.men_rank, inst.women_rank
     man_cost = woman_cost = 0
-    for m, w in enumerate(matching._wife):
+    for m, w in enumerate(matching.wife_array(inst.n_men)):
         if w:
             man_cost += men_rank[m][w]
             woman_cost += women_rank[w][m]
@@ -456,15 +422,19 @@ def select_median(matchings: list[Matching], inst: Instance) -> Matching:
     Pairs each man with the ceil(N/2)-th of his stable partners sorted by
     his own preference (a multiset; repeats count).  The assembled pair set
     is always itself a stable matching; both properties are verified.
+    Raises ValueError, as :meth:`Matching.validate_in` does, on a pair that
+    is not mutually acceptable.
     """
     if not matchings:
         raise ValueError("no matchings to select from")
+    for M in matchings:
+        M.validate_in(inst)
     j = ceil(len(matchings) / 2)
-    # Column m holds man m's wife in each matching, 0 where he is unmatched;
-    # the stored wife tuples are read in place rather than copied.
-    columns = zip_longest(*(M._wife for M in matchings), fillvalue=0)
+    n = inst.n_men
+    # Column m holds man m's wife in each matching, 0 where he is unmatched.
+    columns = zip(*(M.wife_array(n) for M in matchings))
     pairs = []
-    for m, column in enumerate(islice(columns, 1, inst.n_men + 1), start=1):
+    for m, column in enumerate(islice(columns, 1, None), start=1):
         partners = sorted(filter(None, column), key=inst.men_rank[m].__getitem__)
         if not partners:
             continue
@@ -512,8 +482,9 @@ def oracle_exponential_flow(
         radj[v].append(len(edges))
         edges.append([u, v, cap, 0])
 
-    for u, v, _labels in digraph.edges():
-        add_edge(u, v, None)
+    for v in range(size):
+        for u in digraph.predecessors(v):
+            add_edge(u, v, None)
     for rid, wt in enumerate(weights):
         if wt < 0:
             add_edge(source, rid, -wt)

@@ -73,10 +73,6 @@ def blocking_pair(inst: Instance, matching: Matching) -> Optional[tuple[int, int
     return None
 
 
-def is_stable(inst: Instance, matching: Matching) -> bool:
-    return blocking_pair(inst, matching) is None
-
-
 @dataclass(frozen=True)
 class TruncatedInstance:
     """An instance with every pair of rank > cutoff (either side) removed.  It keeps

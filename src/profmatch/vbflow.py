@@ -1,7 +1,8 @@
 """Flow network with vector capacities ordered lexicographically.
 
 The network is built over the rotation digraph: a source s, a sink t, one
-node per rotation.  Rotation-to-rotation edges are uncapacitated; each
+node per rotation.  Rotation-to-rotation edges are uncapacitated, read
+from each node's predecessors in id order (no edge list is laid out); each
 rotation whose weight vector is lexicographically negative hangs off s with
 capacity equal to the sign-flipped vector, and each positive rotation feeds
 t with its vector as capacity.  Vectors form a totally ordered abelian
@@ -28,8 +29,9 @@ The arc that sets an augmentation's bottleneck closes with no arithmetic:
 its residual (room, or pending push) is the bottleneck vector itself, so
 it becomes the zero vector without a subtraction.  Every other finite
 residual on the path pays one merge.  A sum of many vectors (a push list,
-the flow value over the source edges, a cut's capacity) runs in one pass
-over their entries, not one merge per addend.
+the flow value over the source edges, a cut's capacity) is one
+:meth:`~profmatch.profiles.Profile.sum`, a pass over their entries, not
+one merge per addend.
 
 When no augmenting path remains, the set of residual-reachable nodes yields
 a cut whose capacity equals the flow value entry by entry; that set is the
@@ -59,11 +61,12 @@ class VbNetwork:
 
     Edge e runs ``tails[e] -> heads[e]`` with capacity ``caps[e]`` (None for
     an uncapacitated edge).  The digraph's uncapacitated edges come first,
-    then the source edges, then the sink edges.  The residual arcs of edge
-    e are numbered e (forward) and ~e (backward), and ``arcs[x]`` lists the
-    ones leaving node x: forward arcs of its out-edges, then backward arcs
-    of its uncapacitated in-edges.  A backward arc of a terminal edge would
-    enter s or leave t, which no augmenting path does.  Lists indexed by
+    by head and then by tail, in ascending id; then the source edges, then
+    the sink edges.  The residual arcs of edge e are numbered e (forward)
+    and ~e (backward), and ``arcs[x]`` lists the ones leaving node x:
+    forward arcs of its out-edges, then backward arcs of its uncapacitated
+    in-edges.  A backward arc of a terminal edge would enter s or leave t,
+    which no augmenting path does.  Lists indexed by
     node hold ``n_rotations + 2`` entries, so SOURCE and SINK index the last
     two; lists indexed by arc hold 2E entries, so ~e indexes the second
     half.  ``arc_heads[a]`` is where arc a leads, and ``arc_heads[~a]``
@@ -150,9 +153,10 @@ def build_vb_network(profiles: list[Profile], digraph: RotationDigraph) -> VbNet
     if len(profiles) != digraph.size:
         raise ValueError("one weight vector per digraph node is required")
     tails, heads = [], []
-    for u, v, _labels in digraph.edges():
-        tails.append(u)
-        heads.append(v)
+    for v in range(digraph.size):
+        for u in digraph.predecessors(v):
+            tails.append(u)
+            heads.append(v)
     caps: list[Optional[Profile]] = [None] * len(tails)
     for rid, p in enumerate(profiles):
         if p.sign < 0:
@@ -257,7 +261,7 @@ def max_vb_flow(net: VbNetwork) -> VbFlow:
             else:
                 pending = pushes[~a]
                 if len(pending) > 1:
-                    pending[:] = [_sum_pushes(pending)]
+                    pending[:] = [Profile.sum(pending)]
                 r = pending[0]
             if bottleneck is None or r < bottleneck:
                 bottleneck = r
@@ -312,24 +316,15 @@ def max_vb_flow(net: VbNetwork) -> VbFlow:
 
     # A source edge that no path crossed still holds its capacity as room.
     used = [e for e, u in enumerate(net.tails) if u == SOURCE and room[e] is not caps[e]]
-    value = _sum_pushes([caps[e] - room[e] for e in used])
+    value = Profile.sum(caps[e] - room[e] for e in used)
 
     def edge_flows() -> tuple[Profile, ...]:
         return tuple(
-            _sum_pushes(pushes.get(e, ())) if cap is None else cap - room[e]
+            Profile.sum(pushes.get(e, ())) if cap is None else cap - room[e]
             for e, cap in enumerate(caps)
         )
 
     return VbFlow._unsummed(value, is_open, edge_flows)
-
-
-def _sum_pushes(profiles: Sequence[Profile]) -> Profile:
-    """``sum(profiles, Profile.zero())`` in one pass over their entries."""
-    total: dict[int, int] = {}
-    for p in profiles:
-        for rank, value in p.pairs:
-            total[rank] = total.get(rank, 0) + value
-    return Profile._from_pairs(tuple((r, v) for r, v in sorted(total.items()) if v))
 
 
 def min_cut(net: VbNetwork, flow: VbFlow) -> Cut:
@@ -348,7 +343,7 @@ def min_cut(net: VbNetwork, flow: VbFlow) -> Cut:
                 raise RuntimeError("minimum cut crossed an uncapacitated edge")
             cut_edges.append((u, v))
             cut_caps.append(cap)
-    return Cut(frozenset(cut_edges), _sum_pushes(cut_caps))
+    return Cut(frozenset(cut_edges), Profile.sum(cut_caps))
 
 
 def max_profile_closed_subset(

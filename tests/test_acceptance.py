@@ -12,6 +12,7 @@ from contextlib import contextmanager
 import pytest
 
 from profmatch import (
+    Criterion,
     Matching,
     build_digraph,
     build_vb_network,
@@ -31,8 +32,7 @@ from profmatch import (
     oracle_exponential_flow,
     preprocess,
     profile_of,
-    solve_generous,
-    solve_rank_maximal,
+    solve,
     space_report,
 )
 from profmatch.vbflow import SINK, SOURCE
@@ -72,10 +72,10 @@ def _cross_validate(inst):
     profiles = [profile_of(inst, M) for M in matchings]
     failures = []
 
-    if profile_of(inst, solve_rank_maximal(inst)) != max(profiles):
+    if profile_of(inst, solve(inst, Criterion.RANK_MAXIMAL)) != max(profiles):
         failures.append("rank-maximal profile != enumeration lex-max")
 
-    generous = solve_generous(inst)
+    generous = solve(inst, Criterion.GENEROUS)
     if _reverse(profile_of(inst, generous), n) != min(_reverse(p, n) for p in profiles):
         failures.append("generous reverse profile != enumeration lex-min")
 
@@ -152,7 +152,7 @@ def test_criterion_1_i0_golden_pipeline(i0_pre):
         subset = max_profile_closed_subset(net, digraph, cut)
         assert {names[r] for r in subset} == I0_OPTIMAL_SUBSET
 
-        assert solve_rank_maximal(i0_pre) == Matching(I0_RANK_MAXIMAL)
+        assert solve(i0_pre, Criterion.RANK_MAXIMAL) == Matching(I0_RANK_MAXIMAL)
         assert time.perf_counter() - started < 1.0
 
 

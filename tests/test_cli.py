@@ -10,9 +10,9 @@ from profmatch import (
     Matching,
     Profile,
     batch_stats,
+    blocking_pair,
     format_instance,
     generate_uniform,
-    is_stable,
     parse_instance,
     preprocess,
     woman_optimal,
@@ -52,7 +52,7 @@ def test_solve_output_restable(i0_file, capsys):
         out = capsys.readouterr().out.strip().split("\n")
         matching = Matching(_pairs_from(out[:-1]))
         inst = preprocess(parse_instance(I0_TEXT))
-        assert is_stable(inst, matching)
+        assert blocking_pair(inst, matching) is None
 
 
 def test_solve_invalid_criterion(i0_file, capsys):
@@ -148,7 +148,7 @@ def test_solve_output_stable_in_original_after_preprocessing(tmp_path, capsys):
     matching = Matching(_pairs_from(out[:-1]))
     original = parse_instance(path.read_text())
     assert {m for m, _ in matching} <= {1, 3}  # original indices
-    assert is_stable(original, matching)
+    assert blocking_pair(original, matching) is None
 
 
 def test_enumerate_unique(tmp_path, capsys):

@@ -178,6 +178,22 @@ def test_sparse_profile_matches_dense_reference(a, b, k):
     _agree(a, b, (k, degree, degree + 3))
 
 
+@given(st.lists(padded_entries, max_size=6), st.integers(0, 6))
+def test_sum_equals_the_dense_sum(entries, cancelled):
+    # Empty lists, and lists whose first few vectors are taken back, so
+    # that entries cancel and may leave the zero vector.
+    profiles = [Profile(e) for e in entries]
+    profiles += [-p for p in profiles[:cancelled]]
+    dense = DenseProfile()
+    for p in profiles:
+        dense += DenseProfile(p.elements)
+    want = Profile(dense.elements).pairs
+    assert Profile.sum(profiles).pairs == want
+    assert Profile.sum(iter(profiles)).pairs == want
+    counts = dict(enumerate(dense.padded(dense.degree + 2), start=1))
+    assert Profile.from_counts(counts).pairs == want
+
+
 # Shrinking 100,000-entry dense vectors takes minutes, and two nonzero
 # entries are already a small counterexample.
 @settings(max_examples=10, deadline=None, phases=(Phase.explicit, Phase.generate))

@@ -12,13 +12,13 @@ from profmatch import (
     Matching,
     Profile,
     RotationDigraph,
+    blocking_pair,
     build_digraph,
     eliminate_closed_subset,
     enumerate_stable_matchings,
     find_rotations,
     generate_I1,
     generate_uniform,
-    is_stable,
     man_optimal,
     min_regret_degree,
     preprocess,
@@ -601,4 +601,4 @@ def test_closed_subsets_biject_with_stable_matchings():
         assert len(matchings) == len(subsets)  # distinct subsets, distinct matchings
         assert matchings == set(enumerate_stable_matchings(inst))
         for matching in matchings:
-            assert is_stable(inst, matching)
+            assert blocking_pair(inst, matching) is None

@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from profmatch import Criterion, is_stable, parse_instance, preprocess, solve
+from profmatch import Criterion, blocking_pair, parse_instance, preprocess, solve
 
 from helpers import lists_text, sparse_lists
 
@@ -43,8 +43,8 @@ def test_sparse_n10000_solves_in_memory_of_the_lists(sparse_n10000_text):
 
     (pre, rank_max, generous), peak = _peak(load_and_solve)
     assert pre.n_men > 9800
-    assert rank_max.is_perfect(pre) and is_stable(pre, rank_max)
-    assert generous.is_perfect(pre) and is_stable(pre, generous)
+    assert rank_max.is_perfect(pre) and blocking_pair(pre, rank_max) is None
+    assert generous.is_perfect(pre) and blocking_pair(pre, generous) is None
     assert peak < 48 * 2**20  # 23.9 MiB measured
 
 

@@ -11,6 +11,7 @@ from profmatch import (
     EnumerationCapError,
     Instance,
     Matching,
+    blocking_pair,
     build_digraph,
     build_vb_network,
     eliminate_closed_subset,
@@ -19,7 +20,6 @@ from profmatch import (
     generate_I1,
     generate_uniform,
     high_weight,
-    is_stable,
     man_optimal,
     matching_degree,
     max_profile_closed_subset,
@@ -35,8 +35,6 @@ from profmatch import (
     select_min_regret,
     select_sex_equal,
     solve,
-    solve_generous,
-    solve_rank_maximal,
     truncate,
 )
 from profmatch import stability
@@ -72,12 +70,12 @@ def _random_pre(seed, n=6, density=1.0):
 
 
 def test_rank_maximal_i0(i0_pre):
-    assert solve_rank_maximal(i0_pre) == Matching(I0_RANK_MAXIMAL)
+    assert solve(i0_pre, Criterion.RANK_MAXIMAL) == Matching(I0_RANK_MAXIMAL)
 
 
 def test_rank_maximal_unique_instance():
     inst = preprocess(tiny_unique_instance())
-    assert solve_rank_maximal(inst) == man_optimal(inst)
+    assert solve(inst, Criterion.RANK_MAXIMAL) == man_optimal(inst)
 
 
 def test_rank_maximal_matches_enumeration_argmax():
@@ -86,23 +84,23 @@ def test_rank_maximal_matches_enumeration_argmax():
         if inst.n_men == 0:
             continue
         best = max(profile_of(inst, M) for M in enumerate_stable_matchings(inst))
-        got = solve_rank_maximal(inst)
+        got = solve(inst, Criterion.RANK_MAXIMAL)
         assert profile_of(inst, got) == best
-        assert is_stable(inst, got)
+        assert blocking_pair(inst, got) is None
 
 
 def test_generous_i0_matches_enumeration_and_golden(i0_pre):
     n = i0_pre.n_men
     enumerated = enumerate_stable_matchings(i0_pre)
     best_rev = max(profile_of(i0_pre, M).reverse_negate(n) for M in enumerated)
-    got = solve_generous(i0_pre)
+    got = solve(i0_pre, Criterion.GENEROUS)
     assert profile_of(i0_pre, got).reverse_negate(n) == best_rev
     assert got == Matching(GENEROUS_I0)
 
 
 def test_generous_unique_instance():
     inst = preprocess(tiny_unique_instance())
-    assert solve_generous(inst) == man_optimal(inst)
+    assert solve(inst, Criterion.GENEROUS) == man_optimal(inst)
 
 
 def test_generous_matches_enumeration_and_degree_law():
@@ -111,8 +109,8 @@ def test_generous_matches_enumeration_and_degree_law():
         if inst.n_men == 0:
             continue
         n = inst.n_men
-        got = solve_generous(inst)
-        assert is_stable(inst, got)
+        got = solve(inst, Criterion.GENEROUS)
+        assert blocking_pair(inst, got) is None
         profiles = [profile_of(inst, M) for M in enumerate_stable_matchings(inst)]
         # Lexicographically minimal reverse profile == maximal reverse-negated.
         assert profile_of(inst, got).reverse_negate(n) == max(
@@ -279,7 +277,7 @@ def test_sex_equal_and_median_hold_no_matching_per_node(criterion):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert is_stable(inst, matching)
+    assert blocking_pair(inst, matching) is None
     assert peak < 2**19
 
 
@@ -301,7 +299,7 @@ def test_median_i0_matches_direct_construction(i0_pre):
         )
         expected.append((m, partners[j - 1]))
     assert got == Matching(expected)
-    assert is_stable(i0_pre, got)
+    assert blocking_pair(i0_pre, got) is None
 
 
 def test_median_odd_count_picks_middle():
@@ -327,7 +325,7 @@ def test_median_always_stable():
         if inst.n_men == 0:
             continue
         ms = enumerate_stable_matchings(inst)
-        assert is_stable(inst, select_median(ms, inst))
+        assert blocking_pair(inst, select_median(ms, inst)) is None
 
 
 def test_median_rejects_partial_enumeration_and_unstable_assembly(i0):
@@ -340,7 +338,7 @@ def test_median_rejects_partial_enumeration_and_unstable_assembly(i0):
         select_median(matchings[1:] + [partial], i0)
     # The median of one unstable perfect matching is that matching.
     unstable = Matching((m, m) for m in range(1, 9))
-    assert not is_stable(i0, unstable)
+    assert blocking_pair(i0, unstable) is not None
     with pytest.raises(RuntimeError, match="not stable"):
         select_median([unstable], i0)
 
@@ -371,13 +369,17 @@ def test_selectors_reject_empty():
 
 
 def test_selectors_reject_pairs_the_instance_does_not_accept():
-    # Man 1 does not list woman 2.  The cost selectors once ranked the
-    # crossed matching first, at a "cost" of 3 read from a dense row's 0.
-    inst = parse_instance("2 2\n1\n1 2\n1 2\n2\n")
+    # Man 1 lists only woman 1.  The cost selectors once ranked the crossed
+    # matching first, at a "cost" of 3 read from a dense row's 0, and the
+    # median selector once sorted by his sparse row and raised KeyError.
+    dense = parse_instance("2 2\n1\n1 2\n1 2\n2\n")
+    sparse = parse_instance("5 5\n1\n" + "1 2 3 4 5\n" * 9)
+    assert type(sparse.men_rank[1]) is dict
     crossed, straight = Matching([(1, 2), (2, 1)]), Matching([(1, 1), (2, 2)])
-    for select in (select_egalitarian, select_sex_equal, select_min_regret):
-        with pytest.raises(ValueError, match=r"pair \(1,2\) is not mutually acceptable"):
-            select([crossed, straight], inst)
+    for inst in (dense, sparse):
+        for select in (select_egalitarian, select_sex_equal, select_median, select_min_regret):
+            with pytest.raises(ValueError, match=r"pair \(1,2\) is not mutually acceptable"):
+                select([crossed, straight], inst)
 
 
 def test_sex_equal_zero_on_symmetric_singleton():
@@ -429,7 +431,7 @@ def test_criteria_outside_enumeration_backed_never_enumerate(i0_pre, monkeypatch
             with pytest.raises(EnumerationCapError):
                 solve(i0_pre, criterion, cap=1)
         else:
-            assert is_stable(i0_pre, solve(i0_pre, criterion, cap=1))
+            assert blocking_pair(i0_pre, solve(i0_pre, criterion, cap=1)) is None
 
 
 def test_egalitarian_equals_first_enumerated_tie(i0_pre):
@@ -597,7 +599,8 @@ def _full_poset(case):
 @example(case=COMPLETE_300)
 def test_reduction_keeps_every_ancestor_and_no_implied_edge(case):
     poset = _full_poset(case)
-    full, reduced = poset.digraph, poset.reduced
+    full = poset.digraph
+    reduced = full.reduction
     labels = {(u, v): labs for u, v, labs in full.edges()}
     for u, v, labs in reduced.edges():
         assert labels[u, v] == labs
@@ -613,9 +616,10 @@ def test_reduction_keeps_every_ancestor_and_no_implied_edge(case):
 def test_reduction_returns_a_chain_as_is_and_thins_a_complete_poset():
     for n in (2, 5, 30, 80):
         poset = _Lattice(preprocess(latin_chain(n))).full
-        assert poset.reduced is poset.digraph and len(poset.digraph.edges()) == n - 2
+        digraph = poset.digraph
+        assert digraph.reduction is digraph and len(digraph.edges()) == n - 2
     poset = _full_poset(COMPLETE_300)
-    assert len(poset.reduced.edges()) * 5 < len(poset.digraph.edges())
+    assert len(poset.digraph.reduction.edges()) * 5 < len(poset.digraph.edges())
 
 
 @settings(max_examples=300, deadline=None)
@@ -647,17 +651,19 @@ def test_only_egalitarian_reads_the_reduction(monkeypatch):
     monkeypatch.setattr("profmatch.solvers.build_vb_network", build)
     lattice.solve(Criterion.RANK_MAXIMAL)
     lattice.solve(Criterion.GENEROUS)
-    assert "reduced" not in vars(lattice.full) and "reduced" not in vars(lattice.generous)
+    assert "reduction" not in vars(lattice.full.digraph)
+    assert "reduction" not in vars(lattice.generous.digraph)
     lattice.solve(Criterion.EGALITARIAN)
     full = lattice.full
-    assert len(read) == 3 and full.reduced != full.digraph
-    assert read[0] is full.digraph and read[1] is lattice.generous.digraph and read[2] is full.reduced
+    assert len(read) == 3 and full.digraph.reduction != full.digraph
+    assert read[0] is full.digraph and read[1] is lattice.generous.digraph
+    assert read[2] is full.digraph.reduction
 
 
 def test_solve_dispatcher_all_criteria(i0_pre):
     for criterion in Criterion:
         matching = solve(i0_pre, criterion)
-        assert is_stable(i0_pre, matching)
+        assert blocking_pair(i0_pre, matching) is None
         assert len(matching) == 8
     assert solve(i0_pre, Criterion.MAN_OPTIMAL) == man_optimal(i0_pre)
     assert solve(i0_pre, Criterion.RANK_MAXIMAL) == Matching(I0_RANK_MAXIMAL)
@@ -706,7 +712,7 @@ def test_generous_builds_no_instance(i0_pre, monkeypatch):
 
     monkeypatch.setattr(Instance, "__init__", counting)
     for inst in (i0_pre, seeded):
-        assert is_stable(inst, solve(inst, Criterion.GENEROUS))
+        assert blocking_pair(inst, solve(inst, Criterion.GENEROUS)) is None
         assert built == []
 
 
@@ -788,9 +794,9 @@ def test_solve_generous_equals_staged_path(i0_pre):
     # the solve extracts the same rotations under that cutoff instead.
     for inst in cutoff_families(i0_pre):
         if inst.n_men == 0:
-            assert solve_generous(inst) == Matching(())
+            assert solve(inst, Criterion.GENEROUS) == Matching(())
         else:
-            assert solve_generous(inst) == _staged_generous(inst)
+            assert solve(inst, Criterion.GENEROUS) == _staged_generous(inst)
 
 
 def _poset_parts(lattice):

@@ -11,7 +11,6 @@ from profmatch import (
     enumerate_stable_matchings,
     generate_I1,
     generate_uniform,
-    is_stable,
     man_optimal,
     matching_degree,
     matching_stats,
@@ -55,10 +54,10 @@ def test_single_mutual_first_pair():
 
 
 def test_is_stable_i0(i0_pre):
-    assert is_stable(i0_pre, Matching(I0_MAN_OPTIMAL))
+    assert blocking_pair(i0_pre, Matching(I0_MAN_OPTIMAL)) is None
     # Swapping (m1,w5),(m3,w8) to (m1,w8),(m3,w5) gives another stable matching.
     swapped = [(1, 8), (2, 3), (3, 5), (4, 6), (5, 7), (6, 1), (7, 2), (8, 4)]
-    assert is_stable(i0_pre, Matching(swapped))
+    assert blocking_pair(i0_pre, Matching(swapped)) is None
 
 
 def test_empty_matching_is_blocked(i0_pre):
@@ -272,7 +271,7 @@ def test_truncate_at_min_regret_stays_stable_in_original():
         d = min_regret_degree(inst)
         trunc = truncate(inst, d)
         matching = man_optimal(trunc.instance)
-        assert is_stable(inst, matching)
+        assert blocking_pair(inst, matching) is None
         assert matching_degree(inst, matching) <= d
 
 
@@ -347,8 +346,8 @@ def test_truncate_asks_for_preprocessing_when_the_input_has_no_perfect_matching(
 def test_gs_outputs_always_stable():
     for seed in range(15):
         inst = preprocess(generate_uniform(6, 7, 0.7, seed=200 + seed))
-        assert is_stable(inst, man_optimal(inst))
-        assert is_stable(inst, woman_optimal(inst))
+        assert blocking_pair(inst, man_optimal(inst)) is None
+        assert blocking_pair(inst, woman_optimal(inst)) is None
 
 
 def test_lattice_bounds_on_enumerated_matchings():

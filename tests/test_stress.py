@@ -1,16 +1,16 @@
 """Medium-size and structured-family stress checks (still fast)."""
 
 from profmatch import (
+    Criterion,
+    blocking_pair,
     enumerate_stable_matchings,
     generate_I1,
     generate_uniform,
-    is_stable,
     matching_degree,
     min_regret_degree,
     preprocess,
     profile_of,
-    solve_generous,
-    solve_rank_maximal,
+    solve,
 )
 
 
@@ -23,10 +23,10 @@ def test_medium_instances_agree_with_enumeration():
         inst = preprocess(generate_uniform(20, 20, 1.0, seed=80_000 + seed))
         n = inst.n_men
         profiles = [profile_of(inst, M) for M in enumerate_stable_matchings(inst)]
-        rank_max = solve_rank_maximal(inst)
+        rank_max = solve(inst, Criterion.RANK_MAXIMAL)
         assert profile_of(inst, rank_max) == max(profiles)
-        assert is_stable(inst, rank_max)
-        generous = solve_generous(inst)
+        assert blocking_pair(inst, rank_max) is None
+        generous = solve(inst, Criterion.GENEROUS)
         assert _reverse(profile_of(inst, generous), n) == min(
             _reverse(p, n) for p in profiles
         )
@@ -38,9 +38,9 @@ def test_paired_block_family_by_size():
     # choice, generous settles everyone at rank <= 2.
     for n in (4, 6, 8, 10, 12):
         inst = preprocess(generate_I1(n))
-        rank_max = solve_rank_maximal(inst)
+        rank_max = solve(inst, Criterion.RANK_MAXIMAL)
         assert profile_of(inst, rank_max).elements[0] == n
-        generous = solve_generous(inst)
+        generous = solve(inst, Criterion.GENEROUS)
         assert matching_degree(inst, generous) == 2
         count = len(enumerate_stable_matchings(inst))
         assert count == 2 ** (n // 2)
@@ -53,8 +53,8 @@ def test_incomplete_medium_instances():
             continue
         n = inst.n_men
         profiles = [profile_of(inst, M) for M in enumerate_stable_matchings(inst)]
-        assert profile_of(inst, solve_rank_maximal(inst)) == max(profiles)
-        generous = solve_generous(inst)
+        assert profile_of(inst, solve(inst, Criterion.RANK_MAXIMAL)) == max(profiles)
+        generous = solve(inst, Criterion.GENEROUS)
         assert _reverse(profile_of(inst, generous), n) == min(
             _reverse(p, n) for p in profiles
         )

@@ -14,14 +14,17 @@ from profmatch import (
     oracle_exponential_flow,
     preprocess,
 )
-from profmatch.vbflow import SINK, SOURCE, VbFlow, _sum_pushes
+from profmatch.solvers import _Lattice, _egalitarian_weight
+from profmatch.vbflow import SINK, SOURCE, VbFlow, VbNetwork
 
 from helpers import (
     I0_FLOW_VALUE_WEIGHT,
     I0_MIN_CUT_CAPACITY,
     I0_OPTIMAL_SUBSET,
     all_closed_subsets,
+    cutoff_families,
     incident_edges,
+    latin_chain,
     reference_max_vb_flow,
     rotation_name_map,
 )
@@ -319,19 +322,6 @@ def test_second_augmenting_path_cancels_flow_on_an_uncapacitated_edge():
     _assert_max_flow_like_reference(net)
 
 
-@given(
-    st.lists(st.lists(st.integers(-3, 3), max_size=6), max_size=6),
-    st.integers(0, 6),
-)
-def test_one_pass_push_sum_equals_pairwise_sum(entries, cancelled):
-    # Empty lists, and lists where the first few pushes are taken back, so
-    # that entries cancel and may leave the zero vector.
-    pushes = [Profile(e) for e in entries]
-    pushes += [-p for p in pushes[:cancelled]]
-    expected = sum(pushes, Profile.zero())
-    assert _sum_pushes(pushes).pairs == expected.pairs
-
-
 def test_one_phase_finds_every_shortest_path(monkeypatch):
     # Every augmenting path of this network has length 3, so blocking flows
     # need one level search to find them and one to see that none is left;
@@ -382,3 +372,58 @@ def test_flow_and_cut_negate_no_profile_and_subtract_none_from_itself(monkeypatc
     min_cut(net, flow)
     assert negations == [] and self_subtractions == []
     assert not flow.value.is_zero
+
+
+def _edge_list_network(weights, digraph):
+    """The network laid out from the digraph's ``(u, v)``-ordered edge list,
+    as :func:`build_vb_network` built it before it read predecessors: the
+    reference for the arc order Dinic's path choice follows."""
+    tails = [u for u, _v, _labels in digraph.edges()]
+    heads = [v for _u, v, _labels in digraph.edges()]
+    caps = [None] * len(tails)
+    for rid, p in enumerate(weights):
+        if p.sign < 0:
+            tails.append(SOURCE)
+            heads.append(rid)
+            caps.append(p.abs_value())
+    for rid, p in enumerate(weights):
+        if p.sign > 0:
+            tails.append(rid)
+            heads.append(SINK)
+            caps.append(p)
+    return VbNetwork(len(weights), tails, heads, caps)
+
+
+def _arc_sequences(net):
+    """Each node's residual arcs in order, as ``(tail, head, forward)``."""
+    def arc(a):
+        e = a if a >= 0 else ~a
+        return net.tails[e], net.heads[e], a >= 0
+
+    return [[arc(a) for a in arcs] for arcs in net.arcs]
+
+
+def _solved_networks(inst):
+    """Rank-maximal's, generous' and egalitarian's weights and digraph."""
+    lattice = _Lattice(inst)
+    full, generous = lattice.full, lattice.generous
+    yield [r.profile for r in full.rotations], full.digraph
+    yield [r.profile.reverse_negate(generous.cutoff) for r in generous.rotations], generous.digraph
+    yield [_egalitarian_weight(r.rank_change) for r in full.rotations], full.digraph.reduction
+
+
+def test_network_over_predecessors_equals_the_edge_list_network(i0_pre):
+    instances = cutoff_families(i0_pre)  # poset_families among them
+    instances += [preprocess(latin_chain(60)), preprocess(generate_uniform(100, 100, 1.0, seed=7))]
+    solved = 0
+    for inst in instances:
+        for weights, digraph in _solved_networks(inst):
+            net, ref = build_vb_network(weights, digraph), _edge_list_network(weights, digraph)
+            assert _arc_sequences(net) == _arc_sequences(ref)
+            flow, ref_flow = max_vb_flow(net), max_vb_flow(ref)
+            cut, ref_cut = min_cut(net, flow), min_cut(ref, ref_flow)
+            assert (flow.value, cut) == (ref_flow.value, ref_cut)
+            subset = max_profile_closed_subset(net, digraph, cut)
+            assert subset == max_profile_closed_subset(ref, digraph, ref_cut)
+            solved += bool(digraph.edges()) and not flow.value.is_zero
+    assert solved >= 350  # 371 of the 2,082 networks carry flow over a digraph edge
